@@ -38,7 +38,7 @@ from .grids import (
     lp_norm,
 )
 from .polys import EvenPoly, apply_bessel, eval_poly
-from .shift import ShiftOperatorPlan, build_shift_plan, _law_of_cosines
+from .shift import ShiftOperatorPlan, build_shift_plan, _shift_rows
 from .special import gamma as _gamma
 from .transform import FBPlan, fb_constant, fb_forward, fb_inverse
 
@@ -121,27 +121,6 @@ class RieszSpatialResult:
     converged: bool
 
 
-def _shift_at_point(interp: GridInterpolator, plan: ShiftOperatorPlan, x, ys) -> np.ndarray:
-    """T^y f(x) for a batch of translations ys (m, n) at fixed x, from samples."""
-    n = ys.shape[1]
-    contracted = []
-    for i in range(n):
-        z = _law_of_cosines(x[i], ys[:, i : i + 1], plan.cos_nodes[i][None, :])
-        b = interp.dense_axis_matrix(i, z.reshape(-1))
-        b = b.reshape(ys.shape[0], -1, b.shape[1])
-        contracted.append(np.tensordot(plan.weights[i], b, axes=([0], [1])))
-    ext = interp.ext_values
-    if n == 1:
-        return contracted[0] @ ext
-    if n == 2:
-        return np.einsum("pe,ef,pf->p", contracted[0], ext, contracted[1])
-    if n == 3:
-        return np.einsum(
-            "pe,pf,pg,efg->p", contracted[0], contracted[1], contracted[2], ext
-        )
-    raise NotImplementedError("spatial Riesz evaluation supports n <= 3")
-
-
 def riesz_spatial(
     kernel: RieszKernel,
     f: GridFunction,
@@ -184,10 +163,9 @@ def riesz_spatial(
     w_out = 0.5 * (r_max - 1.0) * to_w
 
     all_r = np.concatenate([r for r, _ in radii] + [r_out])
-    ys = all_r[:, None, None] * rule.nodes[None, :, :]
-    tvals = _shift_at_point(
-        interp, plan, x, ys.reshape(-1, g.n)
-    ).reshape(all_r.size, rule.nodes.shape[0])
+    ys = (all_r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, g.n)
+    rows = [_shift_rows(interp, plan, i, x[i], ys[:, i]) for i in range(g.n)]
+    tvals = interp.contract(rows).reshape(all_r.size, rule.nodes.shape[0])
 
     p_theta = eval_poly(kernel.poly, rule.nodes)
     pw = rule.weights * p_theta

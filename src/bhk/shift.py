@@ -11,6 +11,17 @@ it is symmetric in x and y, preserves the dmu_gamma integral, and acts on the
 Fourier-Bessel kernel as multiplication by prod j_{gamma_i-1/2}(y_i t_i).
 
 The B-convolution is (f * phi)(x) = int f(y) T^y phi(x) dmu_gamma(y).
+
+T^y is computed along two routes:
+
+* callable (`_shift_values`, used by `shift` and `b_convolve`): phi is
+  evaluated once on the tensor of law-of-cosines points of a batch of (x, y)
+  pairs, prod_i A_i evaluations per pair, and the angle weights contracted.
+* sampled (`_shift_rows`, used by `shift_grid` and `riesz.riesz_spatial`):
+  the shifted argument on axis i depends only on (x_i, y_i, alpha_i), so per
+  axis each (x_i, y_i) pair gives one row, the angle-weighted sum of
+  interpolation stencil rows over the extended nodes, and T^y of grid
+  samples is a contraction of these rows axis by axis.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GammaIndex, GridFunction, GridInterpolator, as_gamma
+from .grids import GammaIndex, GridFunction, GridInterpolator, as_gamma, jacobi_angle_rule
 from .special import gamma as _gamma
 
 __all__ = [
@@ -35,6 +46,9 @@ __all__ = [
 ]
 
 MAX_ANGLES = 384
+# Lagrange stencil width of shift_grid: its O(h^10) error keeps the
+# dmu_gamma-integral of T^y f within ~1e-9 of f's at default resolutions
+SHIFT_GRID_STENCIL = 10
 
 
 class ShiftTruncationWarning(UserWarning):
@@ -44,10 +58,8 @@ class ShiftTruncationWarning(UserWarning):
 @functools.lru_cache(maxsize=256)
 def _angle_rule(gamma_axis: float, points: int):
     """(cos(alpha) nodes, weights normalized to sum 1) for sin^{2g-1} d(alpha)."""
-    from scipy.special import roots_jacobi
-
-    t, w = roots_jacobi(points, gamma_axis - 1.0, gamma_axis - 1.0)
-    return t, w / math.sqrt(math.pi) * _gamma(gamma_axis + 0.5) / _gamma(gamma_axis)
+    alpha, w = jacobi_angle_rule(gamma_axis, points)
+    return np.cos(alpha), w / math.sqrt(math.pi) * _gamma(gamma_axis + 0.5) / _gamma(gamma_axis)
 
 
 @dataclass(frozen=True)
@@ -96,28 +108,38 @@ def _law_of_cosines(x, y, cos_a):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _tensor_shift_values(phi, axes_x, y, cos_nodes, weights):
-    """T^y phi evaluated on a tensor of per-axis x values.
+def _shift_values(phi, x, y, cos_nodes, weights):
+    """Callable route: T^y phi(x) for broadcastable points x, y of shape (..., n).
 
-    axes_x: list of per-axis 1-D arrays; returns array of shape
-    (len(axes_x[0]), ..., len(axes_x[n-1])).
+    Evaluates phi once on the (..., A_1, ..., A_n, n) tensor of per-axis
+    law-of-cosines points and contracts the angle weights, last axis first;
+    returns an array of the broadcast batch shape.
     """
-    n = len(axes_x)
-    z_axes = [
-        _law_of_cosines(axes_x[i][:, None], y[i], cos_nodes[i][None, :])
-        for i in range(n)
-    ]
-    shape = tuple(len(a) for a in axes_x) + tuple(len(c) for c in cos_nodes)
-    pts = np.empty(shape + (n,))
-    for i, z in enumerate(z_axes):
-        view = [1] * (2 * n)
-        view[i] = z.shape[0]
-        view[n + i] = z.shape[1]
-        pts[..., i] = z.reshape(view)
+    n = len(cos_nodes)
+    batch = np.broadcast_shapes(x.shape, y.shape)[:-1]
+    pts = np.empty(batch + tuple(len(c) for c in cos_nodes) + (n,))
+    for i, c in enumerate(cos_nodes):
+        pts[..., i] = _law_of_cosines(
+            x[..., i].reshape(x.shape[:-1] + (1,) * n),
+            y[..., i].reshape(y.shape[:-1] + (1,) * n),
+            c.reshape((1,) * i + (-1,) + (1,) * (n - i - 1)),
+        )
     vals = np.asarray(phi(pts), dtype=float)
-    for i in range(n - 1, -1, -1):
-        vals = np.tensordot(vals, weights[i], axes=([vals.ndim - 1], [0]))
+    for w in reversed(weights):
+        vals = np.tensordot(vals, w, axes=1)
     return vals
+
+
+def _shift_rows(interp: GridInterpolator, plan: ShiftOperatorPlan, axis: int, x, y):
+    """Sampled route: per-axis T^y rows for broadcast 1-D values x, y of one axis.
+
+    Row p is sum_alpha w(alpha) L((x_p, y_p)_alpha), with L the stencil row
+    of interp over its extended nodes on that axis; shape (pairs, nodes).
+    """
+    z = _law_of_cosines(
+        np.reshape(x, (-1, 1)), np.reshape(y, (-1, 1)), plan.cos_nodes[axis]
+    )
+    return interp.dense_axis_matrix(axis, z, plan.weights[axis])
 
 
 def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True,
@@ -138,13 +160,8 @@ def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True,
         return float(np.asarray(phi(x.reshape(1, n)), dtype=float).reshape(()))
 
     def value(m):
-        if m == plan.angles:
-            cn, wn = plan.cos_nodes, plan.weights
-        else:
-            rules = [_angle_rule(gi, m) for gi in plan.gamma]
-            cn, wn = tuple(r[0] for r in rules), tuple(r[1] for r in rules)
-        vals = _tensor_shift_values(phi, [x[i : i + 1] for i in range(n)], y, cn, wn)
-        return float(np.asarray(vals).reshape(()))
+        rules = [_angle_rule(gi, m) for gi in plan.gamma]
+        return float(_shift_values(phi, x, y, [r[0] for r in rules], [r[1] for r in rules]))
 
     m = plan.angles
     val = value(m)
@@ -159,16 +176,15 @@ def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True,
     return val
 
 
-def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y, *, stencil: int = 10) -> GridFunction:
-    """T^y f sampled at every grid node.
+def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
+    """T^y f sampled at every grid node (sampled route).
 
     Off-node arguments are evaluated by tensor-product local Lagrange
-    interpolation (stencil points per axis; 10 by default, which keeps the
-    dmu_gamma-integral of the result within ~1e-9 of the original at default
-    resolutions) with even reflection at 0 and clamping at x_max.  Because
-    the shifted argument on axis i depends only on (x_i, y_i, alpha_i), the
-    whole operation contracts separably, one interpolation matrix per axis.
-    Emits ShiftTruncationWarning when > 1% of evaluation points are clamped.
+    interpolation (SHIFT_GRID_STENCIL points per axis) with even reflection
+    at 0 and clamping at x_max.  Each axis contracts one (nodes, extended
+    nodes) matrix of `_shift_rows` into the extended samples, so the cost is
+    O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
+    ShiftTruncationWarning when > 1% of evaluation points are clamped.
     """
     grid = f.grid
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -178,18 +194,11 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y, *, stencil: int = 10
         raise ValueError("plan and grid gamma indices differ")
     if np.all(y == 0.0):
         return GridFunction(grid, f.values.copy())
-    interp = GridInterpolator(f, width=stencil)
-    mats = []
-    for i in range(grid.n):
-        z = _law_of_cosines(
-            grid.nodes[i][:, None], y[i], plan.cos_nodes[i][None, :]
-        )
-        b = interp.dense_axis_matrix(i, z.reshape(-1))
-        b = b.reshape(len(grid.nodes[i]), -1, b.shape[1])
-        mats.append(np.tensordot(plan.weights[i], b, axes=([0], [1])))
+    interp = GridInterpolator(f, width=SHIFT_GRID_STENCIL)
     acc = interp.ext_values
     for ax in range(grid.n):
-        acc = np.moveaxis(np.tensordot(mats[ax], acc, axes=([1], [ax])), 0, ax)
+        rows = _shift_rows(interp, plan, ax, grid.nodes[ax], y[ax])
+        acc = np.moveaxis(np.tensordot(rows, acc, axes=([1], [ax])), 0, ax)
     if interp.clip_fraction > 0.01:
         warnings.warn(
             f"{100 * interp.clip_fraction:.1f}% of shift evaluations beyond "
@@ -203,45 +212,26 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y, *, stencil: int = 10
 def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     """(f * phi)(x) = int f(y) T^y phi(x) dmu_gamma(y) at every grid node.
 
-    The y-integral uses the grid quadrature; T^y phi is evaluated from the
-    callable phi directly (no interpolation), so cost is
-    O(N_grid^2 * angles^n).  Translations are processed in chunks sized to
-    keep the evaluation tensor within a fixed memory budget.
+    The y-integral uses the grid quadrature; T^y phi comes from the callable
+    route, which evaluates phi itself (no sampling or interpolation), so the
+    cost is O(N_grid^2 * angles^n) evaluations of phi.  Translations are
+    processed in chunks sized to keep the evaluation tensor within a fixed
+    memory budget.
     """
     grid = f.grid
     if grid.gamma.values != plan.gamma.values:
         raise ValueError("plan and grid gamma indices differ")
     n = grid.n
-    mesh_y = grid.points().reshape(-1, n)
-    w_y = np.ones(grid.shape)
-    for ax, w in enumerate(grid.weights):
-        w_y = w_y * w.reshape((1,) * ax + (-1,) + (1,) * (n - ax - 1))
-    w_f = (w_y * f.values).reshape(-1)
-
-    x_shape = grid.shape
-    a_shape = tuple(len(c) for c in plan.cos_nodes)
-    tensor_pts = int(np.prod(x_shape)) * int(np.prod(a_shape))
+    mesh_x = grid.points()
+    mesh_y = mesh_x.reshape(-1, n)
+    w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
+    tensor_pts = mesh_y.shape[0] * int(np.prod([len(c) for c in plan.cos_nodes]))
     chunk = max(1, int(4_000_000 // tensor_pts))
-    out = np.zeros(int(np.prod(x_shape)))
+    out = np.zeros(mesh_y.shape[0])
     for lo in range(0, mesh_y.shape[0], chunk):
-        sel = slice(lo, min(lo + chunk, mesh_y.shape[0]))
-        yc = mesh_y[sel]
-        wc = w_f[sel]
-        m = yc.shape[0]
-        pts = np.empty((m,) + x_shape + a_shape + (n,))
-        for i in range(n):
-            z = _law_of_cosines(
-                yc[:, i, None, None],
-                grid.nodes[i][None, :, None],
-                plan.cos_nodes[i][None, None, :],
-            )  # (m, X_i, A_i)
-            view = [1] * (1 + 2 * n)
-            view[0] = m
-            view[1 + i] = z.shape[1]
-            view[1 + n + i] = z.shape[2]
-            pts[..., i] = z.reshape(view)
-        vals = np.asarray(phi(pts), dtype=float)
-        for i in range(n - 1, -1, -1):
-            vals = np.tensordot(vals, plan.weights[i], axes=([vals.ndim - 1], [0]))
-        out += np.tensordot(wc, vals.reshape(m, -1), axes=([0], [0]))
-    return GridFunction(grid, out.reshape(x_shape))
+        yc = mesh_y[lo : lo + chunk]
+        vals = _shift_values(
+            phi, mesh_x, yc.reshape((-1,) + (1,) * n + (n,)), plan.cos_nodes, plan.weights
+        )
+        out += np.tensordot(w_f[lo : lo + chunk], vals.reshape(yc.shape[0], -1), axes=([0], [0]))
+    return GridFunction(grid, out.reshape(grid.shape))

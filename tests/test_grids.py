@@ -201,11 +201,29 @@ class TestCsv:
 
 class TestGridInterpolator:
     def test_reproduces_nodes(self):
-        grid = build_tensor_grid(GAMMA, 4.0, 24)
-        f = grid.sample(gauss)
-        interp = GridInterpolator(f)
-        pts = grid.points().reshape(-1, 2)[::17]
-        assert_allclose(interp(pts), gauss(pts), atol=1e-12)
+        for gam in (GAMMA, (0.5, 1.0, 1.5)):
+            grid = build_tensor_grid(gam, 4.0, 24)
+            f = grid.sample(gauss)
+            interp = GridInterpolator(f)
+            pts = grid.points().reshape(-1, len(gam))[::17]
+            assert_allclose(interp(pts), gauss(pts), atol=1e-12)
+
+    def test_weighted_axis_matrix(self):
+        # rows are angle-weighted sums of single-point stencil rows, built
+        # here densely as the oracle; normalized weights give T^y 1 = 1
+        grid = build_tensor_grid(GAMMA, 4.0, 16)
+        interp = GridInterpolator(grid.sample(gauss), width=6)
+        alpha, w = jacobi_angle_rule(GAMMA[1], 8)
+        w = w / np.sum(w)
+        x, y = np.random.default_rng(3).uniform(0.1, 2.0, (2, 5, 1))
+        z = np.sqrt(x * x + y * y - 2.0 * x * y * np.cos(alpha))  # (5, 8)
+        got = interp.dense_axis_matrix(1, z, w)
+        idx, lw = interp.axis_stencil(1, z)
+        single = np.zeros(z.shape + (len(interp.ext_nodes[1]),))
+        np.put_along_axis(single, idx, lw, axis=-1)
+        assert_allclose(got, np.tensordot(w, single, axes=([0], [1])), rtol=0,
+                        atol=1e-15)
+        assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-13)
 
     def test_offgrid_accuracy_scales_with_width(self):
         grid = build_tensor_grid(GAMMA, 4.0, 48)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bhk.grids import build_tensor_grid, integrate
+from bhk.grids import GridInterpolator, build_tensor_grid, integrate
 from bhk.shift import (
     ShiftTruncationWarning,
+    _shift_rows,
     b_convolve,
     build_shift_plan,
     shift,
@@ -164,3 +165,45 @@ class TestBConvolve:
         out = b_convolve(plan, f, phi)
         # smoothing preserves total mass: int (f * phi) = int f . int phi
         assert_allclose(integrate(out), integrate(grid.sample(phi)), rtol=1e-6)
+
+
+def _route_cases():
+    # (points, angles) per axis at each n; dyadic and seeded non-dyadic gamma
+    for n, (points, angles) in {1: (64, 48), 2: (48, 32), 3: (32, 16)}.items():
+        seeded = tuple(np.random.default_rng(n).uniform(0.05, 5.0, n))
+        for label, g in (("dyadic", (0.5, 1.5, 1.0)[:n]), ("seeded", seeded)):
+            yield pytest.param(g, points, angles, id=f"n{n}-{label}")
+
+
+@pytest.mark.parametrize("g, points, angles", list(_route_cases()))
+class TestSampledAgainstCallable:
+    """The sampled route on grid samples against the callable route on gauss.
+
+    x_max = 4 keeps the grids fine enough that interpolation error stays far
+    below the gate; only points whose law-of-cosines arguments stay within
+    x_max (none clamped) are compared.
+    """
+
+    def test_shift_grid(self, g, points, angles):
+        n = len(g)
+        plan, grid = build_shift_plan(g, angles), build_tensor_grid(g, 4.0, points)
+        rng = np.random.default_rng(10 + n)
+        y = rng.uniform(0.3, 1.5, n)
+        out = shift_grid(plan, grid.sample(gauss), y).values.reshape(-1)
+        mesh = grid.points().reshape(-1, n)
+        inside = np.flatnonzero(np.all(mesh + y <= grid.x_max, axis=-1))
+        for k in rng.choice(inside, 40, replace=False):
+            assert abs(out[k] - shift(plan, gauss, mesh[k], y, adaptive=False)) < 1e-7
+
+    def test_pointwise_rows(self, g, points, angles):
+        # the contraction riesz_spatial uses: one x, a batch of translations
+        n = len(g)
+        plan, grid = build_shift_plan(g, angles), build_tensor_grid(g, 4.0, points)
+        interp = GridInterpolator(grid.sample(gauss), width=8)
+        rng = np.random.default_rng(20 + n)
+        x = rng.uniform(0.3, 1.5, n)
+        ys = rng.uniform(0.1, 2.0, (30, n))
+        got = interp.contract([_shift_rows(interp, plan, i, x[i], ys[:, i])
+                               for i in range(n)])
+        ref = [shift(plan, gauss, x, y, adaptive=False) for y in ys]
+        assert np.max(np.abs(got - ref)) < 1e-7

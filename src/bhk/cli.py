@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    bhk run  --suite <name> [--config <path>] [--out <path>] [--threads N] [--timings]
+    bhk run  --suite <name> [--config <path>] [--out <path>] [--threads N]
     bhk emit --function <name> [--transform] [--config <path>] --out <path>
 
 Exit status: 0 all checks passed, 1 at least one row failed (or numeric
@@ -50,9 +50,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", help="JSON config path (defaults used if omitted)")
     p_run.add_argument("--out", help="report path (default: config 'output' field)")
     p_run.add_argument("--threads", type=int, help="thread-count override")
-    p_run.add_argument("--timings", action="store_true",
-                       help="include per-row wall times (breaks byte-identical "
-                            "reports across runs)")
 
     p_emit = sub.add_parser("emit", help="sample a corpus function to CSV")
     p_emit.add_argument("--function", required=True)
@@ -81,7 +78,7 @@ def main(argv=None) -> int:
         if args.suite not in set(SUITES) | {"all"}:
             print(f"bhk: unknown suite {args.suite!r}", file=sys.stderr)
             return 2
-        report = run_suite(config, args.suite, timings=args.timings)
+        report = run_suite(config, args.suite)
         out = args.out or config.output
         write_report(report, out)
         summary = report["summary"]

@@ -7,7 +7,10 @@ Gaussian-localized, so the truncation error is negligible).  Per-axis rules
 are Gauss-Jacobi with the measure factor absorbed into the weights, so the
 measure of a box integrates exactly for every gamma > 0.  Reductions use
 numpy's pairwise summation in a fixed axis order, keeping results bit-stable
-run to run.
+run to run.  Separable operators (Fourier-Bessel kernels, per-axis shift
+rows, interpolation stencils) act on tensor samples through two contractions:
+`contract_axes` (one matrix per axis) and `contract_rows` (one row per axis
+and scattered point).
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "build_tensor_grid",
     "integrate",
     "lp_norm",
+    "contract_axes",
+    "contract_rows",
     "jacobi_angle_rule",
     "build_sphere_rule",
     "hemisphere_measure",
@@ -188,6 +193,29 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return integrate(GridFunction(f.grid, np.abs(f.values) ** p)) ** (1.0 / p)
 
 
+def contract_axes(mats, values) -> np.ndarray:
+    """Apply one matrix per axis: out[b] = sum_a prod_i mats[i][b_i, a_i] values[a].
+
+    mats[i] has shape (M_i, N_i), values (N_1, ..., N_n), the result
+    (M_1, ..., M_n); one tensordot per axis, O(n N^{n+1}) for square mats.
+    """
+    acc = values
+    for ax, mat in enumerate(mats):
+        acc = np.moveaxis(np.tensordot(mat, acc, axes=([1], [ax])), 0, ax)
+    return acc
+
+
+def contract_rows(rows, values) -> np.ndarray:
+    """Pointwise contraction out[p] = sum_a prod_i rows[i][p, a_i] values[a].
+
+    rows[i] has shape (P, N_i), values (N_1, ..., N_n), the result (P,);
+    O(P * N_1 ... N_n) with no intermediate larger than the inputs.
+    """
+    axes = "abcdefghijklmnoqrstuvwxyz"[: len(rows)]
+    spec = ",".join("p" + a for a in axes) + "," + axes + "->p"
+    return np.einsum(spec, *rows, values)
+
+
 def jacobi_angle_rule(gamma_axis: float, points: int):
     """Quadrature on [0, pi] against the weight sin^{2 gamma - 1}(alpha).
 
@@ -279,7 +307,8 @@ class GridInterpolator:
     Riesz path uses width=8 and shift_grid width=10, whose O(h^10) error is
     what its 1e-8 integral-preservation budget needs at default grid
     resolutions.  Evaluations beyond x_max are clamped and counted so callers
-    can flag truncation bias.
+    can flag truncation bias.  Scattered values come from `contract_rows` of
+    one stencil row per axis and point against the extended samples.
     """
 
     def __init__(self, f: GridFunction, width: int = 4):
@@ -339,17 +368,6 @@ class GridInterpolator:
         out = np.bincount(flat.reshape(-1), vals.reshape(-1), minlength=z.shape[0] * size)
         return out.reshape(z.shape[0], size)
 
-    def contract(self, rows) -> np.ndarray:
-        """Pointwise contraction of per-axis rows against the extended samples.
-
-        rows[i] has shape (P, n_extended_nodes_i), for example from
-        dense_axis_matrix; returns out[p] = sum_e prod_i rows[i][p, e_i]
-        * ext_values[e], shape (P,).
-        """
-        axes = "abcdefghijklmnoqrstuvwxyz"[: self.grid.n]
-        spec = ",".join("p" + a for a in axes) + "," + axes + "->p"
-        return np.einsum(spec, *rows, self.ext_values)
-
     @property
     def clip_fraction(self) -> float:
         return self.clipped / self.queried if self.queried else 0.0
@@ -361,4 +379,4 @@ class GridInterpolator:
         one = np.ones(1)
         rows = [self.dense_axis_matrix(ax, flat[:, ax, None], one)
                 for ax in range(self.grid.n)]
-        return self.contract(rows).reshape(pts.shape[:-1])
+        return contract_rows(rows, self.ext_values).reshape(pts.shape[:-1])

@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 _AXIS_FLOOR = 1e-9  # below this a coordinate counts as on-axis for the FD limit
+# B u = 0 probe of mean_value_check: largest FD residual that still counts
+# as B-harmonic, FD step, and number of sphere directions probed
+RESIDUAL_TOL = 1e-6
+RESIDUAL_H = 1e-4
+RESIDUAL_POINTS = 5
 
 
 def _as_callable(u) -> Callable:
@@ -99,15 +104,7 @@ def bessel_laplacian_fd(u, gamma, x, h: float = 1e-4) -> float:
     return float(total)
 
 
-def mean_value_check(
-    u,
-    rule: SphereRule,
-    R: float,
-    *,
-    residual_tol: float = 1e-6,
-    h: float = 1e-4,
-    residual_points: int = 5,
-) -> dict:
+def mean_value_check(u, rule: SphereRule, R: float) -> dict:
     """Compare the weighted sphere mean of u against m(S_+) u(0).
 
     The B u = 0 precondition is probed by finite differences at a few interior
@@ -115,13 +112,13 @@ def mean_value_check(
     """
     g = rule.gamma
     fn = _as_callable(u)
-    step = max(1, rule.nodes.shape[0] // residual_points)
+    step = max(1, rule.nodes.shape[0] // RESIDUAL_POINTS)
     radii = (0.35, 0.55, 0.75)
     residual = 0.0
     for q in range(0, rule.nodes.shape[0], step):
         for t in radii:
             residual = max(
-                residual, abs(bessel_laplacian_fd(fn, g, t * R * rule.nodes[q], h))
+                residual, abs(bessel_laplacian_fd(fn, g, t * R * rule.nodes[q], RESIDUAL_H))
             )
     u0 = float(np.asarray(fn(np.zeros((1, g.n))), dtype=float).reshape(()))
     lhs = sphere_mean(fn, rule, R)
@@ -138,7 +135,7 @@ def mean_value_check(
         "abs_err": abs(lhs - rhs),
         "scale": scale,
         "residual": residual,
-        "residual_ok": bool(residual < residual_tol),
+        "residual_ok": bool(residual < RESIDUAL_TOL),
     }
 
 

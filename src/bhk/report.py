@@ -8,19 +8,19 @@ check:
 rel_err is abs_err / max(|expected|, 1e-300); the pass decision uses
 abs_err <= tol * scale with scale defaulting to |expected| and set to the
 natural magnitude of the quantity for identities whose exact value is 0
-(otherwise a zero right-hand side would demand absolute perfection).  Rows
-may carry extra keys (gamma, R, lhs, rhs, point, k, ...) for specific checks.
+(otherwise a zero right-hand side would demand absolute perfection); tol = 0
+demands abs_err == 0 (yes/no requirements such as convergence).  Only
+`_info_row` rows, which check nothing, skip this rule.  Rows may carry extra
+keys (gamma, R, lhs, rhs, point, k, ...) for specific checks.
 
 Reports serialize deterministically (sorted keys, repr-exact floats, no
-timestamps unless timings are requested), so consecutive runs with one
-config are byte-identical.
+timestamps), so consecutive runs with one config are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -102,6 +102,7 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "v-moment": 1e-10,
     "riesz-mean-zero": 1e-10,
     "riesz-multiplier": 1e-2,
+    "riesz-converged": 0.0,
     "riesz-spectral-value": 1e-6,
     "riesz-homogeneity": 1e-12,
     "riesz-constant": 0.0,
@@ -477,10 +478,8 @@ def suite_pizzetti(cfg: RunConfig) -> List[dict]:
     rule = build_sphere_rule(g, cfg.sphere_points)
     nm = sphere_mean(_gauss, rule, 1.0) / hemisphere_measure(g)
     rem = [abs(nm - pizzetti_mean(_gauss, g, 1.0, m)) for m in (0, 1, 2)]
-    rows.append(_info_row("pizzetti-decay", {"R": 1.0, "remainders": rem},
-                          computed=1.0 if rem[0] > rem[1] > rem[2] else 0.0,
-                          expected=1.0))
-    rows[-1]["pass"] = bool(rem[0] > rem[1] > rem[2])
+    rows.append(_row(cfg, "pizzetti-decay", 1.0 if rem[0] > rem[1] > rem[2] else 0.0,
+                     1.0, inputs={"R": 1.0, "remainders": rem}))
     # v recursion: boundary conditions, FD consistency, moment identity
     q = g.n + 2.0 * g.abs - 2.0
     R = 1.0
@@ -524,20 +523,22 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
     rf = riesz_spectral(kernel, f, plan_f)
     interp = GridInterpolator(rf, width=8)
     rng = np.random.default_rng(_SEED)
+    converged = 0
     for _ in range(5):
         x = rng.uniform(0.5, 1.8, g.n)
         res = riesz_spatial(kernel, f, x, cfg.eps_seq, plan=plan_s, rule=srule)
         spec_val = float(interp(x[None, :])[0])
-        row = _row(cfg, "riesz-multiplier", res.limit, spec_val,
-                   scale=max(abs(spec_val), 1e-3),
-                   inputs={"point": [float(v) for v in x]},
-                   k=kernel.degree, gamma=list(g.values),
-                   point=[float(v) for v in x],
-                   spatial=res.limit, spectral=spec_val,
-                   converged=res.converged)
-        # numeric non-convergence is a row-level failure regardless of error
-        row["pass"] = bool(row["pass"] and res.converged)
-        rows.append(row)
+        rows.append(_row(cfg, "riesz-multiplier", res.limit, spec_val,
+                         scale=max(abs(spec_val), 1e-3),
+                         inputs={"point": [float(v) for v in x]},
+                         k=kernel.degree, gamma=list(g.values),
+                         point=[float(v) for v in x],
+                         spatial=res.limit, spectral=spec_val,
+                         converged=res.converged))
+        converged += res.converged
+    # numeric non-convergence of any eps ladder fails regardless of error
+    rows.append(_row(cfg, "riesz-converged", converged / 5, 1.0,
+                     inputs={"points": 5}))
     # spectral worked value: multiplier times transform at a fixed point
     xi = np.ones(g.n)
     mult_xi = ((-1.0) ** (kernel.degree // 2) * eval_poly(p2, xi)
@@ -602,13 +603,12 @@ def suite_estimates(cfg: RunConfig) -> List[dict]:
         spread = (max(ratios) - min(ratios)) / max(ratios)
         rows.append(_row(cfg, "estimates-dilation", spread, 0.0, scale=1.0,
                          inputs={"probe": "riesz-lp", "p": p, "ratios": ratios}))
+    # at p = 2 the ratio may not exceed the multiplier's sup; only the excess
+    # counts, against an absolute margin
     max_mult = lp_rows[0]["max_multiplier"]
     worst_p2 = max(r["ratio"] for r in lp_rows if r["p"] == 2.0)
-    margin = cfg.tol("estimates-p2-margin")
-    row = _row(cfg, "estimates-p2-margin", worst_p2, max_mult,
-               scale=max_mult, inputs={"max_multiplier": max_mult})
-    row["pass"] = bool(worst_p2 <= max_mult + margin)
-    rows.append(row)
+    rows.append(_row(cfg, "estimates-p2-margin", max(worst_p2 - max_mult, 0.0), 0.0,
+                     scale=1.0, inputs={"max_multiplier": max_mult, "worst_p2": worst_p2}))
     return rows
 
 
@@ -660,12 +660,8 @@ REPORT_SCHEMA = {
 }
 
 
-def run_suite(config: RunConfig, suite: str, *, timings: bool = False) -> dict:
-    """Execute one suite (or 'all') and return the report dictionary.
-
-    Timing is opt-in: per-row wall times would break the byte-identical
-    determinism contract of repeated runs.
-    """
+def run_suite(config: RunConfig, suite: str) -> dict:
+    """Execute one suite (or 'all') and return the report dictionary."""
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:
@@ -675,13 +671,9 @@ def run_suite(config: RunConfig, suite: str, *, timings: bool = False) -> dict:
                          f"{', '.join([*SUITES, 'all'])}")
     rows = []
     for name in names:
-        t0 = time.perf_counter()
         part = SUITES[name](config)
-        elapsed = time.perf_counter() - t0
         for r in part:
             r["suite"] = name
-            if timings:
-                r["wall_time_ms"] = round(1000.0 * elapsed / max(len(part), 1), 3)
         rows.extend(part)
     passed = sum(1 for r in rows if r["pass"])
     report = {

@@ -35,6 +35,7 @@ from .grids import (
     SphereRule,
     as_gamma,
     build_sphere_rule,
+    contract_rows,
     lp_norm,
 )
 from .polys import EvenPoly, apply_bessel, eval_poly
@@ -53,6 +54,11 @@ __all__ = [
     "priori_bound_probe",
     "lp_boundedness_probe",
 ]
+
+# riesz_spatial: default sphere rule size, radial nodes on (eps, 1], (1, r_max]
+SPHERE_POINTS = 64
+RADIAL_INNER = 24
+RADIAL_OUTER = 48
 
 
 @dataclass(frozen=True)
@@ -129,9 +135,6 @@ def riesz_spatial(
     *,
     plan: ShiftOperatorPlan | None = None,
     rule: SphereRule | None = None,
-    sphere_points: int = 64,
-    radial_inner: int = 24,
-    radial_outer: int = 48,
 ) -> RieszSpatialResult:
     """Principal-value evaluation of R^(k) f(x) with the c_k constant.
 
@@ -149,23 +152,23 @@ def riesz_spatial(
     ):
         raise ValueError("eps_seq must lie in (0, 1) and decrease")
     plan = plan or build_shift_plan(g, 48)
-    rule = rule or build_sphere_rule(g, sphere_points)
+    rule = rule or build_sphere_rule(g, SPHERE_POINTS)
     interp = GridInterpolator(f, width=8)
     r_max = f.grid.x_max + float(np.linalg.norm(x))
 
-    gl_t, gl_w = np.polynomial.legendre.leggauss(radial_inner)
+    gl_t, gl_w = np.polynomial.legendre.leggauss(RADIAL_INNER)
     radii = []
     for eps in eps_seq:
         radii.append((eps + 0.5 * (1.0 - eps) * (gl_t + 1.0),
                       0.5 * (1.0 - eps) * gl_w))
-    to_t, to_w = np.polynomial.legendre.leggauss(radial_outer)
+    to_t, to_w = np.polynomial.legendre.leggauss(RADIAL_OUTER)
     r_out = 1.0 + 0.5 * (r_max - 1.0) * (to_t + 1.0)
     w_out = 0.5 * (r_max - 1.0) * to_w
 
     all_r = np.concatenate([r for r, _ in radii] + [r_out])
     ys = (all_r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, g.n)
     rows = [_shift_rows(interp, plan, i, x[i], ys[:, i]) for i in range(g.n)]
-    tvals = interp.contract(rows).reshape(all_r.size, rule.nodes.shape[0])
+    tvals = contract_rows(rows, interp.ext_values).reshape(all_r.size, rule.nodes.shape[0])
 
     p_theta = eval_poly(kernel.poly, rule.nodes)
     pw = rule.weights * p_theta

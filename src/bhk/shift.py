@@ -20,8 +20,10 @@ T^y is computed along two routes:
 * sampled (`_shift_rows`, used by `shift_grid` and `riesz.riesz_spatial`):
   the shifted argument on axis i depends only on (x_i, y_i, alpha_i), so per
   axis each (x_i, y_i) pair gives one row, the angle-weighted sum of
-  interpolation stencil rows over the extended nodes, and T^y of grid
-  samples is a contraction of these rows axis by axis.
+  interpolation stencil rows over the extended nodes.  T^y of grid samples
+  applies these rows through the shared contractions of `bhk.grids`:
+  `contract_axes` for every grid node at one y (`shift_grid`), and
+  `contract_rows` for one x at many y (`riesz_spatial`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GammaIndex, GridFunction, GridInterpolator, as_gamma, jacobi_angle_rule
+from .grids import (
+    GammaIndex,
+    GridFunction,
+    GridInterpolator,
+    as_gamma,
+    contract_axes,
+    jacobi_angle_rule,
+)
 from .special import gamma as _gamma
 
 __all__ = [
@@ -46,6 +55,8 @@ __all__ = [
 ]
 
 MAX_ANGLES = 384
+# relative change between successive angle doublings at which shift stops
+SHIFT_TOL = 1e-10
 # Lagrange stencil width of shift_grid: its O(h^10) error keeps the
 # dmu_gamma-integral of T^y f within ~1e-9 of f's at default resolutions
 SHIFT_GRID_STENCIL = 10
@@ -142,14 +153,13 @@ def _shift_rows(interp: GridInterpolator, plan: ShiftOperatorPlan, axis: int, x,
     return interp.dense_axis_matrix(axis, z, plan.weights[axis])
 
 
-def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True,
-          tol: float = 1e-10) -> float:
+def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float:
     """T^y phi(x) for a callable phi on the positive orthant.
 
     phi receives points as an array of shape (..., n).  y = 0 short-circuits
     to phi(x) exactly (initial condition of the shift).  With adaptive=True
-    the angular rule is doubled until successive values differ by < tol
-    (capped at 384 points per axis).
+    the angular rule is doubled until successive values differ by less than
+    SHIFT_TOL relative (capped at MAX_ANGLES points per axis).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -170,7 +180,7 @@ def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True,
     while 2 * m <= MAX_ANGLES:
         m *= 2
         new = value(m)
-        if abs(new - val) < tol * max(1.0, abs(new)):
+        if abs(new - val) < SHIFT_TOL * max(1.0, abs(new)):
             return new
         val = new
     return val
@@ -181,9 +191,9 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
 
     Off-node arguments are evaluated by tensor-product local Lagrange
     interpolation (SHIFT_GRID_STENCIL points per axis) with even reflection
-    at 0 and clamping at x_max.  Each axis contracts one (nodes, extended
-    nodes) matrix of `_shift_rows` into the extended samples, so the cost is
-    O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
+    at 0 and clamping at x_max.  `contract_axes` applies one (nodes,
+    extended nodes) matrix of `_shift_rows` per axis to the extended samples,
+    so the cost is O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
     ShiftTruncationWarning when > 1% of evaluation points are clamped.
     """
     grid = f.grid
@@ -195,10 +205,8 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     if np.all(y == 0.0):
         return GridFunction(grid, f.values.copy())
     interp = GridInterpolator(f, width=SHIFT_GRID_STENCIL)
-    acc = interp.ext_values
-    for ax in range(grid.n):
-        rows = _shift_rows(interp, plan, ax, grid.nodes[ax], y[ax])
-        acc = np.moveaxis(np.tensordot(rows, acc, axes=([1], [ax])), 0, ax)
+    mats = [_shift_rows(interp, plan, ax, grid.nodes[ax], y[ax]) for ax in range(grid.n)]
+    acc = contract_axes(mats, interp.ext_values)
     if interp.clip_fraction > 0.01:
         warnings.warn(
             f"{100 * interp.clip_fraction:.1f}% of shift evaluations beyond "

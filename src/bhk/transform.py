@@ -19,10 +19,12 @@ with the *same* constant on the inverse, which makes F an involution
         S = prod_i 2^{g_i-1/2} Gamma(g_i+1/2) = 1/c_fb
     (the constant-free identity holds only when S = 1, e.g. all g_i = 1/2).
 
-Forward/inverse use separable axis-by-axis contractions (cost O(N^{n+1})).
-The default frequency grid keeps the spatial point count but extends x_max
-slightly so the inverse quadrature captures the transform's tail; round-trip
-accuracy on the unit Gaussian is verified at plan construction.
+The kernel is a product of 1-D kernels: fb_forward/fb_inverse apply one
+kernel matrix per axis (`grids.contract_axes`, O(n N^{n+1})), fb_forward_at
+one kernel row per axis and point (`grids.contract_rows`).  The frequency
+grid keeps the spatial point count but extends x_max slightly so the inverse
+quadrature captures the transform's tail; round-trip accuracy on the unit
+Gaussian is verified at plan construction.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .grids import (
     TensorGrid,
     as_gamma,
     build_tensor_grid,
+    contract_axes,
+    contract_rows,
 )
 from .polys import EvenPoly, apply_bessel, eval_poly
 from .special import gamma as _gamma, normalized_j
@@ -58,7 +62,10 @@ __all__ = [
     "pv_kernel_transform",
 ]
 
-DEFAULT_FREQ_MARGIN = 2.0
+FREQ_MARGIN = 2.0  # the frequency grid reaches max(x_max + FREQ_MARGIN, 10)
+SELF_TEST_TOL = 1e-6  # max abs round-trip error on the unit Gaussian per plan
+PV_RADIAL_POINTS = 240  # Gauss-Legendre radial nodes of pv_regularized_limit
+PV_MEAN_TOL = 1e-8  # its relative zero-mean tolerance on f_angular
 
 
 def fb_constant(gamma) -> float:
@@ -90,61 +97,41 @@ class FBPlan:
     kernels: tuple
 
 
-def build_fb_plan(
-    grid: TensorGrid,
-    *,
-    freq_grid: TensorGrid | None = None,
-    freq_margin: float = DEFAULT_FREQ_MARGIN,
-    self_test: bool = True,
-    self_test_tol: float = 1e-6,
-) -> FBPlan:
+def build_fb_plan(grid: TensorGrid) -> FBPlan:
+    """Kernel matrices of the transform pair; ValueError if the round trip
+    fails SELF_TEST_TOL (grid too coarse for the kernel)."""
     g = grid.gamma
-    if freq_grid is None:
-        # the inverse must reach the transform's tail: e^{-|y|^2/4} times the
-        # measure needs |y| ~ 10 before it clears the 1e-6 self-test budget
-        freq_grid = build_tensor_grid(
-            g, max(grid.x_max + freq_margin, 10.0), grid.shape[0]
-        )
+    # the inverse must reach the transform's tail: e^{-|y|^2/4} times the
+    # measure needs |y| ~ 10 before it clears the 1e-6 self-test budget
+    freq_grid = build_tensor_grid(g, max(grid.x_max + FREQ_MARGIN, 10.0), grid.shape[0])
     kernels = []
     for i in range(g.n):
         nu = g[i] - 0.5
         args = grid.nodes[i][:, None] * freq_grid.nodes[i][None, :]
         kernels.append(normalized_j(nu, args))
     plan = FBPlan(g, grid, freq_grid, fb_constant(g), tuple(kernels))
-    if self_test:
-        f = grid.sample(lambda p: np.exp(-np.sum(p * p, axis=-1)))
-        back = fb_inverse(plan, fb_forward(plan, f))
-        err = float(np.max(np.abs(back.values - f.values)))
-        if err > self_test_tol:
-            raise ValueError(
-                f"FB plan round-trip self-test failed: max abs error {err:.3e}"
-            )
+    f = grid.sample(lambda p: np.exp(-np.sum(p * p, axis=-1)))
+    back = fb_inverse(plan, fb_forward(plan, f))
+    err = float(np.max(np.abs(back.values - f.values)))
+    if err > SELF_TEST_TOL:
+        raise ValueError(f"FB plan round-trip self-test failed: max abs error {err:.3e}")
     return plan
-
-
-def _contract(plan: FBPlan, values: np.ndarray, forward: bool) -> np.ndarray:
-    acc = values
-    for ax in range(plan.gamma.n):
-        if forward:
-            mat = plan.kernels[ax].T * plan.grid.weights[ax][None, :]
-        else:
-            mat = plan.kernels[ax] * plan.freq_grid.weights[ax][None, :]
-        acc = np.moveaxis(np.tensordot(mat, acc, axes=([1], [ax])), 0, ax)
-    return plan.c_fb * acc
 
 
 def fb_forward(plan: FBPlan, f: GridFunction) -> GridFunction:
     """Forward transform of a spatial GridFunction onto the frequency grid."""
     if f.grid is not plan.grid and f.grid.shape != plan.grid.shape:
         raise ValueError("grid mismatch: f is not on the plan's input grid")
-    return GridFunction(plan.freq_grid, _contract(plan, f.values, forward=True))
+    mats = [k.T * w[None, :] for k, w in zip(plan.kernels, plan.grid.weights)]
+    return GridFunction(plan.freq_grid, plan.c_fb * contract_axes(mats, f.values))
 
 
 def fb_inverse(plan: FBPlan, g: GridFunction) -> GridFunction:
     """Inverse transform of a frequency GridFunction back to the spatial grid."""
     if g.grid is not plan.freq_grid and g.grid.shape != plan.freq_grid.shape:
         raise ValueError("grid mismatch: g is not on the plan's frequency grid")
-    return GridFunction(plan.grid, _contract(plan, g.values, forward=False))
+    mats = [k * w[None, :] for k, w in zip(plan.kernels, plan.freq_grid.weights)]
+    return GridFunction(plan.grid, plan.c_fb * contract_axes(mats, g.values))
 
 
 def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:
@@ -152,21 +139,16 @@ def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:
 
     Same quadrature as fb_forward, contracted against freshly evaluated
     kernels, so values off the frequency grid (worked-example points, scaled
-    grids) come from the identical discretization.
+    grids) come from the identical discretization.  Each axis takes one
+    normalized_j call on the (points, nodes) block of its arguments.
     """
     if f.grid is not plan.grid and f.grid.shape != plan.grid.shape:
         raise ValueError("grid mismatch: f is not on the plan's input grid")
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, plan.gamma.n)
-    out = np.empty(flat.shape[0])
-    for m, y in enumerate(flat):
-        acc = f.values
-        for ax in range(plan.gamma.n):
-            nu = plan.gamma[ax] - 0.5
-            row = normalized_j(nu, f.grid.nodes[ax] * y[ax]) * f.grid.weights[ax]
-            acc = np.tensordot(row, acc, axes=([0], [0]))
-        out[m] = acc
-    return plan.c_fb * out.reshape(pts.shape[:-1])
+    rows = [normalized_j(plan.gamma[ax] - 0.5, np.outer(flat[:, ax], f.grid.nodes[ax]))
+            * f.grid.weights[ax] for ax in range(plan.gamma.n)]
+    return plan.c_fb * contract_rows(rows, f.values).reshape(pts.shape[:-1])
 
 
 def gaussian_transform(gamma, alpha: float, y) -> float | np.ndarray:
@@ -269,8 +251,6 @@ def pv_regularized_limit(
     eps_seq: Sequence[float] = (0.4, 0.2, 0.1, 0.05),
     *,
     r_max: float = 8.0,
-    radial_points: int = 240,
-    mean_tol: float = 1e-8,
 ) -> PVLimitResult:
     """Both regularizations of int f(x/|x|) |x|^{-(n+2|g|)} phi(x) dmu_gamma.
 
@@ -278,7 +258,7 @@ def pv_regularized_limit(
     rhs(eps) truncates the unmodified kernel to |x| > eps.  In polar form both
     reduce to radial integrals of Phi(r) = int_{S_+} f(theta) phi(r theta)
     dsigma(theta), which vanishes at r = 0 because f has zero weighted mean
-    (checked, rel. mean_tol).  Each side is Richardson-extrapolated from its
+    (checked, rel. PV_MEAN_TOL).  Each side is Richardson-extrapolated from its
     last two values: the exponent-lowered side is O(eps)-regular, while the
     truncated side misses int_0^eps r^{-1} Phi = O(eps^2); the limits agree
     for Schwartz-class phi.
@@ -289,9 +269,9 @@ def pv_regularized_limit(
     fvals = np.asarray(f_angular(rule.nodes), dtype=float)
     mean = float(np.dot(rule.weights, fvals))
     scale = float(np.dot(rule.weights, np.abs(fvals)))
-    if abs(mean) > mean_tol * max(scale, 1e-300):
+    if abs(mean) > PV_MEAN_TOL * max(scale, 1e-300):
         raise ValueError(
-            f"f_angular has nonzero weighted mean {mean:.3e} (tolerance {mean_tol})"
+            f"f_angular has nonzero weighted mean {mean:.3e} (tolerance {PV_MEAN_TOL})"
         )
     fw = rule.weights * fvals
 
@@ -300,7 +280,7 @@ def pv_regularized_limit(
         ph = np.asarray(phi(pts), dtype=float)
         return ph @ fw
 
-    half = np.polynomial.legendre.leggauss(radial_points)
+    half = np.polynomial.legendre.leggauss(PV_RADIAL_POINTS)
     lhs_vals, rhs_vals = [], []
     for eps in eps_seq:
         t, w = half

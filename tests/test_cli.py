@@ -80,6 +80,14 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(RunConfig(), "nope")
 
+    @pytest.mark.parametrize("suite", ["pizzetti", "estimates"])
+    def test_pass_is_the_tolerance_rule(self, suite):
+        # tol = 0 rows (pizzetti-decay, info rows) demand abs_err == 0
+        report = run_suite(RunConfig.from_dict(SMALL_CONFIG), suite)
+        for r in report["rows"]:
+            rule = r["abs_err"] <= r["tol"] * r["scale"] if r["tol"] > 0 else r["abs_err"] == 0
+            assert r["pass"] == rule, r["check"]
+
     def test_mean_value_constant_row(self):
         cfg = RunConfig.from_dict(SMALL_CONFIG)
         report = run_suite(cfg, "mean-value")
@@ -98,13 +106,6 @@ class TestRunSuite:
         for r in rows:
             assert {"k", "gamma", "point", "spatial", "spectral",
                     "rel_err", "pass"} <= set(r)
-
-    def test_timings_optional(self):
-        cfg = RunConfig.from_dict(SMALL_CONFIG)
-        with_t = run_suite(cfg, "special", timings=True)
-        without = run_suite(cfg, "special")
-        assert all("wall_time_ms" in r for r in with_t["rows"])
-        assert all("wall_time_ms" not in r for r in without["rows"])
 
 
 class TestCliRun:

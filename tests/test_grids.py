@@ -10,6 +10,8 @@ from bhk.grids import (
     GridInterpolator,
     build_sphere_rule,
     build_tensor_grid,
+    contract_axes,
+    contract_rows,
     hemisphere_measure,
     integrate,
     jacobi_angle_rule,
@@ -180,6 +182,36 @@ class TestSphereRule:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_sphere_rule((0.5, 1.5), 2)
+
+
+class TestContractions:
+    """The shared separable contractions against a dense einsum oracle."""
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 6), (4, 5, 3)])
+    def test_contract_axes(self, shape):
+        rng = np.random.default_rng(len(shape))
+        values = rng.standard_normal(shape)
+        mats = [rng.standard_normal((m + 2, m)) for m in shape]
+        axes, out = "abc"[: len(shape)], "xyz"[: len(shape)]
+        spec = ",".join(o + a for o, a in zip(out, axes)) + f",{axes}->{out}"
+        ref = np.einsum(spec, *mats, values)
+        got = contract_axes(mats, values)
+        assert got.shape == tuple(m + 2 for m in shape)
+        assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 6), (4, 5, 3)])
+    def test_contract_rows(self, shape):
+        rng = np.random.default_rng(10 + len(shape))
+        values = rng.standard_normal(shape)
+        rows = [rng.standard_normal((9, m)) for m in shape]
+        # dense oracle: the full per-point tensor prod_i rows[i][p, a_i]
+        dense = rows[0]
+        for r in rows[1:]:
+            dense = dense[..., None] * r.reshape((9,) + (1,) * (dense.ndim - 1) + (-1,))
+        ref = np.einsum("pk,k->p", dense.reshape(9, -1), values.reshape(-1))
+        got = contract_rows(rows, values)
+        assert got.shape == (9,)
+        assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
 
 class TestCsv:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bhk.grids import GridInterpolator, build_tensor_grid, integrate
+from bhk.grids import GridInterpolator, build_tensor_grid, contract_rows, integrate
 from bhk.shift import (
     ShiftTruncationWarning,
     _shift_rows,
@@ -203,7 +203,7 @@ class TestSampledAgainstCallable:
         rng = np.random.default_rng(20 + n)
         x = rng.uniform(0.3, 1.5, n)
         ys = rng.uniform(0.1, 2.0, (30, n))
-        got = interp.contract([_shift_rows(interp, plan, i, x[i], ys[:, i])
-                               for i in range(n)])
+        got = contract_rows([_shift_rows(interp, plan, i, x[i], ys[:, i])
+                             for i in range(n)], interp.ext_values)
         ref = [shift(plan, gauss, x, y, adaptive=False) for y in ys]
         assert np.max(np.abs(got - ref)) < 1e-7

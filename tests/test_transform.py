@@ -49,6 +49,27 @@ class TestPlan:
             fb_forward(fb_plan96, other.sample(gauss))
 
 
+class TestForwardAt:
+    """fb_forward_at (one kernel row per point) against fb_forward (one
+    kernel matrix per axis) at the plan's own frequency nodes."""
+
+    @pytest.mark.parametrize("g, points", [((1.5,), 64), (GAMMA, 64),
+                                           ((0.5, 1.0, 1.5), 48)])
+    def test_matches_fb_forward_on_freq_nodes(self, g, points):
+        n = len(g)
+        plan = build_fb_plan(build_tensor_grid(g, 8.0, points))
+        widths = 1.0 + 0.2 * np.arange(n)
+        f = plan.grid.sample(lambda p: np.exp(-np.sum(widths * p * p, axis=-1)))
+        full = fb_forward(plan, f).values
+        idx = np.random.default_rng(n).integers(0, points, (12, n))
+        pts = np.stack([plan.freq_grid.nodes[i][idx[:, i]] for i in range(n)], axis=-1)
+        got = fb_forward_at(plan, f, pts)
+        assert np.max(np.abs(got - full[tuple(idx.T)])) <= 1e-13 * np.max(np.abs(full))
+        batched = fb_forward_at(plan, f, pts[:6].reshape(2, 3, n))
+        assert batched.shape == (2, 3)
+        assert_allclose(batched.reshape(-1), got[:6], rtol=1e-14)
+
+
 class TestGaussianPair:
     def test_1d_half_gamma(self):
         grid = build_tensor_grid((0.5,), 8.0, 64)

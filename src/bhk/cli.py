@@ -4,7 +4,8 @@
     bhk emit --function <name> [--transform] [--config <path>] --out <path>
 
 Exit status: 0 all checks passed, 1 at least one row failed (or numeric
-non-convergence), 2 configuration/usage error (no report written).  The only
+non-convergence, or a suite raised: its report holds a failing `suite-error`
+row), 2 configuration/usage error (no report written).  The only
 environment influence is the THREADS override (equivalent to --threads),
 applied before the numeric stack loads.
 """
@@ -83,7 +84,10 @@ def main(argv=None) -> int:
         write_report(report, out)
         summary = report["summary"]
         for row in report["rows"]:
-            if not row["pass"]:
+            if row["check"] == "suite-error":
+                print(f"FAIL {row['suite']}/suite-error {row['inputs']['error']}: "
+                      f"{row['inputs']['message']}", file=sys.stderr)
+            elif not row["pass"]:
                 print(f"FAIL {row['suite']}/{row['check']} "
                       f"computed={row['computed']!r} expected={row['expected']!r}",
                       file=sys.stderr)

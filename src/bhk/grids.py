@@ -298,6 +298,25 @@ def build_sphere_rule(gamma, points: int) -> SphereRule:
     return SphereRule(g, nodes, weights)
 
 
+def _products_but_one(d) -> np.ndarray:
+    """prod_{b != a} d[..., b] for every a, shape of d.
+
+    One forward and one backward running product over the last axis, O(width)
+    work per stencil.  With d[..., b] = z - x_b these are the Lagrange
+    numerators at z; with z = x_a the same operations in the same order give
+    the denominator of node a.
+    """
+    out = np.empty(d.shape)
+    out[..., 0] = 1.0
+    for a in range(1, d.shape[-1]):
+        np.multiply(out[..., a - 1], d[..., a - 1], out=out[..., a])
+    right = np.ones(d.shape[:-1])
+    for a in range(d.shape[-1] - 1, -1, -1):
+        out[..., a] *= right
+        right *= d[..., a]
+    return out
+
+
 class GridInterpolator:
     """Tensor-product local Lagrange interpolation of a GridFunction.
 
@@ -309,6 +328,14 @@ class GridInterpolator:
     resolutions.  Evaluations beyond x_max are clamped and counted so callers
     can flag truncation bias.  Scattered values come from `contract_rows` of
     one stencil row per axis and point against the extended samples.
+
+    The Lagrange denominators prod_{b != a} (x_{s+a} - x_{s+b}) depend only
+    on the stencil start s, so each axis keeps one (starts, width) table of
+    them; a query then costs O(width): its numerators come from running
+    products (`_products_but_one`) and are divided by the table row.  A
+    query on a node gets weight exactly 1 there and exactly 0 elsewhere
+    (the barycentric form of Berrut & Trefethen, SIAM Review 46(3), 2004,
+    without its rescaling).
     """
 
     def __init__(self, f: GridFunction, width: int = 4):
@@ -320,8 +347,14 @@ class GridInterpolator:
         self.grid = f.grid
         mirror = width - 1
         self.ext_nodes = []
+        self.denominators = []
+        window = np.arange(width)
         for x in self.grid.nodes:
-            self.ext_nodes.append(np.concatenate([-x[mirror - 1 :: -1], x]))
+            xs = np.concatenate([-x[mirror - 1 :: -1], x])
+            xn = xs[np.arange(len(xs) - width + 1)[:, None] + window]
+            den = _products_but_one(xn[:, :, None] - xn[:, None, :])
+            self.ext_nodes.append(xs)
+            self.denominators.append(np.diagonal(den, axis1=1, axis2=2).copy())
         vals = f.values
         for ax in range(self.grid.n):
             head = np.flip(np.take(vals, np.arange(mirror), axis=ax), axis=ax)
@@ -344,12 +377,8 @@ class GridInterpolator:
         i = np.searchsorted(xs, z) - 1
         s = np.clip(i - (w_pts // 2 - 1), 0, len(xs) - w_pts)
         idx = s[..., None] + np.arange(w_pts)
-        xn = xs[idx]
-        w = np.ones(z.shape + (w_pts,))
-        for a in range(w_pts):
-            for b in range(w_pts):
-                if a != b:
-                    w[..., a] *= (z - xn[..., b]) / (xn[..., a] - xn[..., b])
+        w = _products_but_one(z[..., None] - xs[idx])
+        w /= self.denominators[axis][s]
         return idx, w
 
     def dense_axis_matrix(self, axis: int, z, weights) -> np.ndarray:
@@ -358,14 +387,14 @@ class GridInterpolator:
         z has shape (rows, k) and weights shape (k,); row r is
         sum_a weights[a] * L(z[r, a]), L the stencil row of axis_stencil.  The
         rows are built by scatter-add, so the (rows * k, nodes) matrix of
-        single-point rows never exists.
+        single-point rows never exists; the stencil arrays are reused in place.
         """
         z = np.asarray(z, dtype=float)
         idx, w = self.axis_stencil(axis, z)
         size = len(self.ext_nodes[axis])
-        flat = idx + size * np.arange(z.shape[0])[:, None, None]
-        vals = w * np.asarray(weights, dtype=float)[:, None]
-        out = np.bincount(flat.reshape(-1), vals.reshape(-1), minlength=z.shape[0] * size)
+        idx += size * np.arange(z.shape[0])[:, None, None]
+        w *= np.asarray(weights, dtype=float)[:, None]
+        out = np.bincount(idx.reshape(-1), w.reshape(-1), minlength=z.shape[0] * size)
         return out.reshape(z.shape[0], size)
 
     @property

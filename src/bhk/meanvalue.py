@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -245,10 +246,11 @@ def pizzetti_mean(u, gamma, R: float, m: int, *, h: float | None = None) -> floa
 # radial v_eta recursion: closed-form power-log term algebra
 # ---------------------------------------------------------------------------
 
-_Terms = Dict[Tuple[float, int], float]
+# exponents are exact (integers plus multiples of q); floats only in evaluation
+_Terms = Dict[Tuple[Fraction, int], float]
 
 
-def _add_term(terms: _Terms, p: float, l: int, c: float) -> None:
+def _add_term(terms: _Terms, p: Fraction, l: int, c: float) -> None:
     if c != 0.0:
         key = (p, l)
         terms[key] = terms.get(key, 0.0) + c
@@ -258,13 +260,13 @@ def _antiderivative(terms: _Terms) -> _Terms:
     """Termwise antiderivative of sum c rho^p (ln rho)^l."""
     out: _Terms = {}
     for (p, l), c in terms.items():
-        if p == -1.0:
-            _add_term(out, 0.0, l + 1, c / (l + 1.0))
+        if p == -1:
+            _add_term(out, Fraction(0), l + 1, c / (l + 1.0))
         else:
-            coef = c / (p + 1.0)
+            coef = c / float(p + 1)
             for j in range(l, -1, -1):
-                _add_term(out, p + 1.0, j, coef)
-                coef *= -j / (p + 1.0)
+                _add_term(out, p + 1, j, coef)
+                coef *= -j / float(p + 1)
     return out
 
 
@@ -273,7 +275,7 @@ def _eval_terms(terms: _Terms, r):
     out = np.zeros_like(r)
     lr = np.log(r)
     for (p, l), c in terms.items():
-        out += c * r**p * (lr**l if l else 1.0)
+        out += c * r ** float(p) * (lr**l if l else 1.0)
     return out
 
 
@@ -297,13 +299,10 @@ class VRadial:
         out = np.zeros_like(r)
         lr = np.log(r)
         for (p, l), c in self.terms.items():
-            out += c * p * r ** (p - 1.0) * (lr**l if l else 1.0)
+            out += c * float(p) * r ** float(p - 1) * (lr**l if l else 1.0)
             if l:
-                out += c * l * r ** (p - 1.0) * lr ** (l - 1)
+                out += c * l * r ** float(p - 1) * lr ** (l - 1)
         return float(out) if out.ndim == 0 else out
-
-    def shifted(self, dp: float) -> _Terms:
-        return {(p + dp, l): c for (p, l), c in self.terms.items()}
 
 
 def v_sequence(gamma, R: float, eta_max: int) -> List[VRadial]:
@@ -314,31 +313,32 @@ def v_sequence(gamma, R: float, eta_max: int) -> List[VRadial]:
     """
     g = as_gamma(gamma)
     R = float(R)
-    q = g.n + 2.0 * g.abs - 2.0
-    if q <= 0.0:
+    q = g.n + 2 * sum(map(Fraction, g)) - 2
+    if q <= 0:
         raise ValueError("v recursion requires n + 2|gamma| > 2")
     if eta_max < 0:
         raise ValueError("eta_max must be >= 0")
     m_s = hemisphere_measure(g)
-    a0 = 1.0 / (m_s * q)
+    qf = float(q)
+    a0 = 1.0 / (m_s * qf)
     seq = []
-    terms: _Terms = {(-q, 0): a0, (0.0, 0): -a0 * R ** (-q)}
+    terms: _Terms = {(-q, 0): a0, (Fraction(0), 0): -a0 * R ** (-qf)}
     r_end = np.asarray(R)
     for _ in range(eta_max + 1):
-        anti_s = _antiderivative({(p + q + 1.0, l): c for (p, l), c in terms.items()})
-        anti_t = _antiderivative({(p + 1.0, l): c for (p, l), c in terms.items()})
+        anti_s = _antiderivative({(p + q + 1, l): c for (p, l), c in terms.items()})
+        anti_t = _antiderivative({(p + 1, l): c for (p, l), c in terms.items()})
         moment = m_s * float(_eval_terms(anti_s, r_end))
         seq.append(VRadial(terms, moment))
         # v_{eta+1}(r) = (1/q) [ r^-q int_r^R rho^{q+1} v - int_r^R rho v ]
         s_at_r = float(_eval_terms(anti_s, r_end))
         t_at_r = float(_eval_terms(anti_t, r_end))
         nxt: _Terms = {}
-        _add_term(nxt, -q, 0, s_at_r / q)
+        _add_term(nxt, -q, 0, s_at_r / qf)
         for (p, l), c in anti_s.items():
-            _add_term(nxt, p - q, l, -c / q)
-        _add_term(nxt, 0.0, 0, -t_at_r / q)
+            _add_term(nxt, p - q, l, -c / qf)
+        _add_term(nxt, Fraction(0), 0, -t_at_r / qf)
         for (p, l), c in anti_t.items():
-            _add_term(nxt, p, l, c / q)
+            _add_term(nxt, p, l, c / qf)
         terms = nxt
     return seq
 

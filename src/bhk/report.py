@@ -10,8 +10,10 @@ abs_err <= tol * scale with scale defaulting to |expected| and set to the
 natural magnitude of the quantity for identities whose exact value is 0
 (otherwise a zero right-hand side would demand absolute perfection); tol = 0
 demands abs_err == 0 (yes/no requirements such as convergence).  Only
-`_info_row` rows, which check nothing, skip this rule.  Rows may carry extra
-keys (gamma, R, lhs, rhs, point, k, ...) for specific checks.
+`_info_row` rows, which check nothing, and the failing `suite-error` row that
+stands for a suite that raised (its inputs carry the exception type and
+message) skip this rule.  Rows may carry extra keys (gamma, R, lhs, rhs,
+point, k, ...) for specific checks.
 
 Reports serialize deterministically (sorted keys, repr-exact floats, no
 timestamps), so consecutive runs with one config are byte-identical.
@@ -215,6 +217,12 @@ def _info_row(check: str, inputs: dict, **extra) -> dict:
         "pass": True,
     }
     out.update(extra)
+    return out
+
+
+def _error_row(exc: Exception) -> dict:
+    out = _info_row("suite-error", {"error": type(exc).__name__, "message": str(exc)})
+    out["pass"] = False
     return out
 
 
@@ -671,7 +679,10 @@ def run_suite(config: RunConfig, suite: str) -> dict:
                          f"{', '.join([*SUITES, 'all'])}")
     rows = []
     for name in names:
-        part = SUITES[name](config)
+        try:
+            part = SUITES[name](config)
+        except Exception as exc:  # reported as a failing row, not a traceback
+            part = [_error_row(exc)]
         for r in part:
             r["suite"] = name
         rows.extend(part)

@@ -60,6 +60,8 @@ SHIFT_TOL = 1e-10
 # Lagrange stencil width of shift_grid: its O(h^10) error keeps the
 # dmu_gamma-integral of T^y f within ~1e-9 of f's at default resolutions
 SHIFT_GRID_STENCIL = 10
+# phi evaluation points per chunk of b_convolve (bounds its transient memory)
+CONVOLVE_BUDGET = 4_000_000
 
 
 class ShiftTruncationWarning(UserWarning):
@@ -221,25 +223,32 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     """(f * phi)(x) = int f(y) T^y phi(x) dmu_gamma(y) at every grid node.
 
     The y-integral uses the grid quadrature; T^y phi comes from the callable
-    route, which evaluates phi itself (no sampling or interpolation), so the
-    cost is O(N_grid^2 * angles^n) evaluations of phi.  Translations are
-    processed in chunks sized to keep the evaluation tensor within a fixed
-    memory budget.
+    route, which evaluates phi itself (no sampling or interpolation).  The
+    kernel K[x, y] = T^y phi(x) is symmetric (T^y phi(x) = T^x phi(y), and
+    the law-of-cosines argument is bitwise symmetric in x_i, y_i), so each
+    unordered node pair is evaluated once and scattered to both of its
+    nodes: M(M+1)/2 * prod_i A_i evaluations of phi for M grid nodes.  The
+    row-major upper triangle of pairs is walked in chunks of equal size
+    holding at most CONVOLVE_BUDGET evaluation points.
     """
     grid = f.grid
     if grid.gamma.values != plan.gamma.values:
         raise ValueError("plan and grid gamma indices differ")
-    n = grid.n
-    mesh_x = grid.points()
-    mesh_y = mesh_x.reshape(-1, n)
+    pts = grid.points().reshape(-1, grid.n)
+    m = pts.shape[0]
     w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
-    tensor_pts = mesh_y.shape[0] * int(np.prod([len(c) for c in plan.cos_nodes]))
-    chunk = max(1, int(4_000_000 // tensor_pts))
-    out = np.zeros(mesh_y.shape[0])
-    for lo in range(0, mesh_y.shape[0], chunk):
-        yc = mesh_y[lo : lo + chunk]
-        vals = _shift_values(
-            phi, mesh_x, yc.reshape((-1,) + (1,) * n + (n,)), plan.cos_nodes, plan.weights
-        )
-        out += np.tensordot(w_f[lo : lo + chunk], vals.reshape(yc.shape[0], -1), axes=([0], [0]))
+    per_pair = int(np.prod([len(c) for c in plan.cos_nodes]))
+    chunk = max(1, CONVOLVE_BUDGET // per_pair)
+    # row p of the triangle holds the pairs (p, p), ..., (p, m - 1)
+    row_start = np.concatenate(([0], np.cumsum(np.arange(m, 0, -1))))
+    total = int(row_start[-1])
+    out = np.zeros(m)
+    for lo in range(0, total, chunk):
+        k = np.arange(lo, min(lo + chunk, total))
+        p = np.searchsorted(row_start, k, side="right") - 1
+        q = p + (k - row_start[p])
+        vals = _shift_values(phi, pts[p], pts[q], plan.cos_nodes, plan.weights)
+        out += np.bincount(p, w_f[q] * vals, minlength=m)
+        off = p != q
+        out += np.bincount(q[off], w_f[p[off]] * vals[off], minlength=m)
     return GridFunction(grid, out.reshape(grid.shape))

@@ -4,10 +4,12 @@ import jsonschema
 import numpy as np
 import pytest
 
+import bhk.report as report_module
 from bhk.cli import main
 from bhk.report import (
     DEFAULT_TOLERANCES,
     REPORT_SCHEMA,
+    SUITES,
     RunConfig,
     run_suite,
 )
@@ -165,6 +167,27 @@ class TestCliRun:
         assert code == 1
         assert out.exists()  # report still written; failures are row-level
         assert "FAIL" in capsys.readouterr().err
+
+    def test_suite_exception_is_a_failing_row(self, config_path, tmp_path, capsys,
+                                              monkeypatch):
+        def boom(cfg):
+            raise RuntimeError("self-test failed")
+
+        # the suites after a failing one still run
+        monkeypatch.setattr(report_module, "SUITES",
+                            {"shift": boom, "special": SUITES["special"]})
+        out = tmp_path / "r.json"
+        code = main(["run", "--suite", "all", "--config", str(config_path),
+                     "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert {r["suite"] for r in report["rows"]} == {"shift", "special"}
+        bad = [r for r in report["rows"] if not r["pass"]]
+        assert [(r["suite"], r["check"]) for r in bad] == [("shift", "suite-error")]
+        assert bad[0]["inputs"] == {"error": "RuntimeError", "message": "self-test failed"}
+        assert report["summary"]["failed"] == 1
+        assert "RuntimeError: self-test failed" in capsys.readouterr().err
 
 
 class TestEmit:

@@ -240,6 +240,43 @@ class TestGridInterpolator:
             pts = grid.points().reshape(-1, len(gam))[::17]
             assert_allclose(interp(pts), gauss(pts), atol=1e-12)
 
+    @pytest.mark.parametrize("width", [4, 8, 10])
+    def test_stencil_against_product_formula(self, width):
+        # oracle: prod_{b != a} (z - x_b) / (x_a - x_b), width^2 factors per query
+        grid = build_tensor_grid(GAMMA, 4.0, 24)
+        interp = GridInterpolator(grid.sample(gauss), width=width)
+        z = np.random.default_rng(width).uniform(0.0, 4.5, (40, 6))
+        idx, w = interp.axis_stencil(1, z)
+        xn = interp.ext_nodes[1][idx]
+        zc = np.clip(z, 0.0, 4.0)
+        want = np.ones_like(w)
+        for a in range(width):
+            for b in range(width):
+                if a != b:
+                    want[..., a] *= (zc - xn[..., b]) / (xn[..., a] - xn[..., b])
+        assert_allclose(w, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("width", [4, 8, 10])
+    def test_stencil_exact_at_nodes(self, width):
+        grid = build_tensor_grid((0.3, 2.7), 4.0, 24)
+        interp = GridInterpolator(grid.sample(gauss), width=width)
+        for ax in range(2):
+            idx, w = interp.axis_stencil(ax, grid.nodes[ax])
+            on_node = interp.ext_nodes[ax][idx] == grid.nodes[ax][:, None]
+            assert np.array_equal(w, on_node.astype(float))
+
+    @pytest.mark.parametrize("width", [4, 8, 10])
+    def test_stencil_reproduces_polynomials(self, width):
+        grid = build_tensor_grid(GAMMA, 4.0, 24)
+        interp = GridInterpolator(grid.sample(gauss), width=width)
+        z = np.random.default_rng(width).uniform(0.0, 4.0, 200)
+        coef = np.random.default_rng(width + 1).standard_normal(width)  # degree width - 1
+        idx, w = interp.axis_stencil(0, z)
+        at_nodes = np.polyval(coef, interp.ext_nodes[0][idx])
+        got = np.sum(w * at_nodes, axis=-1)
+        assert_allclose(got, np.polyval(coef, z), rtol=0,
+                        atol=1e-13 * np.max(np.abs(at_nodes)))
+
     def test_weighted_axis_matrix(self):
         # rows are angle-weighted sums of single-point stencil rows, built
         # here densely as the oracle; normalized weights give T^y 1 = 1

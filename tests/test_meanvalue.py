@@ -17,6 +17,7 @@ from bhk.meanvalue import (
     v_sequence,
 )
 from bhk.polys import EvenPoly, b_harmonic_basis
+from bhk.report import DEFAULT_TOLERANCES
 
 from conftest import GAMMA, gauss
 
@@ -194,6 +195,18 @@ class TestVRecursion:
             c = pizzetti_coeffs(gam, R, 4).c
             for eta in range(4):
                 assert_allclose(vs[eta].mu_moment, c[eta + 1], rtol=1e-10)
+
+    @pytest.mark.parametrize("gam", [(0.1, 2.5), (0.7,)])
+    def test_non_dyadic_gamma_keeps_exponents_exact(self, gam):
+        # float exponent sums once split r^4 into keys 4.0 and
+        # 3.999999999999999 at (0.1, 2.5), and v-moment/c_3 read 0.112
+        vs = v_sequence(gam, 1.0, 3)
+        c = pizzetti_coeffs(gam, 1.0, 4).c
+        tol = DEFAULT_TOLERANCES["v-moment"]
+        for eta in range(4):
+            assert abs(vs[eta].mu_moment / c[eta + 1] - 1.0) <= tol
+            powers = sorted(float(p) for p, l in vs[eta].terms if l == 0)
+            assert np.all(np.diff(powers) > 1e-6)
 
     def test_log_case_q2(self):
         # n = 2, |gamma| = 1 gives q = 2: the recursion produces log terms

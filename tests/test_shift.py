@@ -1,3 +1,5 @@
+import functools
+import importlib
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from bhk.grids import GridInterpolator, build_tensor_grid, contract_rows, integr
 from bhk.shift import (
     ShiftTruncationWarning,
     _shift_rows,
+    _shift_values,
     b_convolve,
     build_shift_plan,
     shift,
@@ -165,6 +168,32 @@ class TestBConvolve:
         out = b_convolve(plan, f, phi)
         # smoothing preserves total mass: int (f * phi) = int f . int phi
         assert_allclose(integrate(out), integrate(grid.sample(phi)), rtol=1e-6)
+
+    @pytest.mark.parametrize("g, points, angles, pairs", [
+        ((0.7,), 10, 16, 7),
+        (GAMMA, 8, 6, 7),
+        ((0.5, 1.0, 1.5), 8, 4, 1000),
+    ], ids=["n1", "n2", "n3"])
+    def test_against_all_ordered_pairs(self, monkeypatch, g, points, angles, pairs):
+        # oracle: every ordered (x, y) pair, one grid row of x at a time
+        grid = build_tensor_grid(g, 3.0, points)
+        plan = build_shift_plan(g, angles)
+        scale = np.array([1.5, 0.7, 1.1])[: len(g)]
+        phi = lambda p: (1.0 + p[..., 0] ** 2) * np.exp(-np.sum(scale * p * p, axis=-1))
+        f = grid.sample(gauss)
+        pts = grid.points().reshape(-1, len(g))
+        w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
+        want = np.array([
+            np.dot(w_f, _shift_values(phi, x, pts, plan.cos_nodes, plan.weights))
+            for x in pts
+        ]).reshape(grid.shape)
+        # chunks of `pairs` pairs: boundaries fall mid-row, the last is short
+        row_start = set(np.cumsum(np.arange(len(pts), 0, -1)).tolist())
+        total = max(row_start)
+        assert total % pairs and set(range(pairs, total, pairs)) - row_start
+        monkeypatch.setattr(importlib.import_module("bhk.shift"), "CONVOLVE_BUDGET", pairs * angles ** len(g))
+        got = b_convolve(plan, f, phi)
+        assert_allclose(got.values, want, rtol=1e-13, atol=0)
 
 
 def _route_cases():

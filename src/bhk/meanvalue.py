@@ -37,6 +37,7 @@ import numpy as np
 
 from .grids import GammaIndex, SphereRule, as_gamma, hemisphere_measure
 from .polys import EvenPoly, apply_bessel, eval_poly
+from .shift import _pairs_per_chunk, _shift_values
 
 __all__ = [
     "RadialProfile",
@@ -74,35 +75,39 @@ def sphere_mean(u, rule: SphereRule, R: float) -> float:
     return float(np.dot(rule.weights, vals))
 
 
-def bessel_laplacian_fd(u, gamma, x, h: float = 1e-4) -> float:
-    """Finite-difference Laplace-Bessel operator at a point (4th-order stencils).
+def bessel_laplacian_fd(u, gamma, x, h: float = 1e-4) -> float | np.ndarray:
+    """Finite-difference Laplace-Bessel operator (4th-order stencils) at points
+    x of shape (..., n).
 
-    For coordinates on the axis (x_i ~ 0) the singular term is replaced by its
+    Returns an array of the batch shape, or a float for a single point of
+    shape (n,); u is evaluated once, on all stencil points of the batch.  For
+    coordinates on the axis (x_i ~ 0) the singular term is replaced by its
     even limit, B_i u -> (1 + 2 gamma_i) d_i^2 u; stencil arguments that cross
     zero are reflected (u is assumed even in each variable, as everywhere in
     this theory).
     """
     g = as_gamma(gamma)
     fn = _as_callable(u)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != g.n:
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != g.n:
         raise ValueError(f"x must have {g.n} components")
     offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    pts = np.repeat(x[None, :], 4 * g.n + 1, axis=0)
+    pts = np.repeat(x[..., None, :], 4 * g.n + 1, axis=-2)
     for i in range(g.n):
-        pts[4 * i : 4 * i + 4, i] = np.abs(x[i] + offsets)
+        pts[..., 4 * i : 4 * i + 4, i] = np.abs(x[..., i, None] + offsets)
     vals = np.asarray(fn(pts), dtype=float)
-    u0 = vals[-1]
+    u0 = vals[..., -1]
     total = 0.0
     for i in range(g.n):
-        um2, um1, up1, up2 = vals[4 * i : 4 * i + 4]
+        um2, um1, up1, up2 = (vals[..., k] for k in range(4 * i, 4 * i + 4))
         d2 = (-up2 + 16.0 * up1 - 30.0 * u0 + 16.0 * um1 - um2) / (12.0 * h * h)
-        if x[i] > _AXIS_FLOOR:
-            d1 = (-up2 + 8.0 * up1 - 8.0 * um1 + um2) / (12.0 * h)
-            total += d2 + 2.0 * g[i] / x[i] * d1
-        else:
-            total += (1.0 + 2.0 * g[i]) * d2
-    return float(total)
+        d1 = (-up2 + 8.0 * up1 - 8.0 * um1 + um2) / (12.0 * h)
+        xi = x[..., i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = total + np.where(
+                xi > _AXIS_FLOOR, d2 + 2.0 * g[i] / xi * d1, (1.0 + 2.0 * g[i]) * d2
+            )
+    return float(total) if x.ndim == 1 else total
 
 
 def mean_value_check(u, rule: SphereRule, R: float) -> dict:
@@ -111,22 +116,19 @@ def mean_value_check(u, rule: SphereRule, R: float) -> dict:
     The B u = 0 precondition is probed by finite differences at a few interior
     points; a failing residual is reported in the row, not raised.
     """
+    if R <= 0:
+        raise ValueError("R must be positive")
     g = rule.gamma
     fn = _as_callable(u)
     step = max(1, rule.nodes.shape[0] // RESIDUAL_POINTS)
-    radii = (0.35, 0.55, 0.75)
-    residual = 0.0
-    for q in range(0, rule.nodes.shape[0], step):
-        for t in radii:
-            residual = max(
-                residual, abs(bessel_laplacian_fd(fn, g, t * R * rule.nodes[q], RESIDUAL_H))
-            )
+    radii = np.array([0.35, 0.55, 0.75])
+    probes = (radii[:, None, None] * R) * rule.nodes[None, ::step]
+    residual = float(np.max(np.abs(bessel_laplacian_fd(fn, g, probes, RESIDUAL_H))))
     u0 = float(np.asarray(fn(np.zeros((1, g.n))), dtype=float).reshape(()))
-    lhs = sphere_mean(fn, rule, R)
+    vals = np.asarray(fn(R * rule.nodes), dtype=float)
+    lhs = float(np.dot(rule.weights, vals))
     rhs = hemisphere_measure(g) * u0
-    scale = hemisphere_measure(g) * max(
-        1e-300, float(np.max(np.abs(fn(R * rule.nodes)))), abs(u0)
-    )
+    scale = hemisphere_measure(g) * max(1e-300, float(np.max(np.abs(vals))), abs(u0))
     return {
         "check": "mvt",
         "gamma": list(g.values),
@@ -141,15 +143,26 @@ def mean_value_check(u, rule: SphereRule, R: float) -> dict:
 
 
 def shifted_mean_value_check(u, rule: SphereRule, R: float, plan, y) -> dict:
-    """Shifted mean value: sphere mean of x -> T^y u(x) against m(S_+) u(y)."""
-    from .shift import shift
+    """Shifted mean value: sphere mean of x -> T^y u(x) against m(S_+) u(y).
 
+    T^y u at the nodes R theta comes from the callable route with the plan's
+    angle rules (those of shift(..., adaptive=False)), in chunks of at most
+    shift.SHIFT_BUDGET points; y = 0 takes u itself (T^0 u = u exactly).
+    """
     g = rule.gamma
     fn = _as_callable(u)
     y = np.asarray(y, dtype=float).reshape(-1)
-    vals = np.array(
-        [shift(plan, fn, R * node, y, adaptive=False) for node in rule.nodes]
-    )
+    if y.size != g.n:
+        raise ValueError(f"y must have {g.n} components")
+    x = R * rule.nodes
+    if np.all(y == 0.0):
+        vals = np.asarray(fn(x), dtype=float)
+    else:
+        step = _pairs_per_chunk(plan)
+        vals = np.concatenate([
+            _shift_values(fn, x[lo : lo + step], y, plan.cos_nodes, plan.weights)
+            for lo in range(0, x.shape[0], step)
+        ])
     lhs = float(np.dot(rule.weights, vals))
     uy = float(np.asarray(fn(y.reshape(1, -1)), dtype=float).reshape(()))
     rhs = hemisphere_measure(g) * uy
@@ -231,13 +244,7 @@ def pizzetti_mean(u, gamma, R: float, m: int, *, h: float | None = None) -> floa
     if m >= 1:
         terms.append(bessel_laplacian_fd(fn, g, origin, h))
     if m >= 2:
-        def bu(pts):
-            pts = np.asarray(pts, dtype=float)
-            flat = pts.reshape(-1, g.n)
-            return np.array(
-                [bessel_laplacian_fd(fn, g, p, h) for p in flat]
-            ).reshape(pts.shape[:-1])
-
+        bu = lambda pts: bessel_laplacian_fd(fn, g, pts, h)
         terms.append(bessel_laplacian_fd(bu, g, origin, h))
     return math.fsum(c * t for c, t in zip(coeffs, terms))
 

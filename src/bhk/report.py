@@ -40,6 +40,7 @@ from .grids import (
     integrate,
 )
 from .meanvalue import (
+    bessel_laplacian_fd,
     mean_value_check,
     pizzetti_coeffs,
     pizzetti_mean,
@@ -133,6 +134,9 @@ class RunConfig:
         as_gamma(self.gamma)  # validates positivity
         if self.x_max <= 0 or self.points < 8 or self.angles < 4 or self.sphere_points < 4:
             raise ValueError("grid/angle sizes out of range")
+        unknown = sorted({k for k, _ in self.tolerances} - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ValueError(f"tolerances name no check: {unknown}")
         if any(t <= 0 for _, t in self.tolerances):
             raise ValueError("tolerances must be positive")
 
@@ -144,18 +148,22 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         grid = obj.get("grid", {})
+        unknown = set(grid) - {"x_max", "points"}
+        if unknown:
+            raise ValueError(f"unknown grid keys: {sorted(unknown)}")
+        d = cls()
         return cls(
-            n=int(obj.get("n", 2)),
-            gamma=tuple(float(v) for v in obj.get("gamma", (0.5, 1.5))),
-            x_max=float(grid.get("x_max", 8.0)),
-            points=int(grid.get("points", 96)),
-            angles=int(obj.get("angles", 48)),
-            sphere_points=int(obj.get("sphere_points", 96)),
-            eps_seq=tuple(float(e) for e in obj.get("eps_seq", (0.4, 0.2, 0.1, 0.05))),
+            n=int(obj.get("n", d.n)),
+            gamma=tuple(float(v) for v in obj.get("gamma", d.gamma)),
+            x_max=float(grid.get("x_max", d.x_max)),
+            points=int(grid.get("points", d.points)),
+            angles=int(obj.get("angles", d.angles)),
+            sphere_points=int(obj.get("sphere_points", d.sphere_points)),
+            eps_seq=tuple(float(e) for e in obj.get("eps_seq", d.eps_seq)),
             tolerances=tuple(sorted(
                 (str(k), float(v)) for k, v in obj.get("tolerances", {}).items()
             )),
-            output=str(obj.get("output", "report.json")),
+            output=str(obj.get("output", d.output)),
         )
 
     @classmethod
@@ -253,10 +261,8 @@ def suite_special(cfg: RunConfig) -> List[dict]:
                      scale=1.0, inputs={"nu": -0.5, "points": 1000}))
     for g_ax in (0.5, 1.0, 2.5):
         rr = np.linspace(0.0, 20.0, 81)
-        diff = max(
-            abs(poisson_representation(g_ax, float(t), 64) - normalized_j(g_ax - 0.5, float(t)))
-            for t in rr
-        )
+        diff = float(np.max(np.abs(
+            poisson_representation(g_ax, rr, 64) - normalized_j(g_ax - 0.5, rr))))
         rows.append(_row(cfg, "special-poisson", diff, 0.0, scale=1.0,
                          inputs={"gamma_axis": g_ax, "quad_points": 64}))
     h = 1e-4
@@ -496,15 +502,13 @@ def suite_pizzetti(cfg: RunConfig) -> List[dict]:
     for eta in (1, 2, 3):
         bnd = max(abs(vs[eta](R)), abs(vs[eta].derivative(R)))
         rows.append(_row(cfg, "v-boundary", bnd, 0.0, scale=1.0, inputs={"eta": eta}))
-    h = 1e-3 * R
+    # radial B v = v'' + (q + 1)/r v' is the 1-D operator with gamma = (q + 1)/2
     r = np.linspace(0.2 * R, 0.9 * R, 15)
     for eta in (0, 1, 2):
         vp = vs[eta + 1]
-        d2 = (-vp(r + 2 * h) + 16 * vp(r + h) - 30 * vp(r) + 16 * vp(r - h)
-              - vp(r - 2 * h)) / (12 * h * h)
-        d1 = (-vp(r + 2 * h) + 8 * vp(r + h) - 8 * vp(r - h) + vp(r - 2 * h)) / (12 * h)
-        rel = float(np.max(np.abs(d2 + (q + 1.0) / r * d1 - vs[eta](r))
-                           / np.abs(vs[eta](r))))
+        bv = bessel_laplacian_fd(lambda p: vp(p[..., 0]), ((q + 1.0) / 2.0,),
+                                 r[:, None], 1e-3 * R)
+        rel = float(np.max(np.abs(bv - vs[eta](r)) / np.abs(vs[eta](r))))
         rows.append(_row(cfg, "v-consistency", rel, 0.0, scale=1.0, inputs={"eta": eta}))
     for eta in range(4):
         rows.append(_row(cfg, "v-moment", vs[eta].mu_moment, c[eta + 1],

@@ -60,8 +60,9 @@ SHIFT_TOL = 1e-10
 # Lagrange stencil width of shift_grid: its O(h^10) error keeps the
 # dmu_gamma-integral of T^y f within ~1e-9 of f's at default resolutions
 SHIFT_GRID_STENCIL = 10
-# phi evaluation points per chunk of b_convolve (bounds its transient memory)
-CONVOLVE_BUDGET = 4_000_000
+# law-of-cosines points per chunk of the callable route, shared by b_convolve
+# and meanvalue.shifted_mean_value_check: bounds their transient memory
+SHIFT_BUDGET = 2**16
 
 
 class ShiftTruncationWarning(UserWarning):
@@ -141,6 +142,11 @@ def _shift_values(phi, x, y, cos_nodes, weights):
     for w in reversed(weights):
         vals = np.tensordot(vals, w, axes=1)
     return vals
+
+
+def _pairs_per_chunk(plan: ShiftOperatorPlan) -> int:
+    """(x, y) pairs per `_shift_values` call: at most SHIFT_BUDGET points."""
+    return max(1, SHIFT_BUDGET // math.prod(len(c) for c in plan.cos_nodes))
 
 
 def _shift_rows(interp: GridInterpolator, plan: ShiftOperatorPlan, axis: int, x, y):
@@ -229,7 +235,8 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     unordered node pair is evaluated once and scattered to both of its
     nodes: M(M+1)/2 * prod_i A_i evaluations of phi for M grid nodes.  The
     row-major upper triangle of pairs is walked in chunks of equal size
-    holding at most CONVOLVE_BUDGET evaluation points.
+    holding at most SHIFT_BUDGET evaluation points (the budget that every
+    chunked use of the callable route shares).
     """
     grid = f.grid
     if grid.gamma.values != plan.gamma.values:
@@ -237,8 +244,7 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     pts = grid.points().reshape(-1, grid.n)
     m = pts.shape[0]
     w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
-    per_pair = int(np.prod([len(c) for c in plan.cos_nodes]))
-    chunk = max(1, CONVOLVE_BUDGET // per_pair)
+    chunk = _pairs_per_chunk(plan)
     # row p of the triangle holds the pairs (p, p), ..., (p, m - 1)
     row_start = np.concatenate(([0], np.cumsum(np.arange(m, 0, -1))))
     total = int(row_start[-1])

@@ -217,14 +217,15 @@ def normalized_j(nu, r):
     return out if np.ndim(r) else float(out[0])
 
 
-def poisson_representation(gamma_axis: float, r: float, quad_points: int = 64) -> float:
+def poisson_representation(gamma_axis: float, r, quad_points: int = 64):
     """j_{gamma-1/2}(r) through its integral representation
 
         Gamma(gamma+1/2) / (Gamma(gamma) Gamma(1/2))
             * int_0^pi e^{i r cos a} (sin a)^{2 gamma - 1} da
 
     evaluated (real part) by Gauss-Jacobi quadrature in t = cos a.  This is an
-    independent evaluation path used to cross-check normalized_j.
+    independent evaluation path used to cross-check normalized_j.  Scalar or
+    ndarray r.
     """
     from scipy.special import roots_jacobi
 
@@ -233,8 +234,10 @@ def poisson_representation(gamma_axis: float, r: float, quad_points: int = 64) -
         raise ValueError("poisson_representation requires gamma_axis > 0")
     if quad_points < 8:
         raise ValueError("poisson_representation requires quad_points >= 8")
-    if r < 0.0:
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr < 0.0):
         raise ValueError("poisson_representation requires r >= 0")
     t, w = roots_jacobi(quad_points, gamma_axis - 1.0, gamma_axis - 1.0)
     const = math.gamma(gamma_axis + 0.5) / (math.gamma(gamma_axis) * math.sqrt(math.pi))
-    return const * float(w @ np.cos(r * t))
+    out = const * (np.cos(np.multiply.outer(arr, t)) @ w)
+    return out if np.ndim(r) else float(out)

@@ -57,11 +57,16 @@ class TestRunConfig:
             {"grid": {"x_max": -2.0, "points": 48}},
             {"tolerances": {"mvt": 0.0}},
             {"bogus": 1},
+            {"grid": {"pts": 5}},
+            {"tolerances": {"mvtt": 1e-3}},
         ],
     )
     def test_validation(self, patch):
         with pytest.raises((ValueError, KeyError)):
             RunConfig.from_dict({**SMALL_CONFIG, **patch})
+
+    def test_empty_dict_gives_defaults(self):
+        assert RunConfig.from_dict({}) == RunConfig()
 
 
 class TestRunSuite:
@@ -142,6 +147,20 @@ class TestCliRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**SMALL_CONFIG, "gamma": [0.5, -2.0]}))
         assert main(["run", "--suite", "special", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("patch, key", [
+        ({"grid": {"x_max": 8.0, "pts": 5}}, "pts"),
+        ({"tolerances": {"mvtt": 1e-3}}, "mvtt"),
+    ])
+    def test_misspelt_key_exit_2_no_report(self, tmp_path, capsys, patch, key):
+        # a misspelt key must not fall back silently to the default
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, **patch}))
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "special", "--config", str(bad),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
     def test_unknown_suite_exit_2(self, config_path):
         assert main(["run", "--suite", "bogus", "--config", str(config_path)]) == 2

@@ -1,10 +1,12 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bhk.grids import hemisphere_measure
+from bhk.grids import build_sphere_rule, hemisphere_measure
 from bhk.meanvalue import (
     PizzettiCoefficients,
     bessel_laplacian_fd,
@@ -18,6 +20,7 @@ from bhk.meanvalue import (
 )
 from bhk.polys import EvenPoly, b_harmonic_basis
 from bhk.report import DEFAULT_TOLERANCES
+from bhk.shift import build_shift_plan, shift
 
 from conftest import GAMMA, gauss
 
@@ -59,6 +62,22 @@ class TestBesselLaplacianFd:
         ref = (4.0 - 12.0) * math.exp(-1.0)
         assert_allclose(got, ref, rtol=1e-6)
 
+    @pytest.mark.parametrize("gam", [(0.7,), GAMMA, (0.3, 2.2, 4.1)])
+    def test_batch_equals_point_calls(self, gam):
+        # a (3, 4, n) batch with on-axis and origin points, against one call
+        # per point: the arithmetic per point is unchanged, so bitwise equal
+        n = len(gam)
+        pts = np.random.default_rng(n).uniform(0.0, 2.0, (3, 4, n))
+        pts[0, 0] = 0.0
+        pts[1, :, 0] = 0.0
+        pts[2, 1, -1] = 1e-12
+        u = lambda p: np.cos(np.sum(p * p, axis=-1)) + p[..., 0] ** 4
+        got = bessel_laplacian_fd(u, gam, pts)
+        want = np.array([bessel_laplacian_fd(u, gam, p) for p in pts.reshape(-1, n)])
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.reshape(-1), want)
+        assert isinstance(bessel_laplacian_fd(u, gam, pts[0, 0]), float)
+
 
 class TestMeanValueCheck:
     def test_constant(self, sphere96):
@@ -92,6 +111,48 @@ class TestMeanValueCheck:
             lambda p: np.ones(p.shape[:-1]), sphere96, 1.0, shift_plan, [0.4, 0.9]
         )
         assert_allclose(row["lhs"], hemisphere_measure(GAMMA), rtol=1e-10)
+
+    def test_shifted_at_zero_is_the_plain_mean(self, sphere96, shift_plan):
+        row = shifted_mean_value_check(gauss, sphere96, 1.3, shift_plan, [0.0, 0.0])
+        assert row["lhs"] == sphere_mean(gauss, sphere96, 1.3)
+
+    def test_shifted_y_validated(self, sphere96, shift_plan):
+        with pytest.raises(ValueError):
+            shifted_mean_value_check(gauss, sphere96, 1.0, shift_plan, [0.4, 0.9, 1.2])
+
+    @pytest.mark.parametrize("gam, sphere_points, angles, step", [
+        (GAMMA, 48, 12, 7),
+        ((0.3, 2.2, 4.1), 8, 6, 10),
+    ], ids=["n2", "n3"])
+    def test_shifted_chunks_equal_pointwise_shifts(self, monkeypatch, gam,
+                                                   sphere_points, angles, step):
+        # chunks of `step` nodes: boundaries fall mid-rule, the last is short
+        rule = build_sphere_rule(gam, sphere_points)
+        plan = build_shift_plan(gam, angles)
+        nodes = rule.nodes.shape[0]
+        assert nodes > step and nodes % step
+        monkeypatch.setattr(importlib.import_module("bhk.shift"), "SHIFT_BUDGET",
+                            step * angles ** len(gam))
+        u = lambda p: np.exp(-np.sum(p * p, axis=-1)) * (1.0 + p[..., 0] ** 2)
+        y = np.linspace(0.4, 1.2, len(gam))
+        row = shifted_mean_value_check(u, rule, 0.9, plan, y)
+        vals = [shift(plan, u, 0.9 * x, y, adaptive=False) for x in rule.nodes]
+        assert_allclose(row["lhs"], np.dot(rule.weights, vals), rtol=1e-13, atol=0)
+
+    def test_shifted_transient_memory(self):
+        # the n = 3 size of the shift-pointwise benchmark: 64 nodes, 16
+        # angles per axis; all nodes in one chunk traced about 12 MB
+        gam = (0.7, 2.3, 4.1)
+        rule, plan = build_sphere_rule(gam, 8), build_shift_plan(gam, 16)
+        u = b_harmonic_basis(3, 2, gam)[0]
+        assert rule.nodes.shape[0] == 64
+        tracemalloc.start()
+        try:
+            shifted_mean_value_check(u, rule, 1.0, plan, [0.4, 0.9, 1.2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestPizzettiCoefficients:

@@ -143,7 +143,18 @@ class TestPoissonRepresentation:
                     - normalized_j(g - 0.5, float(r))
                 ) < 1e-10
 
+    @pytest.mark.parametrize("g", [0.5, 1.0, 2.5])
+    def test_array_equals_scalar_calls(self, g):
+        r = np.linspace(0.0, 20.0, 81).reshape(9, 9)
+        got = poisson_representation(g, r, 64)
+        want = np.array([poisson_representation(g, float(t), 64) for t in r.flat])
+        assert got.shape == (9, 9)
+        # one ulp of 1, the size of the summed terms (const * sum(w) = 1)
+        assert np.max(np.abs(got.reshape(-1) - want)) <= np.spacing(1.0)
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            poisson_representation(1.0, np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
             poisson_representation(0.0, 1.0)
         with pytest.raises(ValueError):

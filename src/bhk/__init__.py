@@ -45,14 +45,12 @@ from .transform import (
     pv_kernel_transform,
 )
 from .meanvalue import (
-    RadialProfile,
     PizzettiCoefficients,
     sphere_mean,
     mean_value_check,
     shifted_mean_value_check,
     pizzetti_coeffs,
     pizzetti_mean,
-    v_recursion,
     v_sequence,
     bessel_laplacian_fd,
 )

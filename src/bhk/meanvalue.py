@@ -40,7 +40,6 @@ from .polys import EvenPoly, apply_bessel, eval_poly
 from .shift import _pairs_per_chunk, _shift_values
 
 __all__ = [
-    "RadialProfile",
     "PizzettiCoefficients",
     "sphere_mean",
     "mean_value_check",
@@ -49,7 +48,6 @@ __all__ = [
     "pizzetti_mean",
     "bessel_laplacian_fd",
     "v_sequence",
-    "v_recursion",
 ]
 
 _AXIS_FLOOR = 1e-9  # below this a coordinate counts as on-axis for the FD limit
@@ -348,30 +346,3 @@ def v_sequence(gamma, R: float, eta_max: int) -> List[VRadial]:
             _add_term(nxt, p, l, c / qf)
         terms = nxt
     return seq
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Sampled radial function on (0, R]."""
-
-    radii: np.ndarray
-    values: np.ndarray
-    R: float
-
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if np.any(np.diff(r) <= 0) or r[-1] > self.R + 1e-12:
-            raise ValueError("radii must be strictly increasing with last <= R")
-
-
-def v_recursion(gamma, R: float, eta_max: int, radial_points: int = 256) -> List[RadialProfile]:
-    """v_0..v_{eta_max} sampled on a Chebyshev grid on [1e-3 R, R].
-
-    The r -> 0 singularity of v_0 is never evaluated below the floor (the
-    construction excises a ball around the origin as well).
-    """
-    seq = v_sequence(gamma, R, eta_max)
-    lo, hi = 1e-3 * R, R
-    j = np.arange(radial_points)
-    radii = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * j / (radial_points - 1)))
-    return [RadialProfile(radii, v(radii), float(R)) for v in seq]

@@ -389,21 +389,17 @@ def suite_transform(cfg: RunConfig) -> List[dict]:
             rel = float(np.max(np.abs(got[keep] - ref[keep]) / np.abs(ref[keep])))
             rows.append(_row(cfg, "harmonic-gaussian", rel, 0.0, scale=1.0,
                              inputs={"k": k, "probe_points": int(np.sum(keep))}))
-    # convolution theorem on a reduced grid (cost O(N^2 A^n)); 24 points on
-    # (0, 5] still resolve the frequency reach the plan self-test needs
-    conv_grid = build_tensor_grid(g, min(cfg.x_max, 5.0), min(cfg.points, 24))
-    conv_plan = build_fb_plan(conv_grid)
-    splan = build_shift_plan(g, min(cfg.angles, 24))
-    fc = conv_grid.sample(_gauss)
-    phi = lambda p: np.exp(-1.5 * np.sum(p * p, axis=-1))
-    conv = b_convolve(splan, fc, phi)
-    lhs = fb_forward(conv_plan, conv).values
+    # convolution theorem for the product Gaussian phi = prod_i exp(-1.5 x_i^2)
+    splan = build_shift_plan(g, cfg.angles)
+    conv = b_convolve(splan, f, [lambda z: np.exp(-1.5 * z * z)] * g.n)
+    lhs = fb_forward(plan, conv).values
+    phi = grid.sample(lambda p: np.exp(-1.5 * np.sum(p * p, axis=-1)))
     rhs = (spectral_convolution_factor(g)
-           * fb_forward(conv_plan, fc).values
-           * fb_forward(conv_plan, conv_grid.sample(phi)).values)
+           * fb_forward(plan, f).values
+           * fb_forward(plan, phi).values)
     rel = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
     rows.append(_row(cfg, "fb-convolution", rel, 0.0, scale=1.0,
-                     inputs={"points": conv_grid.shape[0],
+                     inputs={"points": grid.shape[0],
                              "factor": spectral_convolution_factor(g)}))
     # Lemma 2.2 with a mean-zero angular part and a non-radial even phi
     if g.n >= 2:

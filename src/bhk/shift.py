@@ -17,6 +17,11 @@ T^y is computed along two routes:
 * callable (`_shift_values`, used by `shift` and `b_convolve`): phi is
   evaluated once on the tensor of law-of-cosines points of a batch of (x, y)
   pairs, prod_i A_i evaluations per pair, and the angle weights contracted.
+  For a product kernel phi(x) = prod_i phi_i(x_i) the shift factors,
+  T^y phi(x) = prod_i T^{y_i} phi_i(x_i), so `b_convolve` builds one 1-D
+  kernel matrix per axis (N_i^2 A_i evaluations of phi_i) and applies them
+  with `contract_axes`; an n-D phi costs M(M+1)/2 * prod_i A_i evaluations
+  over the M grid nodes.
 * sampled (`_shift_rows`, used by `shift_grid` and `riesz.riesz_spatial`):
   the shifted argument on axis i depends only on (x_i, y_i, alpha_i), so per
   axis each (x_i, y_i) pair gives one row, the angle-weighted sum of
@@ -60,8 +65,10 @@ SHIFT_TOL = 1e-10
 # Lagrange stencil width of shift_grid: its O(h^10) error keeps the
 # dmu_gamma-integral of T^y f within ~1e-9 of f's at default resolutions
 SHIFT_GRID_STENCIL = 10
-# law-of-cosines points per chunk of the callable route, shared by b_convolve
-# and meanvalue.shifted_mean_value_check: bounds their transient memory
+# law-of-cosines points per chunk of the callable route in b_convolve's n-D
+# route and meanvalue.shifted_mean_value_check: bounds their transient memory
+# (b_convolve's 1-D kernel builds take N_i^2 A_i points unchunked, 3.5 MB at
+# 96 points and 48 angles)
 SHIFT_BUDGET = 2**16
 
 
@@ -229,18 +236,37 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     """(f * phi)(x) = int f(y) T^y phi(x) dmu_gamma(y) at every grid node.
 
     The y-integral uses the grid quadrature; T^y phi comes from the callable
-    route, which evaluates phi itself (no sampling or interpolation).  The
-    kernel K[x, y] = T^y phi(x) is symmetric (T^y phi(x) = T^x phi(y), and
-    the law-of-cosines argument is bitwise symmetric in x_i, y_i), so each
-    unordered node pair is evaluated once and scattered to both of its
-    nodes: M(M+1)/2 * prod_i A_i evaluations of phi for M grid nodes.  The
-    row-major upper triangle of pairs is walked in chunks of equal size
-    holding at most SHIFT_BUDGET evaluation points (the budget that every
-    chunked use of the callable route shares).
+    route, which evaluates phi itself (no sampling or interpolation).
+
+    phi is either a sequence of n 1-D callables phi_i, each taking an array
+    of coordinates, for the product kernel prod_i phi_i(x_i) (separable
+    route), or one callable on points of shape (..., n) (direct route).
+
+    Separable: per axis, K_i[x, y] = w_i(y) T^{y} phi_i(x) on the axis's
+    nodes, N_i^2 A_i evaluations of phi_i, and f * phi =
+    contract_axes([K_1, ..., K_n], f), O(sum_i N_i^2 A_i + N^n sum_i N_i).
+
+    Direct: the kernel K[x, y] = T^y phi(x) is symmetric (T^y phi(x) =
+    T^x phi(y), and the law-of-cosines argument is bitwise symmetric in
+    x_i, y_i), so each unordered node pair is evaluated once and scattered
+    to both of its nodes: M(M+1)/2 * prod_i A_i evaluations of phi for M
+    grid nodes.  The row-major upper triangle of pairs is walked in chunks
+    of equal size holding at most SHIFT_BUDGET evaluation points.
     """
     grid = f.grid
     if grid.gamma.values != plan.gamma.values:
         raise ValueError("plan and grid gamma indices differ")
+    if not callable(phi):
+        phis = list(phi)
+        if len(phis) != grid.n or not all(map(callable, phis)):
+            raise ValueError(f"phi must be one callable or {grid.n} 1-D callables")
+        mats = [
+            _shift_values(lambda z, phi_i=phi_i: phi_i(z[..., 0]),
+                          x[:, None, None], x[None, :, None], [c], [w]) * wx
+            for phi_i, x, c, w, wx in zip(phis, grid.nodes, plan.cos_nodes,
+                                          plan.weights, grid.weights)
+        ]
+        return GridFunction(grid, contract_axes(mats, f.values))
     pts = grid.points().reshape(-1, grid.n)
     m = pts.shape[0]
     w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)

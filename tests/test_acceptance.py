@@ -150,17 +150,14 @@ def test_criterion_04_fourier_bessel():
             lhs = fb_forward_at(plan, fa, probes)
             rhs = a ** (-2 - 2 * 2.0) * fb_forward_at(plan, base, probes / a)
             assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-6
-        # convolution theorem on the documented reduced grid
-        cgrid = build_tensor_grid(GAMMA, 5.0, 24)
-        cplan = build_fb_plan(cgrid)
-        splan = build_shift_plan(GAMMA, 24)
-        fc = cgrid.sample(gauss)
-        phi = lambda p: np.exp(-1.5 * np.sum(p * p, axis=-1))
-        conv = b_convolve(splan, fc, phi)
-        lhs = fb_forward(cplan, conv).values
+        # convolution theorem for the product Gaussian, separable route
+        splan = build_shift_plan(GAMMA, 48)
+        conv = b_convolve(splan, f, [lambda z: np.exp(-1.5 * z * z)] * 2)
+        phi = grid.sample(lambda p: np.exp(-1.5 * np.sum(p * p, axis=-1)))
+        lhs = fb_forward(plan, conv).values
         rhs = (spectral_convolution_factor(GAMMA)
-               * fb_forward(cplan, fc).values
-               * fb_forward(cplan, cgrid.sample(phi)).values)
+               * fb_forward(plan, f).values
+               * fb_forward(plan, phi).values)
         assert np.max(np.abs(lhs - rhs)) <= 1e-4 * np.max(np.abs(rhs))
 
 

@@ -114,6 +114,15 @@ class TestRunSuite:
             assert {"k", "gamma", "point", "spatial", "spectral",
                     "rel_err", "pass"} <= set(r)
 
+    def test_transform_suite_n3(self):
+        # the n = 3 size README's Scope documents
+        cfg = RunConfig.from_dict({"n": 3, "gamma": [0.5, 1.0, 1.5],
+                                   "grid": {"x_max": 8.0, "points": 48},
+                                   "angles": 16, "sphere_points": 16})
+        report = run_suite(cfg, "transform")
+        assert [r["check"] for r in report["rows"] if not r["pass"]] == []
+        assert report["summary"] == {"failed": 0, "passed": 12, "total": 12}
+
 
 class TestCliRun:
     def test_exit_zero_and_report(self, config_path, tmp_path, capsys):

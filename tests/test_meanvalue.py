@@ -15,7 +15,6 @@ from bhk.meanvalue import (
     pizzetti_mean,
     shifted_mean_value_check,
     sphere_mean,
-    v_recursion,
     v_sequence,
 )
 from bhk.polys import EvenPoly, b_harmonic_basis
@@ -274,15 +273,6 @@ class TestVRecursion:
         vs = v_sequence((0.5, 0.5), 1.0, 2)
         assert any(l > 0 for _, l in vs[1].terms)
         assert abs(vs[1](1.0)) < 1e-12 and abs(vs[1].derivative(1.0)) < 1e-10
-
-    def test_profiles(self):
-        profiles = v_recursion(GAMMA, 2.0, 2, radial_points=128)
-        assert len(profiles) == 3
-        for prof in profiles:
-            assert prof.radii[0] == pytest.approx(2e-3)
-            assert prof.radii[-1] == pytest.approx(2.0)
-            assert prof.values.shape == (128,)
-            assert np.all(np.diff(prof.radii) > 0)
 
     def test_exponent_validated(self):
         with pytest.raises(ValueError):

@@ -195,6 +195,33 @@ class TestBConvolve:
         got = b_convolve(plan, f, phi)
         assert_allclose(got.values, want, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("g, points, angles", [
+        ((0.5,), 24, 16),
+        ((0.5, 1.5), 10, 8),
+        ((0.5, 1.5, 1.0), 8, 4),
+        (tuple(np.random.default_rng(31).uniform(0.05, 5.0, 1)), 24, 16),
+        (tuple(np.random.default_rng(32).uniform(0.05, 5.0, 2)), 10, 8),
+        (tuple(np.random.default_rng(33).uniform(0.05, 5.0, 3)), 8, 4),
+    ], ids=["n1-dyadic", "n2-dyadic", "n3-dyadic", "n1-seeded", "n2-seeded", "n3-seeded"])
+    def test_separable_against_direct(self, g, points, angles):
+        # a different factor per axis, so a kernel built on the wrong axis shows
+        n = len(g)
+        grid = build_tensor_grid(g, 3.0, points)
+        plan = build_shift_plan(g, angles)
+        factors = [lambda z, a=a: (1.0 + a * z * z) * np.exp(-a * z * z)
+                   for a in (1.5, 0.7, 1.1)[:n]]
+        phi = lambda p: np.prod([h(p[..., i]) for i, h in enumerate(factors)], axis=0)
+        f = grid.sample(gauss)
+        got = b_convolve(plan, f, factors)
+        assert_allclose(got.values, b_convolve(plan, f, phi).values, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("phi", [[gauss], [gauss, gauss, gauss], [gauss, 1.0]],
+                             ids=["short", "long", "non-callable"])
+    def test_separable_factors_validated(self, small, phi):
+        plan, grid = small
+        with pytest.raises(ValueError):
+            b_convolve(plan, grid.sample(gauss), phi)
+
 
 def _route_cases():
     # (points, angles) per axis at each n; dyadic and seeded non-dyadic gamma

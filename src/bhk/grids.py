@@ -8,9 +8,7 @@ are Gauss-Jacobi with the measure factor absorbed into the weights, so the
 measure of a box integrates exactly for every gamma > 0.  Reductions use
 numpy's pairwise summation in a fixed axis order, keeping results bit-stable
 run to run.  Separable operators (Fourier-Bessel kernels, per-axis shift
-rows, interpolation stencils) act on tensor samples through two contractions:
-`contract_axes` (one matrix per axis) and `contract_rows` (one row per axis
-and scattered point).
+rows) act on tensor samples through `contract_axes` (one matrix per axis).
 """
 
 from __future__ import annotations
@@ -34,11 +32,16 @@ __all__ = [
     "integrate",
     "lp_norm",
     "contract_axes",
-    "contract_rows",
     "jacobi_angle_rule",
     "build_sphere_rule",
     "hemisphere_measure",
 ]
+
+# values per chunk of the batched evaluations: law-of-cosines points of the
+# shift module's callable route and stencil values of GridInterpolator's
+# gather; bounds their transient memory (b_convolve's 1-D kernel builds run
+# unchunked: N_i^2 A_i points, 3.5 MB at 96 points and 48 angles)
+SHIFT_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -205,17 +208,6 @@ def contract_axes(mats, values) -> np.ndarray:
     return acc
 
 
-def contract_rows(rows, values) -> np.ndarray:
-    """Pointwise contraction out[p] = sum_a prod_i rows[i][p, a_i] values[a].
-
-    rows[i] has shape (P, N_i), values (N_1, ..., N_n), the result (P,);
-    O(P * N_1 ... N_n) with no intermediate larger than the inputs.
-    """
-    axes = "abcdefghijklmnoqrstuvwxyz"[: len(rows)]
-    spec = ",".join("p" + a for a in axes) + "," + axes + "->p"
-    return np.einsum(spec, *rows, values)
-
-
 def jacobi_angle_rule(gamma_axis: float, points: int):
     """Quadrature on [0, pi] against the weight sin^{2 gamma - 1}(alpha).
 
@@ -322,12 +314,12 @@ class GridInterpolator:
 
     Per axis: a `width`-point Lagrange stencil on the grid nodes, extended by
     even reflection through 0 (consistent with even regular solutions) and
-    clamped to [0, x_max].  width=4 is the plain cubic baseline; the spatial
-    Riesz path uses width=8 and shift_grid width=10, whose O(h^10) error is
-    what its 1e-8 integral-preservation budget needs at default grid
-    resolutions.  Evaluations beyond x_max are clamped and counted so callers
-    can flag truncation bias.  Scattered values come from `contract_rows` of
-    one stencil row per axis and point against the extended samples.
+    clamped to [0, x_max].  width=4 is the plain cubic baseline; shift_grid
+    uses width=10, whose O(h^10) error is what its 1e-8 integral-preservation
+    budget needs at default grid resolutions.  Evaluations beyond x_max are
+    clamped and counted so callers can flag truncation bias.  A scattered
+    point reads the width^n block of extended samples its per-axis stencils
+    cover, so it costs O(width^n) whatever the grid size.
 
     The Lagrange denominators prod_{b != a} (x_{s+a} - x_{s+b}) depend only
     on the stencil start s, so each axis keeps one (starts, width) table of
@@ -402,10 +394,21 @@ class GridInterpolator:
         return self.clipped / self.queried if self.queried else 0.0
 
     def __call__(self, pts) -> np.ndarray:
-        """Evaluate at scattered points of shape (..., n)."""
+        """Evaluate at scattered points of shape (..., n): each point's width^n
+        block of ext_values, gathered under its axis stencils, is contracted
+        with their weights, in chunks of at most SHIFT_BUDGET gathered values."""
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, self.grid.n)
-        one = np.ones(1)
-        rows = [self.dense_axis_matrix(ax, flat[:, ax, None], one)
-                for ax in range(self.grid.n)]
-        return contract_rows(rows, self.ext_values).reshape(pts.shape[:-1])
+        n, width = self.grid.n, self.width
+        axes = "abcdefghijklmnoqrstuvwxyz"[:n]
+        spec = "p" + axes + "," + ",".join("p" + a for a in axes) + "->p"
+        step = max(1, SHIFT_BUDGET // width**n)
+        out = np.empty(flat.shape[0])
+        for lo in range(0, flat.shape[0], step):
+            idx, w = zip(*(self.axis_stencil(ax, flat[lo : lo + step, ax])
+                           for ax in range(n)))
+            block = self.ext_values[tuple(
+                i.reshape((-1,) + (1,) * ax + (width,) + (1,) * (n - ax - 1))
+                for ax, i in enumerate(idx))]
+            out[lo : lo + step] = np.einsum(spec, block, *w)
+        return out.reshape(pts.shape[:-1])

@@ -23,6 +23,7 @@ extrapolation with the O(eps^2) rate the subtracted integrand gives.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,11 +36,10 @@ from .grids import (
     SphereRule,
     as_gamma,
     build_sphere_rule,
-    contract_rows,
     lp_norm,
 )
 from .polys import EvenPoly, apply_bessel, eval_poly
-from .shift import ShiftOperatorPlan, build_shift_plan, _shift_rows
+from .shift import ShiftOperatorPlan, ShiftTruncationWarning, build_shift_plan, shift_grid
 from .special import gamma as _gamma
 from .transform import FBPlan, fb_constant, fb_forward, fb_inverse
 
@@ -138,6 +138,11 @@ def riesz_spatial(
 ) -> RieszSpatialResult:
     """Principal-value evaluation of R^(k) f(x) with the c_k constant.
 
+    T^y f(x) = T^x f(y): `shift_grid` gives T^x f on the grid once and
+    8-point interpolation reads it at the polar nodes y; the tails of the
+    localized f beyond x_max are clamped silently.  kernel, plan, rule and f
+    must share one gamma.
+
     Returns the extrapolated limit and the per-eps truncated values; the
     converged flag goes False when the last eps step moves the value by more
     than 10x the extrapolation's own correction estimate.
@@ -153,7 +158,11 @@ def riesz_spatial(
         raise ValueError("eps_seq must lie in (0, 1) and decrease")
     plan = plan or build_shift_plan(g, 48)
     rule = rule or build_sphere_rule(g, SPHERE_POINTS)
-    interp = GridInterpolator(f, width=8)
+    if any(h.values != g.values for h in (plan.gamma, rule.gamma, f.grid.gamma)):
+        raise ValueError("kernel, plan, rule and grid gamma indices differ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShiftTruncationWarning)
+        interp = GridInterpolator(shift_grid(plan, f, x), width=8)
     r_max = f.grid.x_max + float(np.linalg.norm(x))
 
     gl_t, gl_w = np.polynomial.legendre.leggauss(RADIAL_INNER)
@@ -167,13 +176,12 @@ def riesz_spatial(
 
     all_r = np.concatenate([r for r, _ in radii] + [r_out])
     ys = (all_r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, g.n)
-    rows = [_shift_rows(interp, plan, i, x[i], ys[:, i]) for i in range(g.n)]
-    tvals = contract_rows(rows, interp.ext_values).reshape(all_r.size, rule.nodes.shape[0])
+    tvals = interp(ys).reshape(all_r.size, rule.nodes.shape[0])
 
     p_theta = eval_poly(kernel.poly, rule.nodes)
     pw = rule.weights * p_theta
     mean_hat = float(np.sum(pw))          # quadrature-level angular mean (~0)
-    fx = float(interp(x[None, :])[0])
+    fx = float(interp(np.zeros((1, g.n)))[0])  # T^0 f(x) = f(x)
     g_of_r = tvals @ pw
 
     outer = float(np.sum(w_out * g_of_r[-r_out.size :] / r_out))

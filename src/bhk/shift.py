@@ -22,13 +22,10 @@ T^y is computed along two routes:
   kernel matrix per axis (N_i^2 A_i evaluations of phi_i) and applies them
   with `contract_axes`; an n-D phi costs M(M+1)/2 * prod_i A_i evaluations
   over the M grid nodes.
-* sampled (`_shift_rows`, used by `shift_grid` and `riesz.riesz_spatial`):
-  the shifted argument on axis i depends only on (x_i, y_i, alpha_i), so per
-  axis each (x_i, y_i) pair gives one row, the angle-weighted sum of
-  interpolation stencil rows over the extended nodes.  T^y of grid samples
-  applies these rows through the shared contractions of `bhk.grids`:
-  `contract_axes` for every grid node at one y (`shift_grid`), and
-  `contract_rows` for one x at many y (`riesz_spatial`).
+* sampled (`shift_grid`): the shifted argument on axis i depends only on
+  (x_i, y_i, alpha_i), so per axis each node x_i gives one row, the
+  angle-weighted sum of interpolation stencil rows over the extended nodes,
+  and `grids.contract_axes` applies these rows to the grid samples.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grids
 from .grids import (
     GammaIndex,
     GridFunction,
@@ -65,11 +63,6 @@ SHIFT_TOL = 1e-10
 # Lagrange stencil width of shift_grid: its O(h^10) error keeps the
 # dmu_gamma-integral of T^y f within ~1e-9 of f's at default resolutions
 SHIFT_GRID_STENCIL = 10
-# law-of-cosines points per chunk of the callable route in b_convolve's n-D
-# route and meanvalue.shifted_mean_value_check: bounds their transient memory
-# (b_convolve's 1-D kernel builds take N_i^2 A_i points unchunked, 3.5 MB at
-# 96 points and 48 angles)
-SHIFT_BUDGET = 2**16
 
 
 class ShiftTruncationWarning(UserWarning):
@@ -152,20 +145,8 @@ def _shift_values(phi, x, y, cos_nodes, weights):
 
 
 def _pairs_per_chunk(plan: ShiftOperatorPlan) -> int:
-    """(x, y) pairs per `_shift_values` call: at most SHIFT_BUDGET points."""
-    return max(1, SHIFT_BUDGET // math.prod(len(c) for c in plan.cos_nodes))
-
-
-def _shift_rows(interp: GridInterpolator, plan: ShiftOperatorPlan, axis: int, x, y):
-    """Sampled route: per-axis T^y rows for broadcast 1-D values x, y of one axis.
-
-    Row p is sum_alpha w(alpha) L((x_p, y_p)_alpha), with L the stencil row
-    of interp over its extended nodes on that axis; shape (pairs, nodes).
-    """
-    z = _law_of_cosines(
-        np.reshape(x, (-1, 1)), np.reshape(y, (-1, 1)), plan.cos_nodes[axis]
-    )
-    return interp.dense_axis_matrix(axis, z, plan.weights[axis])
+    """(x, y) pairs per `_shift_values` call: at most grids.SHIFT_BUDGET points."""
+    return max(1, grids.SHIFT_BUDGET // math.prod(len(c) for c in plan.cos_nodes))
 
 
 def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float:
@@ -206,9 +187,10 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
 
     Off-node arguments are evaluated by tensor-product local Lagrange
     interpolation (SHIFT_GRID_STENCIL points per axis) with even reflection
-    at 0 and clamping at x_max.  `contract_axes` applies one (nodes,
-    extended nodes) matrix of `_shift_rows` per axis to the extended samples,
-    so the cost is O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
+    at 0 and clamping at x_max.  Per axis, row p of a (nodes, extended
+    nodes) matrix is sum_alpha w(alpha) L((x_p, y)_alpha), L the stencil
+    row; `contract_axes` applies these matrices to the extended samples, so
+    the cost is O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
     ShiftTruncationWarning when > 1% of evaluation points are clamped.
     """
     grid = f.grid
@@ -220,7 +202,8 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     if np.all(y == 0.0):
         return GridFunction(grid, f.values.copy())
     interp = GridInterpolator(f, width=SHIFT_GRID_STENCIL)
-    mats = [_shift_rows(interp, plan, ax, grid.nodes[ax], y[ax]) for ax in range(grid.n)]
+    mats = [interp.dense_axis_matrix(ax, _law_of_cosines(x[:, None], y[ax], c), w)
+            for ax, (x, c, w) in enumerate(zip(grid.nodes, plan.cos_nodes, plan.weights))]
     acc = contract_axes(mats, interp.ext_values)
     if interp.clip_fraction > 0.01:
         warnings.warn(
@@ -251,7 +234,7 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     x_i, y_i), so each unordered node pair is evaluated once and scattered
     to both of its nodes: M(M+1)/2 * prod_i A_i evaluations of phi for M
     grid nodes.  The row-major upper triangle of pairs is walked in chunks
-    of equal size holding at most SHIFT_BUDGET evaluation points.
+    of equal size holding at most grids.SHIFT_BUDGET evaluation points.
     """
     grid = f.grid
     if grid.gamma.values != plan.gamma.values:

@@ -25,6 +25,10 @@ SMALL_CONFIG = {
     "output": "report.json",
 }
 
+# the n = 3 size README's Scope documents for the transform and riesz suites
+N3_CONFIG = {"n": 3, "gamma": [0.5, 1.0, 1.5], "grid": {"x_max": 8.0, "points": 48},
+             "angles": 16, "sphere_points": 16}
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -115,13 +119,14 @@ class TestRunSuite:
                     "rel_err", "pass"} <= set(r)
 
     def test_transform_suite_n3(self):
-        # the n = 3 size README's Scope documents
-        cfg = RunConfig.from_dict({"n": 3, "gamma": [0.5, 1.0, 1.5],
-                                   "grid": {"x_max": 8.0, "points": 48},
-                                   "angles": 16, "sphere_points": 16})
-        report = run_suite(cfg, "transform")
+        report = run_suite(RunConfig.from_dict(N3_CONFIG), "transform")
         assert [r["check"] for r in report["rows"] if not r["pass"]] == []
         assert report["summary"] == {"failed": 0, "passed": 12, "total": 12}
+
+    def test_riesz_suite_n3(self):
+        report = run_suite(RunConfig.from_dict(N3_CONFIG), "riesz")
+        assert [r["check"] for r in report["rows"] if not r["pass"]] == []
+        assert report["summary"] == {"failed": 0, "passed": 10, "total": 10}
 
 
 class TestCliRun:

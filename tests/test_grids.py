@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bhk.grids import (
+    SHIFT_BUDGET,
     GammaIndex,
     GridFunction,
     GridInterpolator,
     build_sphere_rule,
     build_tensor_grid,
     contract_axes,
-    contract_rows,
     hemisphere_measure,
     integrate,
     jacobi_angle_rule,
@@ -199,20 +199,6 @@ class TestContractions:
         assert got.shape == tuple(m + 2 for m in shape)
         assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
-    @pytest.mark.parametrize("shape", [(7,), (5, 6), (4, 5, 3)])
-    def test_contract_rows(self, shape):
-        rng = np.random.default_rng(10 + len(shape))
-        values = rng.standard_normal(shape)
-        rows = [rng.standard_normal((9, m)) for m in shape]
-        # dense oracle: the full per-point tensor prod_i rows[i][p, a_i]
-        dense = rows[0]
-        for r in rows[1:]:
-            dense = dense[..., None] * r.reshape((9,) + (1,) * (dense.ndim - 1) + (-1,))
-        ref = np.einsum("pk,k->p", dense.reshape(9, -1), values.reshape(-1))
-        got = contract_rows(rows, values)
-        assert got.shape == (9,)
-        assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
-
 
 class TestCsv:
     def test_format(self, tmp_path):
@@ -229,6 +215,20 @@ class TestCsv:
         # row-major: second row advances the last axis
         x1b, x2b, _ = (float(t) for t in lines[2].split(","))
         assert x1b == x1 and x2b == grid.nodes[1][1]
+
+
+def _dense_oracle(interp, pts):
+    # one dense (points, extended nodes) stencil row per axis, contracted
+    # against every extended sample: O(points * nodes^n)
+    rows = []
+    for ax in range(pts.shape[1]):
+        idx, w = interp.axis_stencil(ax, pts[:, ax])
+        row = np.zeros((pts.shape[0], len(interp.ext_nodes[ax])))
+        np.put_along_axis(row, idx, w, axis=-1)
+        rows.append(row)
+    axes = "abc"[: pts.shape[1]]
+    return np.einsum(",".join("p" + a for a in axes) + f",{axes}->p",
+                     *rows, interp.ext_values)
 
 
 class TestGridInterpolator:
@@ -310,6 +310,32 @@ class TestGridInterpolator:
         interp = GridInterpolator(f, width=8)
         pts = np.array([[1e-4, 0.7], [0.0, 1.1], [0.3, 1e-5]])
         assert_allclose(interp(pts), gauss(pts), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("width", [4, 8, 10])
+    def test_gather_against_dense_rows(self, n, width):
+        # a wide Gaussian stays O(1) on the box, so a relative gate sees only
+        # the summation order, not cancellation in small values
+        grid = build_tensor_grid((0.5, 1.5, 1.0)[:n], 4.0, 12)
+        wide = lambda p: np.exp(-0.1 * np.sum(p * p, axis=-1))
+        interp = GridInterpolator(grid.sample(wide), width=width)
+        pts = np.random.default_rng(10 * n + width).uniform(0.0, 5.0, (40, n))
+        got = interp(pts)
+        assert np.count_nonzero(pts > 4.0) > 0  # some queries beyond x_max
+        assert interp.clipped == np.count_nonzero(pts > 4.0)
+        assert interp.queried == pts.size
+        assert_allclose(got, _dense_oracle(interp, pts), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gather_chunks_bitwise(self, monkeypatch, n):
+        # chunks of 3 points: boundaries fall mid-batch, the last is short
+        grid = build_tensor_grid((0.5, 1.5, 1.0)[:n], 4.0, 12)
+        interp = GridInterpolator(grid.sample(gauss), width=10)
+        pts = np.random.default_rng(n).uniform(0.0, 5.0, (40, n))
+        assert pts.shape[0] * 10**n <= SHIFT_BUDGET  # one chunk
+        whole = interp(pts)
+        monkeypatch.setattr("bhk.grids.SHIFT_BUDGET", 3 * 10**n)
+        assert np.array_equal(interp(pts), whole)
 
     def test_clip_counting(self):
         grid = build_tensor_grid(GAMMA, 4.0, 24)

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import sympy
 from numpy.testing import assert_allclose
 
-from bhk.grids import GridInterpolator, build_sphere_rule, lp_norm
+from bhk.grids import GridInterpolator, build_sphere_rule, build_tensor_grid, lp_norm
 from bhk.polys import EvenPoly, eval_poly
 from bhk.riesz import (
     apply_bessel_poly_spectral,
@@ -16,7 +17,7 @@ from bhk.riesz import (
     riesz_spatial,
     riesz_spectral,
 )
-from bhk.shift import build_shift_plan
+from bhk.shift import ShiftTruncationWarning, build_shift_plan
 from bhk.transform import fb_forward, fb_forward_at, gaussian_transform
 
 from conftest import GAMMA, gauss
@@ -135,6 +136,12 @@ class TestSpatialAgainstSpectral:
         res = riesz_spatial(kernel, f, np.array([9.0, 9.0]))
         assert abs(res.limit) < 1e-3
 
+    def test_clamping_is_silent(self, kernel, grid96):
+        # T^x f reaches beyond x_max at this x; the localized tails clamp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ShiftTruncationWarning)
+            riesz_spatial(kernel, grid96.sample(gauss), np.array([7.0, 7.5]))
+
     def test_zero_input(self, kernel, grid96):
         z = grid96.sample(lambda p: np.zeros(p.shape[:-1]))
         res = riesz_spatial(kernel, z, np.array([1.0, 1.0]))
@@ -145,6 +152,14 @@ class TestSpatialAgainstSpectral:
         with pytest.raises(ValueError):
             riesz_spatial(kernel, f, np.array([1.0, 1.0]), eps_seq=(0.1, 0.4))
 
+    @pytest.mark.parametrize("arg", ["plan", "rule", "f"])
+    def test_gamma_mismatch(self, kernel, arg):
+        # one argument built for another gamma than the kernel's
+        g = {name: (0.5, 1.0) if name == arg else GAMMA for name in ("plan", "rule", "f")}
+        f = build_tensor_grid(g["f"], 8.0, 16).sample(gauss)
+        with pytest.raises(ValueError, match="kernel, plan, rule and grid gamma"):
+            riesz_spatial(kernel, f, np.array([1.0, 1.0]), plan=build_shift_plan(g["plan"], 8),
+                          rule=build_sphere_rule(g["rule"], 8))
 
 class TestOperatorSubstitution:
     def test_single_axis_square_against_sympy(self, fb_plan96, grid96):

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bhk.grids import GridInterpolator, build_tensor_grid, contract_rows, integrate
+from bhk.grids import GridInterpolator, build_tensor_grid, integrate
 from bhk.shift import (
     ShiftTruncationWarning,
-    _shift_rows,
     _shift_values,
     b_convolve,
     build_shift_plan,
@@ -191,7 +190,7 @@ class TestBConvolve:
         row_start = set(np.cumsum(np.arange(len(pts), 0, -1)).tolist())
         total = max(row_start)
         assert total % pairs and set(range(pairs, total, pairs)) - row_start
-        monkeypatch.setattr(importlib.import_module("bhk.shift"), "SHIFT_BUDGET", pairs * angles ** len(g))
+        monkeypatch.setattr(importlib.import_module("bhk.grids"), "SHIFT_BUDGET", pairs * angles ** len(g))
         got = b_convolve(plan, f, phi)
         assert_allclose(got.values, want, rtol=1e-13, atol=0)
 
@@ -252,14 +251,16 @@ class TestSampledAgainstCallable:
             assert abs(out[k] - shift(plan, gauss, mesh[k], y, adaptive=False)) < 1e-7
 
     def test_pointwise_rows(self, g, points, angles):
-        # the contraction riesz_spatial uses: one x, a batch of translations
+        # the route riesz_spatial uses: one x, a batch of translations y,
+        # read from T^x f on the grid through T^y f(x) = T^x f(y)
         n = len(g)
         plan, grid = build_shift_plan(g, angles), build_tensor_grid(g, 4.0, points)
-        interp = GridInterpolator(grid.sample(gauss), width=8)
         rng = np.random.default_rng(20 + n)
         x = rng.uniform(0.3, 1.5, n)
         ys = rng.uniform(0.1, 2.0, (30, n))
-        got = contract_rows([_shift_rows(interp, plan, i, x[i], ys[:, i])
-                             for i in range(n)], interp.ext_values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShiftTruncationWarning)
+            tx = shift_grid(plan, grid.sample(gauss), x)
+        got = GridInterpolator(tx, width=8)(ys)
         ref = [shift(plan, gauss, x, y, adaptive=False) for y in ys]
         assert np.max(np.abs(got - ref)) < 1e-7

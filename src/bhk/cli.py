@@ -69,7 +69,7 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"bhk: config error: {exc}", file=sys.stderr)
         return 2
 

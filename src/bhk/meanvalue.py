@@ -213,10 +213,8 @@ def pizzetti_coeffs(gamma, R: float, m: int) -> PizzettiCoefficients:
 
 def _poly_b_power_at_zero(p: EvenPoly, gamma, eta: int) -> float:
     for _ in range(eta):
-        if p.is_zero:
-            return 0.0
         p = apply_bessel(p, gamma)
-    return float(eval_poly(p, np.zeros(p.n)))
+    return float(p.as_dict().get((0,) * p.n, 0))
 
 
 def pizzetti_mean(u, gamma, R: float, m: int, *, h: float | None = None) -> float:

@@ -4,7 +4,9 @@ of the Bessel operator
     B x^alpha = sum_i alpha_i (alpha_i - 1 + 2 gamma_i) x^{alpha - 2 e_i},
 
 construction of B-harmonic polynomials (B P_k = 0) by exact nullspace
-computation over rationals, and a sampled ellipticity check.
+computation over rationals, and a sampled ellipticity check.  Coefficients
+are Fractions (floats, gamma included, are dyadic, so Fraction(float) is
+exact): B P_k = 0 holds exactly for every gamma_i > 0.
 
 B-harmonic construction is restricted to even multi-indices: a monomial with
 alpha_i = 1 maps to the non-polynomial term 2 gamma_i x^{alpha - 2 e_i}
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,12 +31,10 @@ from .grids import as_gamma
 
 __all__ = ["EvenPoly", "eval_poly", "apply_bessel", "b_harmonic_basis", "is_elliptic"]
 
-_INT_LIMIT = 2**50  # keep exactly representable in float64
-
 
 @dataclass(frozen=True)
 class EvenPoly:
-    """Homogeneous polynomial as a multi-index -> coefficient mapping.
+    """Homogeneous polynomial as a multi-index -> Fraction coefficient mapping.
 
     All stored multi-indices have |alpha| = degree; zero coefficients are not
     stored.  B-harmonic constructions use even multi-indices only.
@@ -41,14 +42,13 @@ class EvenPoly:
 
     n: int
     degree: int
-    coeffs: Tuple[Tuple[Tuple[int, ...], float], ...]
+    coeffs: Tuple[Tuple[Tuple[int, ...], Fraction], ...]
 
     def __post_init__(self):
         if self.n < 1 or self.degree < 0:
             raise ValueError("need n >= 1 and degree >= 0")
-        items = dict(self.coeffs) if not isinstance(self.coeffs, dict) else dict(self.coeffs)
         clean = {}
-        for alpha, c in items.items():
+        for alpha, c in dict(self.coeffs).items():
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != self.n or any(a < 0 for a in alpha):
                 raise ValueError(f"bad multi-index {alpha} for n={self.n}")
@@ -56,16 +56,16 @@ class EvenPoly:
                 raise ValueError(
                     f"multi-index {alpha} has degree {sum(alpha)}, expected {self.degree}"
                 )
-            c = float(c)
-            if c != 0.0:
-                clean[alpha] = clean.get(alpha, 0.0) + c
+            c = Fraction(c) if isinstance(c, numbers.Rational) else Fraction(float(c))
+            if c:
+                clean[alpha] = clean.get(alpha, 0) + c
         object.__setattr__(
             self, "coeffs", tuple(sorted(clean.items()))
         )
 
     @classmethod
     def from_terms(cls, n: int, terms: Dict[Sequence[int], float]) -> "EvenPoly":
-        terms = {tuple(a): float(c) for a, c in terms.items() if float(c) != 0.0}
+        terms = {tuple(a): c for a, c in terms.items() if c != 0}
         if not terms:
             return cls(n, 0, ())
         degs = {sum(a) for a in terms}
@@ -77,14 +77,14 @@ class EvenPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def as_dict(self) -> Dict[Tuple[int, ...], float]:
+    def as_dict(self) -> Dict[Tuple[int, ...], Fraction]:
         return dict(self.coeffs)
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "k": self.degree,
-            "terms": [{"alpha": list(a), "c": c} for a, c in self.coeffs],
+            "terms": [{"alpha": list(a), "c": float(c)} for a, c in self.coeffs],
         }
 
     @classmethod
@@ -103,12 +103,29 @@ def eval_poly(p: EvenPoly, x) -> float | np.ndarray:
         raise ValueError(f"point dimension {x.shape[-1]} != n = {p.n}")
     out = np.zeros(x.shape[:-1])
     for alpha, c in p.coeffs:
-        term = np.full(x.shape[:-1], c)
+        term = np.full(x.shape[:-1], float(c))
         for i, a in enumerate(alpha):
             if a:
                 term = term * x[..., i] ** a
         out += term
     return float(out) if out.ndim == 0 else out
+
+
+def _b_terms(alpha: Tuple[int, ...], gamma: Sequence[Fraction]
+             ) -> Iterator[Tuple[Tuple[int, ...], Fraction]]:
+    """Terms of B x^alpha: alpha_i (alpha_i - 1 + 2 gamma_i) x^{alpha - 2 e_i}.
+
+    gamma = 0 gives the plain Laplacian, which admits alpha_i = 1; for
+    gamma_i > 0 that exponent leaves the polynomial ring and is an error.
+    """
+    for i, a in enumerate(alpha):
+        if a == 1 and gamma[i]:
+            raise ValueError(
+                f"monomial {alpha}: exponent 1 on axis {i} maps to the "
+                f"non-polynomial term x_{i+1}^(-1) under B"
+            )
+        if a >= 2:
+            yield alpha[:i] + (a - 2,) + alpha[i + 1 :], a * (a - 1 + 2 * gamma[i])
 
 
 def apply_bessel(p: EvenPoly, gamma) -> EvenPoly:
@@ -121,33 +138,24 @@ def apply_bessel(p: EvenPoly, gamma) -> EvenPoly:
     g = as_gamma(gamma)
     if g.n != p.n:
         raise ValueError(f"gamma has {g.n} axes, polynomial has {p.n}")
-    out: Dict[Tuple[int, ...], float] = {}
+    gfrac = [Fraction(gi) for gi in g]
+    out: Dict[Tuple[int, ...], Fraction] = {}
     for alpha, c in p.coeffs:
-        for i, a in enumerate(alpha):
-            if a == 0:
-                continue
-            if a == 1:
-                raise ValueError(
-                    f"monomial {alpha}: exponent 1 on axis {i} maps to the "
-                    f"non-polynomial term x_{i+1}^(-1) under B"
-                )
-            beta = alpha[:i] + (a - 2,) + alpha[i + 1 :]
-            out[beta] = out.get(beta, 0.0) + c * a * (a - 1.0 + 2.0 * g[i])
-    res = {b: c for b, c in out.items() if c != 0.0}
-    if not res:
-        return EvenPoly(p.n, max(p.degree - 2, 0), ())
-    return EvenPoly(p.n, p.degree - 2, tuple(res.items()))
+        for beta, m in _b_terms(alpha, gfrac):
+            out[beta] = out.get(beta, 0) + c * m
+    return EvenPoly(p.n, max(p.degree - 2, 0), tuple(out.items()))
+
+
+def _require_b_harmonic(p: EvenPoly, gamma) -> None:
+    """Reject p unless apply_bessel(p, gamma) is exactly zero."""
+    if not apply_bessel(p, gamma).is_zero:
+        raise ValueError("polynomial is not B-harmonic (apply_bessel != 0)")
 
 
 def _monomials(n: int, k: int, even_only: bool) -> List[Tuple[int, ...]]:
-    out = []
-    for alpha in itertools.product(range(k + 1), repeat=n):
-        if sum(alpha) != k:
-            continue
-        if even_only and any(a % 2 for a in alpha):
-            continue
-        out.append(alpha)
-    return sorted(out)
+    """Degree-k multi-indices in lexicographic order."""
+    exps = range(0, k + 1, 2 if even_only else 1)
+    return [a for a in itertools.product(exps, repeat=n) if sum(a) == k]
 
 
 def _nullspace_fractions(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
@@ -181,19 +189,14 @@ def _nullspace_fractions(rows: List[List[Fraction]], ncols: int) -> List[List[Fr
     return basis
 
 
-def _tidy(vec: List[Fraction]) -> List[float]:
-    """Clear denominators / reduce to coprime integers when they stay small."""
-    den = math.lcm(*(f.denominator for f in vec)) if vec else 1
+def _tidy(vec: List[Fraction]) -> List[int]:
+    """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
+    den = math.lcm(*(f.denominator for f in vec))
     ints = [int(f * den) for f in vec]
-    g = math.gcd(*(abs(i) for i in ints if i)) or 1
-    ints = [i // g for i in ints]
-    lead = next((i for i in ints if i), 1)
-    if lead < 0:
-        ints = [-i for i in ints]
-    if max(abs(i) for i in ints) <= _INT_LIMIT:
-        return [float(i) for i in ints]
-    scale = max(abs(float(f)) for f in vec)
-    return [float(f) / scale for f in vec]
+    g = math.gcd(*ints)
+    if next(i for i in ints if i) < 0:
+        g = -g
+    return [i // g for i in ints]
 
 
 def b_harmonic_basis(n: int, k: int, gamma, *, classical_harmonic: bool = False) -> List[EvenPoly]:
@@ -202,7 +205,8 @@ def b_harmonic_basis(n: int, k: int, gamma, *, classical_harmonic: bool = False)
     The kernel of the coefficient map (degree-k even monomials -> degree-(k-2)
     even monomials) is computed exactly over rationals (floats are dyadic), so
     returned polynomials satisfy apply_bessel(p, gamma) == 0 as an exact
-    coefficient map, not just numerically.  Returns [] when the kernel is
+    coefficient map, not just numerically; each is scaled to coprime integer
+    coefficients with a positive leading term.  Returns [] when the kernel is
     trivial.  With classical_harmonic=True the plain Laplacian is used instead
     and odd degrees/monomials are admitted (experimental surface).
     """
@@ -223,18 +227,10 @@ def b_harmonic_basis(n: int, k: int, gamma, *, classical_harmonic: bool = False)
     gfrac = [Fraction(0) if classical_harmonic else Fraction(gi) for gi in g]
     rows = [[Fraction(0)] * len(sources) for _ in targets]
     for j, alpha in enumerate(sources):
-        for i, a in enumerate(alpha):
-            if a < 2:
-                continue
-            beta = alpha[:i] + (a - 2,) + alpha[i + 1 :]
-            rows[tindex[beta]][j] += a * (a - 1 + 2 * gfrac[i])
-    basis = []
-    for vec in _nullspace_fractions(rows, len(sources)):
-        coeffs = _tidy(vec)
-        basis.append(
-            EvenPoly.from_terms(n, {a: c for a, c in zip(sources, coeffs) if c})
-        )
-    return basis
+        for beta, m in _b_terms(alpha, gfrac):
+            rows[tindex[beta]][j] += m
+    return [EvenPoly.from_terms(n, dict(zip(sources, _tidy(vec))))
+            for vec in _nullspace_fractions(rows, len(sources))]
 
 
 def _angles_to_point(phi: np.ndarray, n: int) -> np.ndarray:
@@ -263,10 +259,8 @@ def is_elliptic(p: EvenPoly, samples: int = 256) -> bool:
     scale = max(abs(c) for _, c in p.coeffs)
     q = EvenPoly(p.n, p.degree, tuple((a, c / scale) for a, c in p.coeffs))
 
-    from .polys import eval_poly as _ev  # local alias keeps closures cheap
-
     if p.n == 1:
-        return abs(_ev(q, np.array([1.0]))) > 1e-9
+        return abs(eval_poly(q, np.array([1.0]))) > 1e-9
 
     d = p.n - 1
     # Kronecker (R_d) sequence on the angle box
@@ -276,7 +270,7 @@ def is_elliptic(p: EvenPoly, samples: int = 256) -> bool:
     alphas = np.array([root ** -(i + 1) for i in range(d)])
     j = np.arange(samples)[:, None]
     phi = ((0.5 + j * alphas) % 1.0) * (0.5 * np.pi)
-    vals = np.abs(_ev(q, _angles_to_point(phi, p.n)))
+    vals = np.abs(eval_poly(q, _angles_to_point(phi, p.n)))
     order = np.argsort(vals, kind="stable")
 
     from scipy.optimize import minimize
@@ -284,7 +278,7 @@ def is_elliptic(p: EvenPoly, samples: int = 256) -> bool:
     best = float(vals[order[0]])
     for idx in order[:3]:
         res = minimize(
-            lambda a: abs(_ev(q, _angles_to_point(np.asarray(a), p.n))),
+            lambda a: abs(eval_poly(q, _angles_to_point(np.asarray(a), p.n))),
             phi[idx],
             method="Nelder-Mead",
             bounds=[(0.0, 0.5 * np.pi)] * d,

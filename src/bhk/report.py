@@ -59,6 +59,7 @@ from .riesz import (
 from .shift import ShiftTruncationWarning, build_shift_plan, shift, shift_grid, b_convolve
 from .special import gamma as gamma_fn, normalized_j, poisson_representation
 from .transform import (
+    _check_eps_seq,
     build_fb_plan,
     fb_forward,
     fb_forward_at,
@@ -134,6 +135,7 @@ class RunConfig:
         as_gamma(self.gamma)  # validates positivity
         if self.x_max <= 0 or self.points < 8 or self.angles < 4 or self.sphere_points < 4:
             raise ValueError("grid/angle sizes out of range")
+        _check_eps_seq(self.eps_seq, 1.0)  # riesz_spatial's range
         unknown = sorted({k for k, _ in self.tolerances} - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"tolerances name no check: {unknown}")

@@ -38,10 +38,10 @@ from .grids import (
     build_sphere_rule,
     lp_norm,
 )
-from .polys import EvenPoly, apply_bessel, eval_poly
+from .polys import EvenPoly, _require_b_harmonic, eval_poly
 from .shift import ShiftOperatorPlan, ShiftTruncationWarning, build_shift_plan, shift_grid
 from .special import gamma as _gamma
-from .transform import FBPlan, fb_constant, fb_forward, fb_inverse
+from .transform import FBPlan, _check_eps_seq, fb_constant, fb_forward, fb_inverse
 
 __all__ = [
     "RieszKernel",
@@ -84,9 +84,7 @@ def build_riesz_kernel(p: EvenPoly, gamma, *, allow_classical: bool = False) -> 
     if not allow_classical:
         if k % 2 or k < 2:
             raise ValueError("Riesz-Bessel kernels require even degree k >= 2")
-        img = apply_bessel(p, g)
-        if not img.is_zero:
-            raise ValueError("kernel numerator is not B-harmonic")
+        _require_b_harmonic(p, g)
     q = g.n + 2.0 * g.abs
     printed = 2.0 ** (0.5 * q) * _gamma(0.5 * (q + k)) / _gamma(0.5 * k)
     return RieszKernel(p, g, k, k + q, printed, fb_constant(g) * printed)
@@ -151,11 +149,7 @@ def riesz_spatial(
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != g.n:
         raise ValueError(f"x must have {g.n} components")
-    eps_seq = tuple(float(e) for e in eps_seq)
-    if any(e <= 0 or e >= 1 for e in eps_seq) or list(eps_seq) != sorted(
-        eps_seq, reverse=True
-    ):
-        raise ValueError("eps_seq must lie in (0, 1) and decrease")
+    eps_seq = _check_eps_seq(eps_seq, 1.0)
     plan = plan or build_shift_plan(g, 48)
     rule = rule or build_sphere_rule(g, SPHERE_POINTS)
     if any(h.values != g.values for h in (plan.gamma, rule.gamma, f.grid.gamma)):

@@ -44,7 +44,7 @@ from .grids import (
     build_tensor_grid,
     contract_axes,
 )
-from .polys import EvenPoly, apply_bessel, eval_poly
+from .polys import EvenPoly, _require_b_harmonic, eval_poly
 from .special import gamma as _gamma, normalized_j
 
 __all__ = [
@@ -164,12 +164,6 @@ def gaussian_transform(gamma, alpha: float, y) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _require_b_harmonic(p: EvenPoly, gamma) -> None:
-    img = apply_bessel(p, gamma)
-    if not img.is_zero:
-        raise ValueError("polynomial is not B-harmonic (apply_bessel != 0)")
-
-
 def harmonic_gaussian_transform(p: EvenPoly, gamma, y) -> float | np.ndarray:
     """Closed-form F[P_k(x) e^{-|x|^2}](y) for B-harmonic P_k of even degree k.
 
@@ -245,6 +239,16 @@ def _extrapolate(eps: Sequence[float], vals: Sequence[float], order: int) -> flo
     return t[0]
 
 
+def _check_eps_seq(eps_seq, upper: float) -> tuple:
+    """eps_seq as floats: nonempty, inside (0, upper) and strictly decreasing."""
+    e = tuple(float(v) for v in eps_seq)
+    if not e or not upper > e[0] or e[-1] <= 0 or any(a <= b for a, b in zip(e, e[1:])):
+        raise ValueError(
+            f"eps_seq must lie in (0, {upper:g}) and strictly decrease: {list(e)}"
+        )
+    return e
+
+
 def pv_regularized_limit(
     f_angular: Callable,
     phi: Callable,
@@ -264,9 +268,7 @@ def pv_regularized_limit(
     truncated side misses int_0^eps r^{-1} Phi = O(eps^2); the limits agree
     for Schwartz-class phi.
     """
-    eps_seq = tuple(float(e) for e in eps_seq)
-    if any(e <= 0 for e in eps_seq) or list(eps_seq) != sorted(eps_seq, reverse=True):
-        raise ValueError("eps_seq must be positive and strictly decreasing")
+    eps_seq = _check_eps_seq(eps_seq, r_max)
     fvals = np.asarray(f_angular(rule.nodes), dtype=float)
     mean = float(np.dot(rule.weights, fvals))
     scale = float(np.dot(rule.weights, np.abs(fvals)))
@@ -281,13 +283,13 @@ def pv_regularized_limit(
         ph = np.asarray(phi(pts), dtype=float)
         return ph @ fw
 
-    half = np.polynomial.legendre.leggauss(PV_RADIAL_POINTS)
+    t, w = np.polynomial.legendre.leggauss(PV_RADIAL_POINTS)
+    r0 = 0.5 * r_max * (t + 1.0)
+    wr0 = 0.5 * r_max * w
+    prof0 = radial_profile(r0)  # these nodes do not depend on eps
     lhs_vals, rhs_vals = [], []
     for eps in eps_seq:
-        t, w = half
-        r = 0.5 * r_max * (t + 1.0)
-        wr = 0.5 * r_max * w
-        lhs_vals.append(float(np.sum(wr * r ** (eps - 1.0) * radial_profile(r))))
+        lhs_vals.append(float(np.sum(wr0 * r0 ** (eps - 1.0) * prof0)))
         r = eps + 0.5 * (r_max - eps) * (t + 1.0)
         wr = 0.5 * (r_max - eps) * w
         rhs_vals.append(float(np.sum(wr * radial_profile(r) / r)))

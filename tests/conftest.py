@@ -2,12 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bhk.grids import build_sphere_rule, build_tensor_grid
 from bhk.shift import ShiftTruncationWarning, build_shift_plan
 from bhk.transform import build_fb_plan
 
 GAMMA = (0.5, 1.5)
+
+# the same examples on every run (derandomize also turns off the example database)
+settings.register_profile("bhk", derandomize=True, deadline=None)
+settings.load_profile("bhk")
 
 
 def gauss(p):

@@ -29,6 +29,9 @@ SMALL_CONFIG = {
 N3_CONFIG = {"n": 3, "gamma": [0.5, 1.0, 1.5], "grid": {"x_max": 8.0, "points": 48},
              "angles": 16, "sphere_points": 16}
 
+# non-dyadic n = 2 gammas drawn from U[0.05, 5]
+SEEDED_GAMMAS = np.random.default_rng(8).uniform(0.05, 5.0, (2, 2)).tolist()
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -128,6 +131,13 @@ class TestRunSuite:
         assert [r["check"] for r in report["rows"] if not r["pass"]] == []
         assert report["summary"] == {"failed": 0, "passed": 10, "total": 10}
 
+    @pytest.mark.parametrize("gamma", SEEDED_GAMMAS)
+    def test_seeded_gamma_has_no_suite_error(self, gamma):
+        # rows may still fail on their tolerances (v-consistency, and
+        # shift-preservation near gamma_i = 5); no suite may raise
+        report = run_suite(RunConfig.from_dict({"n": 2, "gamma": gamma}), "all")
+        assert [r["inputs"] for r in report["rows"] if r["check"] == "suite-error"] == []
+
 
 class TestCliRun:
     def test_exit_zero_and_report(self, config_path, tmp_path, capsys):
@@ -175,6 +185,29 @@ class TestCliRun:
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps_seq", [
+        [0.05, 0.4], [], [0.2, 0.2, 0.1], [1.5, 0.4], [0.4, 0.0], [0.4, -0.1], 0.4,
+    ])
+    def test_bad_eps_seq_exit_2_no_report(self, tmp_path, capsys, eps_seq):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "eps_seq": eps_seq}))
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "all", "--config", str(bad),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_decimal_gamma_report_passes(self, tmp_path):
+        # gamma_1 = 0.1 is not a short dyadic: B-harmonic bases need exact
+        # Fraction coefficients for the kernel gates to accept them
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 2, "gamma": [0.1, 2.5]}))
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "all", "--config", str(path),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["summary"] == {"failed": 0, "passed": 99, "total": 99}
 
     def test_unknown_suite_exit_2(self, config_path):
         assert main(["run", "--suite", "bogus", "--config", str(config_path)]) == 2

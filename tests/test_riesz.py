@@ -151,6 +151,8 @@ class TestSpatialAgainstSpectral:
         f = grid96.sample(gauss)
         with pytest.raises(ValueError):
             riesz_spatial(kernel, f, np.array([1.0, 1.0]), eps_seq=(0.1, 0.4))
+        with pytest.raises(ValueError, match="strictly decrease"):
+            riesz_spatial(kernel, f, np.array([1.0, 1.0]), eps_seq=(0.4, 0.1, 0.1))
 
     @pytest.mark.parametrize("arg", ["plan", "rule", "f"])
     def test_gamma_mismatch(self, kernel, arg):

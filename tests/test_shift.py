@@ -58,7 +58,7 @@ class TestShift:
            st.floats(min_value=0.1, max_value=3.0),
            st.floats(min_value=0.1, max_value=3.0),
            st.floats(min_value=0.1, max_value=3.0))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_normalization_random(self, x1, x2, y1, y2):
         plan = build_shift_plan(GAMMA, 24)
         assert abs(shift(plan, one, [x1, x2], [y1, y2], adaptive=False) - 1.0) < 1e-12

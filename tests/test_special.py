@@ -56,7 +56,7 @@ class TestGamma:
             gamma(bad)
 
     @given(st.floats(min_value=0.05, max_value=49.0))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_recurrence(self, x):
         assert_allclose(gamma(x + 1.0), x * gamma(x), rtol=1e-13)
 
@@ -107,7 +107,7 @@ class TestNormalizedJ:
         assert_allclose(normalized_j(-0.5, 1.0), math.cos(1.0), atol=1e-14)
 
     @given(st.floats(min_value=0.0, max_value=40.0))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_bounded_by_one(self, r):
         # |j_nu| <= 1 for nu >= -1/2
         for nu in (0.0, 1.0, 3.5):

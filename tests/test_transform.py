@@ -289,3 +289,8 @@ class TestPvRegularizedLimit:
                 lambda th: eval_poly(P2_SPEC, th), gauss, sphere96,
                 eps_seq=(0.1, 0.2),
             )
+        with pytest.raises(ValueError, match="strictly decrease"):
+            pv_regularized_limit(
+                lambda th: eval_poly(P2_SPEC, th), gauss, sphere96,
+                eps_seq=(0.2, 0.2, 0.1),
+            )

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_jacobi
 
+from . import special
 from .special import gamma as _gamma
 
 __all__ = [
@@ -36,13 +37,6 @@ __all__ = [
     "build_sphere_rule",
     "hemisphere_measure",
 ]
-
-# values per chunk of the batched evaluations: law-of-cosines points of the
-# shift module's callable route and stencil values of GridInterpolator's
-# gather; bounds their transient memory (b_convolve's 1-D kernel builds run
-# unchunked: N_i^2 A_i points, 3.5 MB at 96 points and 48 angles)
-SHIFT_BUDGET = 2**16
-
 
 @dataclass(frozen=True)
 class GammaIndex:
@@ -396,13 +390,14 @@ class GridInterpolator:
     def __call__(self, pts) -> np.ndarray:
         """Evaluate at scattered points of shape (..., n): each point's width^n
         block of ext_values, gathered under its axis stencils, is contracted
-        with their weights, in chunks of at most SHIFT_BUDGET gathered values."""
+        with their weights, in chunks of at most special.SHIFT_BUDGET gathered
+        values."""
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, self.grid.n)
         n, width = self.grid.n, self.width
         axes = "abcdefghijklmnoqrstuvwxyz"[:n]
         spec = "p" + axes + "," + ",".join("p" + a for a in axes) + "->p"
-        step = max(1, SHIFT_BUDGET // width**n)
+        step = max(1, special.SHIFT_BUDGET // width**n)
         out = np.empty(flat.shape[0])
         for lo in range(0, flat.shape[0], step):
             idx, w = zip(*(self.axis_stencil(ax, flat[lo : lo + step, ax])

@@ -145,7 +145,7 @@ def shifted_mean_value_check(u, rule: SphereRule, R: float, plan, y) -> dict:
 
     T^y u at the nodes R theta comes from the callable route with the plan's
     angle rules (those of shift(..., adaptive=False)), in chunks of at most
-    grids.SHIFT_BUDGET points; y = 0 takes u itself (T^0 u = u exactly).
+    special.SHIFT_BUDGET points; y = 0 takes u itself (T^0 u = u exactly).
     """
     g = rule.gamma
     fn = _as_callable(u)

@@ -48,7 +48,7 @@ class EvenPoly:
         if self.n < 1 or self.degree < 0:
             raise ValueError("need n >= 1 and degree >= 0")
         clean = {}
-        for alpha, c in dict(self.coeffs).items():
+        for alpha, c in self.coeffs:  # a repeated multi-index sums its terms
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != self.n or any(a < 0 for a in alpha):
                 raise ValueError(f"bad multi-index {alpha} for n={self.n}")
@@ -57,10 +57,9 @@ class EvenPoly:
                     f"multi-index {alpha} has degree {sum(alpha)}, expected {self.degree}"
                 )
             c = Fraction(c) if isinstance(c, numbers.Rational) else Fraction(float(c))
-            if c:
-                clean[alpha] = clean.get(alpha, 0) + c
+            clean[alpha] = clean.get(alpha, 0) + c
         object.__setattr__(
-            self, "coeffs", tuple(sorted(clean.items()))
+            self, "coeffs", tuple(sorted((a, c) for a, c in clean.items() if c))
         )
 
     @classmethod

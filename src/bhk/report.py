@@ -21,6 +21,7 @@ timestamps), so consecutive runs with one config are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -336,6 +337,14 @@ def suite_shift(cfg: RunConfig) -> List[dict]:
     return rows
 
 
+@functools.lru_cache(maxsize=1)
+def _fb_plan(gamma: tuple, x_max: float, points: int):
+    """FB plan on the config grid, built once per report: the transform, riesz
+    and estimates suites share it, and run_suite empties the cache before and
+    after each report."""
+    return build_fb_plan(build_tensor_grid(gamma, x_max, points))
+
+
 def _freq_probe_nodes(plan, count: int = 5, reach: float = 3.2):
     """Per-axis frequency nodes nearest to a spread of targets within reach."""
     targets = np.linspace(reach / count, reach, count)
@@ -350,8 +359,8 @@ def _freq_probe_nodes(plan, count: int = 5, reach: float = 3.2):
 def suite_transform(cfg: RunConfig) -> List[dict]:
     rows = []
     g = as_gamma(cfg.gamma)
-    grid = build_tensor_grid(g, cfg.x_max, cfg.points)
-    plan = build_fb_plan(grid)
+    plan = _fb_plan(g.values, cfg.x_max, cfg.points)
+    grid = plan.grid
     probes = _freq_probe_nodes(plan)
     for a in (0.5, 1.0, 2.0):
         fa = grid.sample(lambda p: np.exp(-a * np.sum(p * p, axis=-1)))
@@ -525,8 +534,8 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
     mean = float(np.dot(rule.weights, eval_poly(p2, rule.nodes)))
     scale = float(np.dot(rule.weights, np.abs(eval_poly(p2, rule.nodes))))
     rows.append(_row(cfg, "riesz-mean-zero", mean, 0.0, scale=scale))
-    grid = build_tensor_grid(g, cfg.x_max, cfg.points)
-    plan_f = build_fb_plan(grid)
+    plan_f = _fb_plan(g.values, cfg.x_max, cfg.points)
+    grid = plan_f.grid
     plan_s = build_shift_plan(g, cfg.angles)
     srule = build_sphere_rule(g, min(cfg.sphere_points, 64))
     f = grid.sample(_gauss)
@@ -578,8 +587,8 @@ def suite_estimates(cfg: RunConfig) -> List[dict]:
     g = as_gamma(cfg.gamma)
     if g.n < 2:
         return [_info_row("estimates-skipped", {"reason": "probes need n >= 2"})]
-    grid = build_tensor_grid(g, cfg.x_max, cfg.points)
-    plan = build_fb_plan(grid)
+    plan = _fb_plan(g.values, cfg.x_max, cfg.points)
+    grid = plan.grid
 
     def member(s):
         fs = grid.sample(lambda p: np.exp(-s * np.sum(p * p, axis=-1)))
@@ -680,6 +689,7 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join([*SUITES, 'all'])}")
     rows = []
+    _fb_plan.cache_clear()
     for name in names:
         try:
             part = SUITES[name](config)
@@ -688,6 +698,7 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         for r in part:
             r["suite"] = name
         rows.extend(part)
+    _fb_plan.cache_clear()
     passed = sum(1 for r in rows if r["pass"])
     report = {
         "config": config.as_dict(),

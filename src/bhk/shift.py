@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grids
+from . import special
 from .grids import (
     GammaIndex,
     GridFunction,
@@ -145,8 +145,8 @@ def _shift_values(phi, x, y, cos_nodes, weights):
 
 
 def _pairs_per_chunk(plan: ShiftOperatorPlan) -> int:
-    """(x, y) pairs per `_shift_values` call: at most grids.SHIFT_BUDGET points."""
-    return max(1, grids.SHIFT_BUDGET // math.prod(len(c) for c in plan.cos_nodes))
+    """(x, y) pairs per `_shift_values` call: at most special.SHIFT_BUDGET points."""
+    return max(1, special.SHIFT_BUDGET // math.prod(len(c) for c in plan.cos_nodes))
 
 
 def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float:
@@ -234,7 +234,7 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     x_i, y_i), so each unordered node pair is evaluated once and scattered
     to both of its nodes: M(M+1)/2 * prod_i A_i evaluations of phi for M
     grid nodes.  The row-major upper triangle of pairs is walked in chunks
-    of equal size holding at most grids.SHIFT_BUDGET evaluation points.
+    of equal size holding at most special.SHIFT_BUDGET evaluation points.
     """
     grid = f.grid
     if grid.gamma.values != plan.gamma.values:

@@ -10,14 +10,18 @@ which makes prod_i j_{gamma_i-1/2}(x_i y_i) the kernel of the Fourier-Bessel
 transform used everywhere else in this package.
 
 Evaluation strategy: ascending power series below r = max(12, 2|nu|), and
-Miller backward recurrence with Neumann-series normalization above.  The
-series is accumulated in double-double arithmetic (error-free transforms):
-plain double accumulation near the switch radius carries ~1e-12 cancellation
-jitter, which the finite-difference eigenrelation check amplifies by 1/h^2
-far past its 1e-7 budget, while the compensated sum keeps evaluations
-correctly rounded at double precision.  The removable singularity of j_nu at
-r = 0 is never evaluated as J_nu(r)/r^nu; the series gives j_nu(0) = 1
-exactly.
+Miller backward recurrence with Neumann-series normalization above.  Every
+argument starts the recurrence at its own order (about r + 12 sqrt(r) + 30),
+so that a deep start cannot underflow a shallow argument, and one downward
+pass in extended precision serves all arguments of a call: sorted by start
+order, the step at order j runs only on those that start at j or above.  The
+pass runs in chunks of SHIFT_BUDGET arguments.  The series is accumulated in
+double-double arithmetic (error-free transforms): plain double accumulation
+near the switch radius carries ~1e-12 cancellation jitter, which the
+finite-difference eigenrelation check amplifies by 1/h^2 far past its 1e-7
+budget, while the compensated sum keeps evaluations correctly rounded at
+double precision.  The removable singularity of j_nu at r = 0 is never
+evaluated as J_nu(r)/r^nu; the series gives j_nu(0) = 1 exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +41,13 @@ __all__ = [
 
 _SERIES_MAX_TERMS = 160
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
+
+# values per chunk of the batched evaluations: Miller recurrence entries here,
+# law-of-cosines points of the shift module's callable route and stencil
+# values of GridInterpolator's gather; bounds their transient memory
+# (b_convolve's 1-D kernel builds run unchunked: N_i^2 A_i points, 3.5 MB at
+# 96 points and 48 angles)
+SHIFT_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -139,37 +150,55 @@ def _miller_jv(nu: float, r: np.ndarray) -> np.ndarray:
     Downward three-term recurrence J_{mu-1} = (2 mu / r) J_mu - J_{mu+1} from a
     start order well above max(nu, r), normalized with the Neumann sum
     sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(r) = (r/2)^nu.  Runs in extended
-    precision to keep the evaluation jitter near one double ulp.
+    precision to keep the evaluation jitter near one double ulp.  Chunks of at
+    most SHIFT_BUDGET entries bound the memory of the pass.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r)
-    # bucket by start order so a deep start cannot underflow shallow entries
+    for lo in range(0, r.size, SHIFT_BUDGET):
+        out[lo : lo + SHIFT_BUDGET] = _miller_pass(nu, r[lo : lo + SHIFT_BUDGET])
+    return out
+
+
+def _miller_pass(nu: float, r: np.ndarray) -> np.ndarray:
+    """One downward pass of `_miller_jv` over every entry of r.
+
+    Each entry starts at its own order, so a deep start cannot underflow
+    shallow entries: sorted deepest first, the step at order j runs on the
+    prefix of entries that start at j or above, each seeded at its own start
+    order, and an entry sees the same operations as in a pass of its own.
+    """
     top = np.maximum(r, abs(nu))
     m_need = (top + 12.0 * np.sqrt(top) + 30.0).astype(int)
     m_need += m_need % 2  # even number of downward steps
-    for m in np.unique(m_need):
-        sel = m_need == m
-        rs = r[sel].astype(np.longdouble)
-        inv_r = 2.0 / rs
-        fp = np.zeros_like(rs)                       # J_{nu+j+1} (unnormalized)
-        fc = np.full_like(rs, np.longdouble(1e-35))  # J_{nu+j}
-        norm = np.zeros_like(rs)
-        f0 = fc
-        for j in range(m, -1, -1):
-            if j % 2 == 0:
-                k = j // 2
-                if k == 0:
-                    g = math.gamma(nu + 1.0)
-                else:
-                    g = (nu + 2.0 * k) * math.exp(
-                        math.lgamma(nu + k) - math.lgamma(k + 1.0)
-                    )
-                norm = norm + np.longdouble(g) * fc
-            if j == 0:
-                f0 = fc
-                break
-            fp, fc = fc, (nu + j) * inv_r * fc - fp
-        out[sel] = (f0 * (0.5 * rs) ** np.longdouble(nu) / norm).astype(float)
+    order = np.argsort(-m_need, kind="stable")
+    m = m_need[order]
+    rs = r[order].astype(np.longdouble)
+    inv_r = 2.0 / rs
+    fp = np.empty_like(rs)  # J_{nu+j+1} (unnormalized)
+    fc = np.empty_like(rs)  # J_{nu+j}
+    norm = np.zeros_like(rs)
+    # live[j]: entries whose start order is >= j (m is non-increasing)
+    live = np.searchsorted(-m, -np.arange(m[0] + 1), side="right")
+    started = 0
+    for j in range(m[0], -1, -1):
+        p = live[j]
+        if p > started:  # entries that start at order j
+            fp[started:p], fc[started:p] = 0.0, 1e-35
+            started = p
+        if j % 2 == 0:
+            k = j // 2
+            if k == 0:
+                g = math.gamma(nu + 1.0)
+            else:
+                g = (nu + 2.0 * k) * math.exp(math.lgamma(nu + k) - math.lgamma(k + 1.0))
+            norm[:p] += np.longdouble(g) * fc[:p]
+        if j == 0:
+            break
+        fp[:p] = (nu + j) * inv_r[:p] * fc[:p] - fp[:p]
+        fp, fc = fc, fp
+    out = np.empty_like(r)
+    out[order] = (fc * (0.5 * rs) ** np.longdouble(nu) / norm).astype(float)
     return out
 
 

@@ -263,10 +263,11 @@ def pv_regularized_limit(
     rhs(eps) truncates the unmodified kernel to |x| > eps.  In polar form both
     reduce to radial integrals of Phi(r) = int_{S_+} f(theta) phi(r theta)
     dsigma(theta), which vanishes at r = 0 because f has zero weighted mean
-    (checked, rel. PV_MEAN_TOL).  Each side is Richardson-extrapolated from its
-    last two values: the exponent-lowered side is O(eps)-regular, while the
-    truncated side misses int_0^eps r^{-1} Phi = O(eps^2); the limits agree
-    for Schwartz-class phi.
+    (checked, rel. PV_MEAN_TOL).  Each side is extrapolated to eps = 0 by
+    Neville's scheme over every tabulated eps (`_extrapolate`): in eps for the
+    exponent-lowered side, which is O(eps)-regular, and in eps^2 for the
+    truncated side, which misses int_0^eps r^{-1} Phi = O(eps^2); the limits
+    agree for Schwartz-class phi.
     """
     eps_seq = _check_eps_seq(eps_seq, r_max)
     fvals = np.asarray(f_angular(rule.nodes), dtype=float)

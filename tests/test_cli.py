@@ -121,6 +121,29 @@ class TestRunSuite:
             assert {"k", "gamma", "point", "spatial", "spectral",
                     "rel_err", "pass"} <= set(r)
 
+    @pytest.fixture
+    def plan_builds(self, monkeypatch):
+        calls = []
+        build = report_module.build_fb_plan
+        monkeypatch.setattr(report_module, "build_fb_plan",
+                            lambda grid: calls.append(grid) or build(grid))
+        return calls
+
+    def test_one_fb_plan_per_report(self, plan_builds):
+        report = run_suite(RunConfig(), "all")
+        assert report["summary"]["failed"] == 0
+        assert len(plan_builds) == 1
+        run_suite(RunConfig(), "transform")  # a later report builds its own
+        assert len(plan_builds) == 2
+
+    @pytest.mark.parametrize("suite", ["riesz", "estimates"])
+    def test_fb_plan_suite_alone(self, suite, plan_builds, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", suite, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["summary"]["failed"] == 0 and report["summary"]["total"] > 1
+        assert len(plan_builds) == 1
+
     def test_transform_suite_n3(self):
         report = run_suite(RunConfig.from_dict(N3_CONFIG), "transform")
         assert [r["check"] for r in report["rows"] if not r["pass"]] == []

@@ -130,7 +130,7 @@ class TestMeanValueCheck:
         plan = build_shift_plan(gam, angles)
         nodes = rule.nodes.shape[0]
         assert nodes > step and nodes % step
-        monkeypatch.setattr(importlib.import_module("bhk.grids"), "SHIFT_BUDGET",
+        monkeypatch.setattr(importlib.import_module("bhk.special"), "SHIFT_BUDGET",
                             step * angles ** len(gam))
         u = lambda p: np.exp(-np.sum(p * p, axis=-1)) * (1.0 + p[..., 0] ** 2)
         y = np.linspace(0.4, 1.2, len(gam))

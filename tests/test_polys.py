@@ -23,6 +23,12 @@ class TestEvenPoly:
         p = EvenPoly.from_terms(2, {(2, 0): 1.0, (0, 2): 0.0})
         assert p.coeffs == (((2, 0), 1.0),)
 
+    def test_repeated_multi_index_sums(self):
+        assert EvenPoly(1, 2, (((2,), 1.0), ((2,), 1.0))).coeffs == (((2,), 2),)
+        # terms that cancel leave no stored zero
+        p = EvenPoly(2, 2, (((2, 0), 1.0), ((0, 2), 3.0), ((2, 0), -1.0)))
+        assert p.coeffs == (((0, 2), 3),)
+
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
             EvenPoly.from_terms(2, {(2, 0): 1.0, (1, 0): 1.0})

@@ -190,7 +190,7 @@ class TestBConvolve:
         row_start = set(np.cumsum(np.arange(len(pts), 0, -1)).tolist())
         total = max(row_start)
         assert total % pairs and set(range(pairs, total, pairs)) - row_start
-        monkeypatch.setattr(importlib.import_module("bhk.grids"), "SHIFT_BUDGET", pairs * angles ** len(g))
+        monkeypatch.setattr(importlib.import_module("bhk.special"), "SHIFT_BUDGET", pairs * angles ** len(g))
         got = b_convolve(plan, f, phi)
         assert_allclose(got.values, want, rtol=1e-13, atol=0)
 

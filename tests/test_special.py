@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from bhk import special
 from bhk.special import (
     BesselOrder,
     bessel_j,
@@ -88,6 +90,86 @@ class TestBesselJ:
 
     def test_accepts_bessel_order(self):
         assert bessel_j(BesselOrder(0.5), 2.0) == bessel_j(0.5, 2.0)
+
+
+def _bucketed_miller_jv(nu, r):
+    """Oracle: Miller's recurrence with one downward loop per start order."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    m_need = _start_orders(nu, r)
+    for m in np.unique(m_need):
+        sel = m_need == m
+        rs = r[sel].astype(np.longdouble)
+        inv_r = 2.0 / rs
+        fp = np.zeros_like(rs)
+        fc = np.full_like(rs, np.longdouble(1e-35))
+        norm = np.zeros_like(rs)
+        f0 = fc
+        for j in range(m, -1, -1):
+            if j % 2 == 0:
+                k = j // 2
+                if k == 0:
+                    g = math.gamma(nu + 1.0)
+                else:
+                    g = (nu + 2.0 * k) * math.exp(
+                        math.lgamma(nu + k) - math.lgamma(k + 1.0)
+                    )
+                norm = norm + np.longdouble(g) * fc
+            if j == 0:
+                f0 = fc
+                break
+            fp, fc = fc, (nu + j) * inv_r * fc - fp
+        out[sel] = (f0 * (0.5 * rs) ** np.longdouble(nu) / norm).astype(float)
+    return out
+
+
+def _start_orders(nu, r):
+    top = np.maximum(r, abs(nu))
+    m_need = (top + 12.0 * np.sqrt(top) + 30.0).astype(int)
+    return m_need + m_need % 2
+
+
+class TestMillerRecurrence:
+    """The one-pass recurrence is bitwise equal to the bucketed one."""
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0, 4.5, 9.5])
+    def test_random_arguments(self, nu):
+        r = np.random.default_rng(9).uniform(special._series_switch(nu), 100.0, 3000)
+        assert np.array_equal(special._miller_jv(nu, r), _bucketed_miller_jv(nu, r))
+
+    @pytest.mark.parametrize("nu", [-0.5, 2.0, 9.5])
+    def test_single_argument(self, nu):
+        r = np.array([37.3])
+        assert np.array_equal(special._miller_jv(nu, r), _bucketed_miller_jv(nu, r))
+
+    def test_shared_start_order(self):
+        r = 40.0 + np.linspace(0.0, 0.05, 9)
+        assert np.unique(_start_orders(0.5, r)).size == 1
+        assert np.array_equal(special._miller_jv(0.5, r), _bucketed_miller_jv(0.5, r))
+
+    def test_adjacent_start_orders(self):
+        # unsorted arguments on both sides of a step of the start order
+        r = np.random.default_rng(3).permutation(np.linspace(40.0, 41.0, 41))
+        m = np.unique(_start_orders(2.0, r))
+        assert m.size == 2 and m[1] - m[0] == 2
+        assert np.array_equal(special._miller_jv(2.0, r), _bucketed_miller_jv(2.0, r))
+
+    def test_chunks_equal_one_pass(self, monkeypatch):
+        r = np.random.default_rng(5).uniform(12.0, 80.0, special.SHIFT_BUDGET + 1001)
+        chunked = special._miller_jv(0.0, r)
+        monkeypatch.setattr(special, "SHIFT_BUDGET", r.size)
+        assert np.array_equal(chunked, special._miller_jv(0.0, r))
+
+    def test_peak_memory_bounded(self):
+        # 14.3 MB now; 9.4 MB for the bucketed form, 33.8 MB for one unchunked pass
+        r = np.random.default_rng(7).uniform(12.0, 80.0, 200_000)
+        tracemalloc.start()
+        try:
+            normalized_j(0.0, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestNormalizedJ:

@@ -5,10 +5,12 @@ and hemisphere rules on S_+^{n-1} with the prod theta_i^{2 gamma_i} weight.
 All half-line integrals are truncated at x_max (verification functions are
 Gaussian-localized, so the truncation error is negligible).  Per-axis rules
 are Gauss-Jacobi with the measure factor absorbed into the weights, so the
-measure of a box integrates exactly for every gamma > 0.  Reductions use
-numpy's pairwise summation in a fixed axis order, keeping results bit-stable
-run to run.  Separable operators (Fourier-Bessel kernels, per-axis shift
-rows) act on tensor samples through `contract_axes` (one matrix per axis).
+measure of a box integrates exactly for every gamma > 0.  Every rule here
+comes from `special.gauss_jacobi` (Golub-Welsch eigenvalues, one Newton step,
+Christoffel-sum weights).  Reductions use numpy's pairwise summation in a
+fixed axis order, keeping results bit-stable run to run.  Separable operators
+(Fourier-Bessel kernels, per-axis shift rows) act on tensor samples through
+`contract_axes` (one matrix per axis).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import special
 from .special import gamma as _gamma
@@ -152,8 +153,10 @@ class GridFunction:
 def build_tensor_grid(gamma, x_max: float, points_per_axis: int) -> TensorGrid:
     """Per-axis Gauss rules on (0, x_max] exact against the x^{2 gamma_i} measure.
 
-    Realized as Gauss-Jacobi in t = 2x/x_max - 1 with weight (1+t)^{2 gamma_i};
-    sum of axis weights equals x_max^{2g+1}/(2g+1) to roundoff for every g > 0.
+    Realized as Gauss-Jacobi in t = 2x/x_max - 1 with weight (1+t)^{2 gamma_i}
+    (`special.gauss_jacobi`: Golub-Welsch nodes with one Newton step,
+    Christoffel-sum weights); sum of axis weights equals x_max^{2g+1}/(2g+1)
+    to roundoff for every g > 0.
     """
     g = as_gamma(gamma)
     x_max = float(x_max)
@@ -163,7 +166,7 @@ def build_tensor_grid(gamma, x_max: float, points_per_axis: int) -> TensorGrid:
         raise ValueError("points_per_axis must be >= 8")
     nodes, weights = [], []
     for gi in g:
-        t, w = roots_jacobi(points_per_axis, 0.0, 2.0 * gi)
+        t, w = special.gauss_jacobi(points_per_axis, 0.0, 2.0 * gi)
         x = 0.5 * x_max * (1.0 + t)
         nodes.append(x)
         weights.append(w * (0.5 * x_max) ** (2.0 * gi + 1.0))
@@ -205,9 +208,11 @@ def contract_axes(mats, values) -> np.ndarray:
 def jacobi_angle_rule(gamma_axis: float, points: int):
     """Quadrature on [0, pi] against the weight sin^{2 gamma - 1}(alpha).
 
-    Gauss-Jacobi in t = cos(alpha) with weight (1 - t^2)^{gamma - 1}: exact for
-    polynomials in cos(alpha) up to degree 2*points - 1, valid for every
-    gamma > 0 including the integrable endpoint singularity at gamma < 1/2.
+    Gauss-Jacobi in t = cos(alpha) with weight (1 - t^2)^{gamma - 1}
+    (`special.gauss_jacobi`: Golub-Welsch nodes with one Newton step,
+    Christoffel-sum weights): exact for polynomials in cos(alpha) up to
+    degree 2*points - 1, valid for every gamma > 0 including the integrable
+    endpoint singularity at gamma < 1/2.
     Returns (alpha_nodes_increasing, weights); sum of weights equals
     B(gamma, 1/2) = sqrt(pi) Gamma(gamma) / Gamma(gamma + 1/2).
     """
@@ -216,7 +221,7 @@ def jacobi_angle_rule(gamma_axis: float, points: int):
         raise ValueError(f"gamma_axis must be positive, got {gamma_axis}")
     if points < 4:
         raise ValueError("jacobi_angle_rule requires points >= 4")
-    t, w = roots_jacobi(points, gamma_axis - 1.0, gamma_axis - 1.0)
+    t, w = special.gauss_jacobi(points, gamma_axis - 1.0, gamma_axis - 1.0)
     alpha = np.arccos(t)[::-1].copy()
     return alpha, w[::-1].copy()
 
@@ -249,8 +254,10 @@ def build_sphere_rule(gamma, points: int) -> SphereRule:
     Hyperspherical angles phi_1..phi_{n-1} in (0, pi/2); substituting
     u_j = cos^2 phi_j turns the combined weight cos^{2 g_j} sin^{s_j} (with
     s_j = 2 sum_{i>j} g_i + n - j - 1 from the remaining axes and the surface
-    element) into a Jacobi weight, handled exactly per angle.  For n = 1 the
-    hemisphere degenerates to the single node theta = 1 with weight 1.
+    element) into a Jacobi weight, handled exactly per angle by
+    `special.gauss_jacobi` (Golub-Welsch nodes with one Newton step,
+    Christoffel-sum weights).  For n = 1 the hemisphere degenerates to the
+    single node theta = 1 with weight 1.
     """
     g = as_gamma(gamma)
     if g.n == 1:
@@ -262,7 +269,7 @@ def build_sphere_rule(gamma, points: int) -> SphereRule:
     for j in range(g.n - 1):
         a = g.values[j] - 0.5                      # exponent of u
         b = tail[j + 1] + 0.5 * (g.n - j - 1) - 1.0  # exponent of 1 - u
-        t, w = roots_jacobi(points, b, a)
+        t, w = special.gauss_jacobi(points, b, a)
         u = 0.5 * (1.0 + t)
         cos_list.append(np.sqrt(u))
         sin_list.append(np.sqrt(1.0 - u))

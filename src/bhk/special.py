@@ -22,6 +22,12 @@ finite-difference eigenrelation check amplifies by 1/h^2 far past its 1e-7
 budget, while the compensated sum keeps evaluations correctly rounded at
 double precision.  The removable singularity of j_nu at r = 0 is never
 evaluated as J_nu(r)/r^nu; the series gives j_nu(0) = 1 exactly.
+
+Gauss-Jacobi rules (`gauss_jacobi`, the one quadrature rule behind every grid,
+angle and sphere rule of the package) are computed in numpy by Golub-Welsch:
+nodes are the eigenvalues of the Jacobi matrix, polished by one Newton step,
+and weights are Christoffel sums 1 / sum_k p_k^2 of the orthonormal
+polynomials, all from one pass of the three-term recurrence.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "gamma",
     "bessel_j",
     "normalized_j",
+    "gauss_jacobi",
     "poisson_representation",
 ]
 
@@ -246,18 +253,78 @@ def normalized_j(nu, r):
     return out if np.ndim(r) else float(out[0])
 
 
+def gauss_jacobi(n: int, a: float, b: float):
+    """n-point Gauss-Jacobi rule on [-1, 1] for the weight (1-t)^a (1+t)^b.
+
+    Golub-Welsch: the nodes are the eigenvalues of the orthonormal Jacobi
+    matrix, whose entries (the recurrence coefficients) are computed in
+    extended precision and rounded once.  One pass of the orthonormal
+    three-term recurrence at those nodes gives p_n and the Christoffel sum
+    K = sum_{k<n} p_k^2, and with them one Newton step t -= p_n / p_n', where
+    p_n' = K / (s_n p_{n-1}) by Christoffel-Darboux at a zero of p_n (s_n the
+    n-th off-diagonal).  The weights are mu0 / K with K carried to the moved
+    nodes to first order (d log K / dt = p_n'' / p_n', from the Jacobi
+    differential equation), so no second pass is needed;
+    mu0 = 2^{a+b+1} B(a+1, b+1) is the total mass.  For a == b the rule is
+    symmetrized.  Returns (nodes increasing, weights).
+    """
+    n, a, b = int(n), float(a), float(b)
+    if n < 1:
+        raise ValueError(f"gauss_jacobi requires n >= 1, got {n}")
+    if not (math.isfinite(a) and math.isfinite(b)) or a <= -1.0 or b <= -1.0:
+        raise ValueError(f"gauss_jacobi requires a, b > -1, got {a}, {b}")
+    ab = a + b
+    # coefficients in extended precision, rounded once: evaluated in double
+    # they left the end weights at n = 384 up to 3.4e-12 off a 40-digit rule,
+    # rounded once 4.3e-13
+    x, y = np.longdouble(a), np.longdouble(b)
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    c = 2 * k + (x + y)
+    diag = np.empty(n, dtype=np.longdouble)
+    diag[0] = (y - x) / (x + y + 2)
+    diag[1:] = (y - x) * (y + x) / (c[:-1] * (c[:-1] + 2))
+    # off[k] = sqrt(beta_{k+1}); beta_1 in closed form (0/0 at a + b = -1)
+    beta = np.empty(n, dtype=np.longdouble)
+    beta[0] = 4 * (1 + x) * (1 + y) / ((2 + x + y) ** 2 * (3 + x + y))
+    k, c = k[1:], c[1:]
+    beta[1:] = 4 * k * (k + x) * (k + y) * (k + x + y) / (c * c * (c + 1) * (c - 1))
+    diag, off = diag.astype(float), np.sqrt(beta).astype(float)
+    jac = np.zeros((n, n))
+    jac.flat[:: n + 1] = diag
+    jac.flat[n :: n + 1] = off[:-1]  # eigvalsh reads the lower triangle
+    t = np.linalg.eigvalsh(jac)
+    # p_{k+1} = rows[k] p_k - ratio[k] p_{k-1}, p_0 = 1: orthonormal for the
+    # weight / mu0, so the Christoffel weights are mu0 / sum p_k^2
+    rows = (t - diag[:, None]) / off[:, None]
+    ratio = (np.concatenate(([0.0], off[:-1])) / off).tolist()
+    prev, cur, total = np.zeros(n), np.ones(n), np.ones(n)
+    for j in range(n - 1):
+        nxt = rows[j] * cur
+        nxt -= ratio[j] * prev
+        total += nxt * nxt
+        prev, cur = cur, nxt
+    p_n = rows[n - 1] * cur - ratio[n - 1] * prev
+    step = p_n * off[n - 1] * cur / total
+    t = t - step
+    total *= 1.0 - step * ((ab + 2.0) * t + a - b) / ((1.0 - t) * (1.0 + t))
+    mu0 = 2.0 ** (ab + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(ab + 2.0)
+    w = mu0 / total
+    if a == b:
+        t, w = 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
+    return t, w
+
+
 def poisson_representation(gamma_axis: float, r, quad_points: int = 64):
     """j_{gamma-1/2}(r) through its integral representation
 
         Gamma(gamma+1/2) / (Gamma(gamma) Gamma(1/2))
             * int_0^pi e^{i r cos a} (sin a)^{2 gamma - 1} da
 
-    evaluated (real part) by Gauss-Jacobi quadrature in t = cos a.  This is an
-    independent evaluation path used to cross-check normalized_j.  Scalar or
-    ndarray r.
+    evaluated (real part) by Gauss-Jacobi quadrature in t = cos a, the rule
+    from `gauss_jacobi`.  That rule shares no code with the series or Miller
+    paths of normalized_j, so this stays an independent cross-check of it.
+    Scalar or ndarray r.
     """
-    from scipy.special import roots_jacobi
-
     gamma_axis = float(gamma_axis)
     if gamma_axis <= 0.0:
         raise ValueError("poisson_representation requires gamma_axis > 0")
@@ -266,7 +333,8 @@ def poisson_representation(gamma_axis: float, r, quad_points: int = 64):
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("poisson_representation requires r >= 0")
-    t, w = roots_jacobi(quad_points, gamma_axis - 1.0, gamma_axis - 1.0)
+    t, w = gauss_jacobi(quad_points, gamma_axis - 1.0, gamma_axis - 1.0)
     const = math.gamma(gamma_axis + 0.5) / (math.gamma(gamma_axis) * math.sqrt(math.pi))
-    out = const * (np.cos(np.multiply.outer(arr, t)) @ w)
+    # numpy's pairwise sum per point: array and scalar calls agree bitwise
+    out = const * np.sum(np.cos(np.multiply.outer(arr, t)) * w, axis=-1)
     return out if np.ndim(r) else float(out)

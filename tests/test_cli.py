@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import bhk
 import bhk.report as report_module
 from bhk.cli import main
 from bhk.report import (
@@ -311,3 +316,27 @@ class TestEmit:
         code = main(["emit", "--function", "nope", "--config", str(config_path),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+
+class TestNoScipyOnReportPath:
+    """The report path imports no scipy (it is used only by is_elliptic)."""
+
+    def _scipy_modules_after(self, code, tmp_path):
+        src = str(Path(bhk.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = (f"import sys\n{code}\n"
+                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
+    def test_import_bhk(self, tmp_path):
+        assert self._scipy_modules_after("import bhk", tmp_path) == "[]"
+
+    def test_cli_report_all_suites(self, tmp_path):
+        code = ("from bhk.cli import main\n"
+                "assert main(['run', '--suite', 'all', '--out', 'report.json']) == 0")
+        assert self._scipy_modules_after(code, tmp_path) == "[]"
+        assert json.loads((tmp_path / "report.json").read_text())["summary"]["failed"] == 0

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bhk import special
+from bhk.shift import MAX_ANGLES
 from bhk.special import (
     BesselOrder,
     bessel_j,
     gamma,
+    gauss_jacobi,
     normalized_j,
     poisson_representation,
 )
@@ -241,3 +243,117 @@ class TestPoissonRepresentation:
             poisson_representation(0.0, 1.0)
         with pytest.raises(ValueError):
             poisson_representation(1.0, 1.0, quad_points=4)
+
+
+# the three Jacobi exponent families in use, per gamma: (0, 2 gamma) of the
+# tensor grid, (gamma - 1, gamma - 1) of the T^y angle rule and Poisson
+# integral, and (2 gamma, gamma - 1/2) of the sphere rule's first angle at
+# n = 3 with equal gammas; plus Chebyshev, whose k = 1 coefficient is 0/0
+_GJ_GAMMAS = (0.05, 0.5, 1.5, 5.0)
+_GJ_EXPONENTS = list(dict.fromkeys(
+    [pair for g in _GJ_GAMMAS
+     for pair in ((0.0, 2.0 * g), (g - 1.0, g - 1.0), (2.0 * g, g - 0.5))]
+    + [(-0.5, -0.5)]))
+
+
+def _mp_gauss_jacobi(n, a, b, start):
+    """40-digit Gauss-Jacobi nodes and weights: Newton-polished roots of
+    P_n^{(a,b)} from `start`, weights from the closed form
+    2^{a+b+1} Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n! (1-t^2) P_n'(t)^2),
+    and |sum of the weights / mu0 - 1|, which is ~1e-30 for a whole rule."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a, b = mp.mpf(a), mp.mpf(b)
+        coeffs = []  # P_m = (A x + B) P_{m-1} - C P_{m-2}
+        for m in range(2, n + 1):
+            s = 2 * m + a + b
+            d = 2 * m * (m + a + b) * (s - 2)
+            coeffs.append(((s - 2) * (s - 1) * s / d, (s - 1) * (a * a - b * b) / d,
+                           2 * (m + a - 1) * (m + b - 1) * s / d))
+
+        def p_and_dp(x):
+            p0, p1 = mp.mpf(1), (a - b) / 2 + (a + b + 2) * x / 2
+            d0, d1 = mp.mpf(0), (a + b + 2) / 2
+            for A, B, C in coeffs:
+                y = A * x + B
+                p0, p1, d0, d1 = p1, y * p1 - C * p0, d1, y * d1 + A * p1 - C * d0
+            return p1, d1
+
+        const = (2 ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+                 / (mp.gamma(n + a + b + 1) * mp.factorial(n)))
+        nodes, weights = [], []
+        for x in start:
+            x = mp.mpf(float(x))
+            for _ in range(2):  # a double start is within ~1e-16: 1e-32, then 1e-64
+                p, dp = p_and_dp(x)
+                x -= p / dp
+            nodes.append(x)
+            weights.append(const / ((1 - x * x) * dp * dp))
+        mass = mp.fsum(weights) / (2 ** (a + b + 1) * mp.beta(a + 1, b + 1))
+        return (np.array([float(x) for x in nodes]),
+                np.array([float(w) for w in weights]), float(abs(mass - 1)))
+
+
+def _jacobi_moments(kmax, a, b):
+    """int_{-1}^{1} t^k (1-t)^a (1+t)^b dt for k <= kmax, by the integration by
+    parts recurrence (k + a + b + 2) M_{k+1} = k M_{k-1} + (b - a) M_k."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a, b = mp.mpf(a), mp.mpf(b)
+        m = [2 ** (a + b + 1) * mp.beta(a + 1, b + 1)]
+        m.append(m[0] * (b - a) / (a + b + 2))
+        for k in range(1, kmax):
+            m.append((k * m[k - 1] + (b - a) * m[k]) / (k + a + b + 2))
+        return np.array([float(v) for v in m[: kmax + 1]])
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("n", [8, 16, 48, 96])
+    @pytest.mark.parametrize("a,b", _GJ_EXPONENTS)
+    def test_against_mpmath(self, n, a, b):
+        t, w = gauss_jacobi(n, a, b)
+        t_ref, w_ref, mass_err = _mp_gauss_jacobi(n, a, b, t)
+        # n distinct roots found: the weights carry the whole mass
+        assert mass_err < 1e-25 and np.all(np.diff(t_ref) > 0)
+        assert np.max(np.abs(t - t_ref)) <= 2e-16
+        assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("a,b", _GJ_EXPONENTS[:3])  # the gamma = 0.05 pairs
+    def test_end_nodes_at_max_angles(self, a, b):
+        # the four nodes nearest each of +-1, where the weights are most
+        # sensitive to the recurrence coefficients (a reference for all 384
+        # nodes takes minutes)
+        ends = np.r_[0:4, -4:0]
+        t, w = gauss_jacobi(MAX_ANGLES, a, b)
+        t_ref, w_ref, _ = _mp_gauss_jacobi(MAX_ANGLES, a, b, t[ends])
+        assert np.max(np.abs(t[ends] - t_ref)) <= 2e-16
+        assert np.max(np.abs(w[ends] / w_ref - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("a,b", _GJ_EXPONENTS)
+    def test_moments_exact_at_max_angles(self, a, b):
+        n = MAX_ANGLES
+        t, w = gauss_jacobi(n, a, b)
+        powers = t[None, :] ** np.arange(2 * n)[:, None]
+        got = powers @ w
+        scale = np.abs(powers) @ w
+        assert np.all(np.abs(got - _jacobi_moments(2 * n - 1, a, b)) <= 1e-12 * scale)
+
+    @given(st.floats(min_value=0.05, max_value=5.0), st.integers(8, 96),
+           st.integers(0, 2))
+    @settings(max_examples=40)
+    def test_against_scipy(self, g, n, family):
+        a, b = ((0.0, 2.0 * g), (g - 1.0, g - 1.0), (2.0 * g, g - 0.5))[family]
+        t, w = gauss_jacobi(n, a, b)
+        t_ref, w_ref = sp.roots_jacobi(n, a, b)
+        assert np.max(np.abs(t - t_ref)) <= 1e-15
+        assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-9
+
+    def test_symmetric_rule_is_symmetric(self):
+        for n in (7, 8):
+            t, w = gauss_jacobi(n, 0.3, 0.3)
+            assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+
+    def test_validation(self):
+        for args in ((0, 0.0, 0.0), (8, -1.0, 0.0), (8, 0.0, -1.5), (8, float("nan"), 0.0)):
+            with pytest.raises(ValueError):
+                gauss_jacobi(*args)

@@ -97,17 +97,24 @@ class EvenPoly:
 
 def eval_poly(p: EvenPoly, x) -> float | np.ndarray:
     """Evaluate sum a_alpha prod x_i^{alpha_i} at points x of shape (..., n)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != p.n:
-        raise ValueError(f"point dimension {x.shape[-1]} != n = {p.n}")
-    out = np.zeros(x.shape[:-1])
-    for alpha, c in p.coeffs:
-        term = np.full(x.shape[:-1], float(c))
-        for i, a in enumerate(alpha):
-            if a:
-                term = term * x[..., i] ** a
-        out += term
+    out = _eval_axes(p, np.moveaxis(np.asarray(x, dtype=float), -1, 0))
     return float(out) if out.ndim == 0 else out
+
+
+def _eval_axes(p: EvenPoly, coords: Sequence) -> np.ndarray:
+    """p at per-axis coordinate arrays that broadcast together, such as an
+    open mesh (np.meshgrid(..., sparse=True)); each term is c * prod x_i^a_i
+    in axis order, so the values are those of eval_poly on the full points."""
+    if len(coords) != p.n:
+        raise ValueError(f"point dimension {len(coords)} != n = {p.n}")
+    out = np.zeros(np.broadcast_shapes(*(np.shape(xi) for xi in coords)))
+    for alpha, c in p.coeffs:
+        term = float(c)
+        for xi, a in zip(coords, alpha):
+            if a:
+                term = term * xi**a
+        out += term
+    return out
 
 
 def _b_terms(alpha: Tuple[int, ...], gamma: Sequence[Fraction]

@@ -38,7 +38,7 @@ from .grids import (
     build_sphere_rule,
     lp_norm,
 )
-from .polys import EvenPoly, _require_b_harmonic, eval_poly
+from .polys import EvenPoly, _eval_axes, _require_b_harmonic, eval_poly
 from .shift import ShiftOperatorPlan, ShiftTruncationWarning, build_shift_plan, shift_grid
 from .special import gamma as _gamma
 from .transform import FBPlan, _check_eps_seq, fb_constant, fb_forward, fb_inverse
@@ -92,11 +92,11 @@ def build_riesz_kernel(p: EvenPoly, gamma, *, allow_classical: bool = False) -> 
 
 def riesz_multiplier(kernel: RieszKernel, grid) -> np.ndarray:
     """Multiplier field (-1)^{k/2} P_k(xi)/|xi|^k on a grid (0 at xi = 0)."""
-    pts = grid.points()
-    r2 = np.sum(pts * pts, axis=-1)
+    xs = np.meshgrid(*grid.nodes, indexing="ij", sparse=True)
+    r2 = sum(x * x for x in xs)
     sign = -1.0 if (kernel.degree // 2) % 2 else 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = sign * eval_poly(kernel.poly, pts) / r2 ** (0.5 * kernel.degree)
+        out = sign * _eval_axes(kernel.poly, xs) / r2 ** (0.5 * kernel.degree)
     return np.where(r2 == 0.0, 0.0, out)
 
 
@@ -111,8 +111,8 @@ def riesz_spectral(kernel: RieszKernel, f: GridFunction, plan: FBPlan) -> GridFu
 
 def apply_bessel_poly_spectral(p_k: EvenPoly, f: GridFunction, plan: FBPlan) -> GridFunction:
     """P_k(B_1, ..., B_n) f through the multiplier P_k(-xi_1^2, ..., -xi_n^2)."""
-    pts = plan.freq_grid.points()
-    mult = eval_poly(p_k, -pts * pts)
+    xs = np.meshgrid(*plan.freq_grid.nodes, indexing="ij", sparse=True)
+    mult = _eval_axes(p_k, [-x * x for x in xs])
     g_hat = fb_forward(plan, f)
     return fb_inverse(plan, GridFunction(plan.freq_grid, mult * g_hat.values))
 
@@ -223,9 +223,9 @@ def priori_bound_probe(
     a = tuple(float(v) for v in (elliptic_coeffs or (1.0, 2.0) + (1.0,) * (g.n - 2)))
     if len(a) != g.n or any(v <= 0 for v in a):
         raise ValueError("elliptic_coeffs must be positive, one per axis")
-    pts = plan.freq_grid.points()
-    mult_mixed = pts[..., i] * pts[..., k]
-    mult_elliptic = -sum(a[j] * pts[..., j] ** 2 for j in range(g.n))
+    xs = np.meshgrid(*plan.freq_grid.nodes, indexing="ij", sparse=True)
+    mult_mixed = xs[i] * xs[k]
+    mult_elliptic = -sum(a[j] * xs[j] ** 2 for j in range(g.n))
     rows = []
     for label, f, bf in family:
         f_hat = fb_forward(plan, f)

@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -6,8 +7,15 @@ import pytest
 import sympy
 from numpy.testing import assert_allclose
 
-from bhk.grids import GridInterpolator, build_sphere_rule, build_tensor_grid, lp_norm
-from bhk.polys import EvenPoly, eval_poly
+from bhk.grids import (
+    GridFunction,
+    GridInterpolator,
+    TensorGrid,
+    build_sphere_rule,
+    build_tensor_grid,
+    lp_norm,
+)
+from bhk.polys import EvenPoly, b_harmonic_basis, eval_poly
 from bhk.riesz import (
     apply_bessel_poly_spectral,
     build_riesz_kernel,
@@ -18,7 +26,7 @@ from bhk.riesz import (
     riesz_spectral,
 )
 from bhk.shift import ShiftTruncationWarning, build_shift_plan
-from bhk.transform import fb_forward, fb_forward_at, gaussian_transform
+from bhk.transform import build_fb_plan, fb_forward, fb_forward_at, gaussian_transform
 
 from conftest import GAMMA, gauss
 
@@ -100,6 +108,67 @@ class TestMultiplier:
         got = fb_forward_at(fb_plan96, rf, y)
         peak = abs(float(fb_forward_at(fb_plan96, rf, np.array([1.0, 1.0]))))
         assert np.max(np.abs(got)) < 1e-2 * peak
+
+
+@pytest.fixture(scope="module", params=[GAMMA, (0.5, 1.0, 1.5)], ids=["n2", "n3"])
+def open_mesh_case(request):
+    """A 48-point plan, its degree-2 and degree-4 B-harmonic kernels, and a
+    Gaussian sampled on its grid."""
+    g = request.param
+    n = len(g)
+    plan = build_fb_plan(build_tensor_grid(g, 8.0, 48))
+    kernels = [build_riesz_kernel(b_harmonic_basis(n, k, g)[0], g) for k in (2, 4)]
+    return plan, kernels, plan.grid.sample(gauss)
+
+
+class TestMultipliersOnOpenMesh:
+    """The spectral multipliers, built from per-axis nodes, are bitwise those
+    of the (*shape, n) point-array formulas, and no point array is built."""
+
+    def test_riesz_multiplier(self, open_mesh_case):
+        plan, kernels, _ = open_mesh_case
+        pts = plan.freq_grid.points()
+        r2 = np.sum(pts * pts, axis=-1)
+        for kernel in kernels:
+            sign = -1.0 if (kernel.degree // 2) % 2 else 1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = sign * eval_poly(kernel.poly, pts) / r2 ** (0.5 * kernel.degree)
+            ref = np.where(r2 == 0.0, 0.0, ref)
+            assert np.array_equal(riesz_multiplier(kernel, plan.freq_grid), ref)
+
+    def test_bessel_poly_and_apriori_multipliers(self, open_mesh_case, monkeypatch):
+        # with F f = 1 and F^{-1} the identity, each route hands its
+        # multiplier itself to fb_inverse
+        plan, kernels, f = open_mesh_case
+        n = plan.gamma.n
+        seen = []
+        riesz_mod = importlib.import_module("bhk.riesz")
+        monkeypatch.setattr(riesz_mod, "fb_forward", lambda pl, h: GridFunction(
+            pl.freq_grid, np.ones(pl.freq_grid.shape)))
+        monkeypatch.setattr(riesz_mod, "fb_inverse", lambda pl, h: (
+            seen.append(h.values), GridFunction(pl.grid, h.values))[1])
+        pts = plan.freq_grid.points()
+        odd = EvenPoly.from_terms(n, {(4,) + (0,) * (n - 1): 1.5,
+                                      (1, 3) + (0,) * (n - 2): -0.25,
+                                      (0,) * (n - 1) + (4,): 3.0})
+        for p_k in (kernels[1].poly, odd):
+            apply_bessel_poly_spectral(p_k, f, plan)
+            assert np.array_equal(seen.pop(), eval_poly(p_k, -pts * pts))
+        a = (1.0, 2.0) + (1.0,) * (n - 2)
+        priori_bound_probe(plan, 2.0, [("gauss", f, f)])
+        assert np.array_equal(seen[0], pts[..., 0] * pts[..., 1])
+        assert np.array_equal(seen[1], -sum(a[j] * pts[..., j] ** 2 for j in range(n)))
+
+    def test_no_point_array(self, open_mesh_case, monkeypatch):
+        plan, kernels, f = open_mesh_case
+
+        def refuse(self):
+            raise AssertionError("a spectral route built the (*shape, n) point array")
+
+        monkeypatch.setattr(TensorGrid, "points", refuse)
+        riesz_spectral(kernels[0], f, plan)
+        apply_bessel_poly_spectral(kernels[1].poly, f, plan)
+        priori_bound_probe(plan, 2.0, [("gauss", f, f)])
 
 
 class TestSpectralValue:

@@ -10,7 +10,9 @@ from bhk.polys import EvenPoly, b_harmonic_basis, eval_poly
 from bhk.shift import b_convolve, build_shift_plan
 from bhk.special import normalized_j
 from bhk.transform import (
+    FBPlan,
     build_fb_plan,
+    fb_constant,
     fb_forward,
     fb_forward_at,
     fb_inverse,
@@ -68,6 +70,44 @@ class TestForwardAt:
         batched = fb_forward_at(plan, f, pts[:6].reshape(2, 3, n))
         assert batched.shape == (2, 3)
         assert_allclose(batched.reshape(-1), got[:6], rtol=1e-14)
+
+
+def einsum_forward_at(plan, f, points):
+    """Oracle: the n-D contraction fb_forward_at folds axis by axis, as one
+    multi-operand einsum over every (point, grid node) term."""
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, plan.gamma.n)
+    rows = [normalized_j(plan.gamma[ax] - 0.5, np.outer(flat[:, ax], f.grid.nodes[ax]))
+            * f.grid.weights[ax] for ax in range(plan.gamma.n)]
+    axes = "abcd"[: plan.gamma.n]
+    spec = ",".join("p" + a for a in axes) + "," + axes + "->p"
+    return plan.c_fb * np.einsum(spec, *rows, f.values).reshape(pts.shape[:-1])
+
+
+class TestForwardAtSumFactorized:
+    """The axis-by-axis fold of fb_forward_at against the n-D einsum."""
+
+    @pytest.mark.parametrize("g", [(1.5,), GAMMA, (0.5, 1.0, 1.5), (0.5, 1.0, 1.5, 0.75)])
+    def test_matches_nd_einsum(self, g):
+        n = len(g)
+        if n < 4:
+            plan = build_fb_plan(build_tensor_grid(g, 8.0, 48))
+        else:  # build_fb_plan's self-test refuses so coarse a 4-D grid
+            grid = build_tensor_grid(g, 8.0, 10)
+            freq = build_tensor_grid(g, 10.0, 10)
+            kernels = tuple(normalized_j(gi - 0.5, np.outer(x, y))
+                            for gi, x, y in zip(g, grid.nodes, freq.nodes))
+            plan = FBPlan(grid.gamma, grid, freq, fb_constant(g), kernels)
+        widths = 0.6 + 0.1 * np.arange(n)
+        f = plan.grid.sample(lambda p: (1.0 + p[..., 0]) * np.exp(-np.sum(widths * p * p, axis=-1)))
+        rng = np.random.default_rng(n)
+        for pts in (rng.uniform(0.0, 3.2, n), rng.uniform(0.0, 3.2, (2, 3, n))):
+            got = fb_forward_at(plan, f, pts)
+            ref = einsum_forward_at(plan, f, pts)
+            assert np.shape(got) == pts.shape[:-1]
+            # both orders round a sum with cancellation, so the bound is
+            # relative to the largest value, not to each (possibly small) one
+            assert_allclose(got, ref, rtol=1e-14, atol=1e-14 * np.max(np.abs(ref)))
 
 
 class TestGaussianPair:

@@ -710,7 +710,7 @@ def run_suite(config: RunConfig, suite: str) -> dict:
     try:
         import jsonschema
 
-        jsonschema.validate(report, REPORT_SCHEMA)
+        jsonschema.Draft202012Validator(REPORT_SCHEMA).validate(report)
     except ImportError:  # pragma: no cover
         pass
     return report

@@ -15,7 +15,10 @@ argument starts the recurrence at its own order (about r + 12 sqrt(r) + 30),
 so that a deep start cannot underflow a shallow argument, and one downward
 pass in extended precision serves all arguments of a call: sorted by start
 order, the step at order j runs only on those that start at j or above.  The
-pass runs in chunks of SHIFT_BUDGET arguments.  The series is accumulated in
+pass runs in chunks of SHIFT_BUDGET arguments.  The series stops each
+argument at its own last term, so on both branches an argument's value does
+not depend on the rest of the batch: normalized_j(nu, r)[i] is bitwise
+normalized_j(nu, r[i]).  The series is accumulated in
 double-double arithmetic (error-free transforms): plain double accumulation
 near the switch radius carries ~1e-12 cancellation jitter, which the
 finite-difference eigenrelation check amplifies by 1/h^2 far past its 1e-7
@@ -135,7 +138,15 @@ def _dd_add(a, b):
 
 def _normalized_series(nu: float, r: np.ndarray) -> np.ndarray:
     """j_nu by its ascending series sum_k (-1)^k (r^2/4)^k / (k! (nu+1)_k),
-    accumulated in double-double so the result is correctly rounded."""
+    accumulated in double-double so the result is correctly rounded.
+
+    Every eighth term, the arguments whose last term is negligible are
+    written out and dropped from the active arrays, so each argument stops
+    at the term it would stop at alone and its value does not depend on the
+    rest of the batch.
+    """
+    out = np.empty_like(r)
+    idx = np.arange(r.size)
     zh, zl = _two_prod(r, r)
     negz = (-0.25 * zh, -0.25 * zl)
     term = (np.ones_like(r), np.zeros_like(r))
@@ -144,11 +155,17 @@ def _normalized_series(nu: float, r: np.ndarray) -> np.ndarray:
         term = _dd_mul(term, negz)
         term = _dd_div_scalar(term, (k + 1.0) * (nu + k + 1.0))
         total = _dd_add(total, term)
-        if k % 8 == 7 and np.all(
-            np.abs(term[0]) <= 1e-34 * np.maximum(np.abs(total[0]), 1.0)
-        ):
-            break
-    return total[0] + total[1]
+        if k % 8 == 7:
+            done = np.abs(term[0]) <= 1e-34 * np.maximum(np.abs(total[0]), 1.0)
+            if done.any():
+                out[idx[done]] = total[0][done] + total[1][done]
+                live = ~done
+                idx = idx[live]
+                if not idx.size:
+                    return out
+                negz, term, total = ((a[live], b[live]) for a, b in (negz, term, total))
+    out[idx] = total[0] + total[1]
+    return out
 
 
 def _miller_jv(nu: float, r: np.ndarray) -> np.ndarray:
@@ -209,15 +226,22 @@ def _miller_pass(nu: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _radii(r, who: str) -> np.ndarray:
+    """r as a 1-D float array; ValueError unless every entry is finite and
+    >= 0 (a NaN or inf start order would spoil its whole Miller pass)."""
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValueError(f"{who} requires finite r >= 0")
+    return arr
+
+
 def bessel_j(nu, r):
     """Bessel function of the first kind J_nu(r), r >= 0, nu > -1.
 
     Scalar or ndarray r; abs. error <= 1e-12 on r in [0, 100], nu in [-0.5, 10].
     """
     nu = _order(nu)
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < 0.0):
-        raise ValueError("bessel_j requires r >= 0")
+    arr = _radii(r, "bessel_j")
     out = np.empty_like(arr)
     small = arr < _series_switch(nu)
     if np.any(small):
@@ -238,9 +262,7 @@ def normalized_j(nu, r):
     j_nu(0) = 1 exactly (series branch); even in r.  Scalar or ndarray r.
     """
     nu = _order(nu)
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < 0.0):
-        raise ValueError("normalized_j requires r >= 0")
+    arr = _radii(r, "normalized_j")
     out = np.empty_like(arr)
     small = arr < _series_switch(nu)
     if np.any(small):

@@ -21,8 +21,8 @@ with the *same* constant on the inverse, which makes F an involution
 
 The kernel is a product of 1-D kernels: fb_forward/fb_inverse apply one
 kernel matrix per axis (`grids.contract_axes`, O(n N^{n+1})), fb_forward_at
-one kernel row per axis and point, folded in one axis at a time (sum
-factorization, O(P N^n) for P points).  The frequency
+one kernel row per axis and distinct coordinate, folded in one axis at a time
+(sum factorization, O(P N^n) for P points).  The frequency
 grid keeps the spatial point count but extends x_max slightly so the inverse
 quadrature captures the transform's tail; round-trip accuracy on the unit
 Gaussian is verified at plan construction.
@@ -118,18 +118,26 @@ def build_fb_plan(grid: TensorGrid) -> FBPlan:
     return plan
 
 
+def _require_grid(got: TensorGrid, want: TensorGrid, what: str) -> None:
+    """ValueError unless got has want's gamma and, axis by axis, its nodes."""
+    if got is want:
+        return
+    if got.gamma != want.gamma or not all(
+        np.array_equal(a, b) for a, b in zip(got.nodes, want.nodes)
+    ):
+        raise ValueError(f"grid mismatch: {what}")
+
+
 def fb_forward(plan: FBPlan, f: GridFunction) -> GridFunction:
     """Forward transform of a spatial GridFunction onto the frequency grid."""
-    if f.grid is not plan.grid and f.grid.shape != plan.grid.shape:
-        raise ValueError("grid mismatch: f is not on the plan's input grid")
+    _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
     mats = [k.T * w[None, :] for k, w in zip(plan.kernels, plan.grid.weights)]
     return GridFunction(plan.freq_grid, plan.c_fb * contract_axes(mats, f.values))
 
 
 def fb_inverse(plan: FBPlan, g: GridFunction) -> GridFunction:
     """Inverse transform of a frequency GridFunction back to the spatial grid."""
-    if g.grid is not plan.freq_grid and g.grid.shape != plan.freq_grid.shape:
-        raise ValueError("grid mismatch: g is not on the plan's frequency grid")
+    _require_grid(g.grid, plan.freq_grid, "g is not on the plan's frequency grid")
     mats = [k * w[None, :] for k, w in zip(plan.kernels, plan.freq_grid.weights)]
     return GridFunction(plan.grid, plan.c_fb * contract_axes(mats, g.values))
 
@@ -137,26 +145,44 @@ def fb_inverse(plan: FBPlan, g: GridFunction) -> GridFunction:
 def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:
     """Forward transform evaluated at arbitrary frequency points (..., n).
 
-    Same quadrature as fb_forward, contracted against freshly evaluated
-    kernels, so values off the frequency grid (worked-example points, scaled
-    grids) come from the identical discretization.  Each axis takes one
-    normalized_j call on the (points, nodes) block of its arguments, giving
-    weighted kernel rows row_i[p, a].  The contraction is sum-factorized:
-    f.values @ row_n.T folds the last axis into every point at once, then
-    each remaining axis is folded pointwise, last to first.  For P points
-    on an N^n grid that is O(P N^n) multiply-adds, nearly all of them in
-    the first (BLAS) matmul.
+    Same quadrature as fb_forward, so values off the frequency grid
+    (worked-example points, scaled grids) come from the identical
+    discretization.  Each axis builds one weighted kernel row per distinct
+    coordinate of the points (`_kernel_rows`): a coordinate that is a node of
+    the plan's frequency grid reads its column of plan.kernels, and the
+    others take one normalized_j call per axis.  The contraction is
+    sum-factorized: f.values @ row_n.T folds the last axis into every point
+    at once, then each remaining axis is folded pointwise, last to first.
+    For P points on an N^n grid that is O(P N^n) multiply-adds, nearly all
+    of them in the first (BLAS) matmul.
     """
-    if f.grid is not plan.grid and f.grid.shape != plan.grid.shape:
-        raise ValueError("grid mismatch: f is not on the plan's input grid")
+    _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, plan.gamma.n)
-    rows = [normalized_j(plan.gamma[ax] - 0.5, np.outer(flat[:, ax], f.grid.nodes[ax]))
-            * f.grid.weights[ax] for ax in range(plan.gamma.n)]
+    rows = [_kernel_rows(plan, ax, flat[:, ax]) for ax in range(plan.gamma.n)]
     acc = f.values @ rows[-1].T  # (N_1, ..., N_{n-1}, P)
     for row in reversed(rows[:-1]):
         acc = np.einsum("...ap,pa->...p", acc, row)
     return plan.c_fb * acc.reshape(pts.shape[:-1])
+
+
+def _kernel_rows(plan: FBPlan, ax: int, y: np.ndarray) -> np.ndarray:
+    """row[p, a] = j_{g-1/2}(x_a y_p) w_a on axis ax, one row per entry of y.
+
+    Each distinct y_p is evaluated once.  One that is a frequency node y_b
+    reads column b of plan.kernels[ax], which holds j(x_a y_b): x * y
+    commutes and normalized_j evaluates each argument on its own, so the
+    column is bitwise the fresh row.
+    """
+    ys, inv = np.unique(y, return_inverse=True)
+    freq = plan.freq_grid.nodes[ax]
+    col = np.minimum(np.searchsorted(freq, ys), freq.size - 1)
+    on = freq[col] == ys
+    rows = np.empty((ys.size, plan.grid.shape[ax]))
+    rows[on] = plan.kernels[ax][:, col[on]].T
+    if not on.all():
+        rows[~on] = normalized_j(plan.gamma[ax] - 0.5, np.outer(ys[~on], plan.grid.nodes[ax]))
+    return (rows * plan.grid.weights[ax])[inv]
 
 
 def gaussian_transform(gamma, alpha: float, y) -> float | np.ndarray:

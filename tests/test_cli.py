@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -99,6 +100,10 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(RunConfig(), "nope")
 
+    def test_schema_is_valid_draft_2020_12(self):
+        # run_suite validates against it without re-checking it
+        jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+
     @pytest.mark.parametrize("suite", ["pizzetti", "estimates"])
     def test_pass_is_the_tolerance_rule(self, suite):
         # tol = 0 rows (pizzetti-decay, info rows) demand abs_err == 0
@@ -140,6 +145,19 @@ class TestRunSuite:
         assert len(plan_builds) == 1
         run_suite(RunConfig(), "transform")  # a later report builds its own
         assert len(plan_builds) == 2
+
+    def test_normalized_j_calls_per_report(self, monkeypatch):
+        # frequency-node probes read plan.kernels; every other argument set
+        # is evaluated once (patched through importlib: bhk re-exports names
+        # that shadow its submodules)
+        calls = []
+        for name in ("bhk.transform", "bhk.report"):
+            mod = importlib.import_module(name)
+            monkeypatch.setattr(mod, "normalized_j", lambda nu, r, nj=mod.normalized_j:
+                                calls.append(np.size(r)) or nj(nu, r))
+        report = run_suite(RunConfig(), "all")
+        assert report["summary"]["failed"] == 0
+        assert (len(calls), sum(calls)) == (33, 49353)
 
     @pytest.mark.parametrize("suite", ["riesz", "estimates"])
     def test_fb_plan_suite_alone(self, suite, plan_builds, tmp_path):

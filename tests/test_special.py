@@ -197,6 +197,24 @@ class TestNormalizedJ:
         for nu in (0.0, 1.0, 3.5):
             assert abs(normalized_j(nu, r)) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("fn", [normalized_j, bessel_j])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_non_finite_refused(self, fn, bad):
+        # a NaN or inf beside 20.0 in one Miller pass turned both into NaN
+        with pytest.raises(ValueError, match="finite r >= 0"):
+            fn(0.5, np.array([bad, 20.0]))
+
+    @given(st.floats(min_value=-0.5, max_value=9.5),
+           st.lists(st.floats(min_value=0.0, max_value=2.5), min_size=1, max_size=40))
+    @settings(max_examples=60)
+    def test_batch_equals_scalar_calls(self, nu, scales):
+        # arguments on both sides of the series/Miller switch, and 0: each
+        # entry of a batch is bitwise its value in a call of its own
+        r = special._series_switch(nu) * np.array([0.0, 0.99, 1.01, *scales])
+        batch = normalized_j(nu, r)
+        assert np.array_equal(batch, [normalized_j(nu, float(x)) for x in r])
+        assert np.array_equal(batch[::-1], normalized_j(nu, r[::-1]))
+
     def test_eigenrelation_residual(self):
         # u'' + (2 g / r) u' + u = 0 for u = j_{g-1/2}, central differences
         h = 1e-4

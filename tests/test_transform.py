@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -49,6 +50,20 @@ class TestPlan:
         other = build_tensor_grid(GAMMA, 8.0, 32)
         with pytest.raises(ValueError, match="mismatch"):
             fb_forward(fb_plan96, other.sample(gauss))
+
+    @pytest.mark.parametrize("gamma, x_max", [(GAMMA, 6.0), ((0.5, 1.0), 8.0)])
+    def test_same_shape_other_grid_raises(self, gamma, x_max):
+        # same shape, other nodes or gamma: refused, not read on the plan's nodes
+        plan = build_fb_plan(build_tensor_grid(GAMMA, 8.0, 48))
+        f = build_tensor_grid(gamma, x_max, 48).sample(gauss)
+        with pytest.raises(ValueError, match="mismatch"):
+            fb_forward(plan, f)
+        with pytest.raises(ValueError, match="mismatch"):
+            fb_forward_at(plan, f, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="mismatch"):
+            fb_inverse(plan, build_tensor_grid(gamma, x_max + 2.0, 48).sample(gauss))
+        # an equal grid built anew is accepted
+        fb_forward(plan, build_tensor_grid(GAMMA, 8.0, 48).sample(gauss))
 
 
 class TestForwardAt:
@@ -108,6 +123,54 @@ class TestForwardAtSumFactorized:
             # both orders round a sum with cancellation, so the bound is
             # relative to the largest value, not to each (possibly small) one
             assert_allclose(got, ref, rtol=1e-14, atol=1e-14 * np.max(np.abs(ref)))
+
+
+def fresh_forward_at(plan, f, points):
+    """Oracle: fb_forward_at's fold with every kernel row evaluated anew."""
+    flat = np.asarray(points, dtype=float).reshape(-1, plan.gamma.n)
+    rows = [normalized_j(plan.gamma[ax] - 0.5, np.outer(flat[:, ax], plan.grid.nodes[ax]))
+            * plan.grid.weights[ax] for ax in range(plan.gamma.n)]
+    acc = f.values @ rows[-1].T
+    for row in reversed(rows[:-1]):
+        acc = np.einsum("...ap,pa->...p", acc, row)
+    return plan.c_fb * acc
+
+
+class TestForwardAtKernelRows:
+    """fb_forward_at evaluates each distinct coordinate once and reads
+    frequency-node coordinates from plan.kernels, bitwise as fresh rows."""
+
+    @pytest.fixture
+    def nj_args(self, monkeypatch):
+        # patched through importlib: bhk re-exports names that shadow submodules
+        mod = importlib.import_module("bhk.transform")
+        calls, nj = [], mod.normalized_j
+        monkeypatch.setattr(mod, "normalized_j",
+                            lambda nu, r: calls.append(np.size(r)) or nj(nu, r))
+        return calls
+
+    @pytest.mark.parametrize("g", [(1.5,), GAMMA, (0.5, 1.0, 1.5)])
+    def test_node_probes(self, g, nj_args):
+        n = len(g)
+        plan = build_fb_plan(build_tensor_grid(g, 8.0, 48))
+        f = plan.grid.sample(lambda p: (1.0 + p[..., 0]) * np.exp(-np.sum(p * p, axis=-1)))
+        idx = np.random.default_rng(n).integers(0, 48, (30, n))  # repeats per axis
+        pts = np.stack([plan.freq_grid.nodes[i][idx[:, i]] for i in range(n)], axis=-1)
+        nj_args.clear()  # the plan's own kernels
+        got = fb_forward_at(plan, f, pts)
+        assert nj_args == []
+        assert np.array_equal(got, fresh_forward_at(plan, f, pts))
+
+    def test_off_grid_coordinates(self, fb_plan96, grid96, nj_args):
+        f = grid96.sample(gauss)
+        nodes = fb_plan96.freq_grid.nodes
+        # node, off-grid and repeated coordinates, and 0 and beyond the grid
+        pts = np.array([[nodes[0][10], 1.0], [1.0, nodes[1][3]], [nodes[0][10], 1.0],
+                        [0.0, nodes[1][95]], [nodes[0][95] + 1.0, 2.5]])
+        got = fb_forward_at(fb_plan96, f, pts)
+        # axis 0 evaluates 1.0, 0.0 and the far point; axis 1 evaluates 1.0 and 2.5
+        assert nj_args == [3 * 96, 2 * 96]
+        assert np.array_equal(got, fresh_forward_at(fb_plan96, f, pts))
 
 
 class TestGaussianPair:

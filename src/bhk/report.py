@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -313,7 +314,7 @@ def suite_shift(cfg: RunConfig) -> List[dict]:
     rows.append(_row(cfg, "shift-symmetry",
                      shift(plan, _gauss, xa, ya) - shift(plan, _gauss, ya, xa),
                      0.0, scale=1.0))
-    grid = build_tensor_grid(g, cfg.x_max, cfg.points)
+    grid = _tensor_grid(g.values, cfg.x_max, cfg.points)
     f = grid.sample(_gauss)
     y_shift = np.full(g.n, 1.1)
     with warnings.catch_warnings():
@@ -337,12 +338,30 @@ def suite_shift(cfg: RunConfig) -> List[dict]:
     return rows
 
 
+# Grids, rules and plans built once per report and shared between suites,
+# which only read their arrays; run_suite empties these caches before and
+# after each report.
+@functools.lru_cache(maxsize=1)
+def _tensor_grid(gamma: tuple, x_max: float, points: int):
+    """The config grid: the shift suite samples on it, the FB plan holds it."""
+    return build_tensor_grid(gamma, x_max, points)
+
+
 @functools.lru_cache(maxsize=1)
 def _fb_plan(gamma: tuple, x_max: float, points: int):
-    """FB plan on the config grid, built once per report: the transform, riesz
-    and estimates suites share it, and run_suite empties the cache before and
-    after each report."""
-    return build_fb_plan(build_tensor_grid(gamma, x_max, points))
+    """FB plan on the config grid: the transform, riesz and estimates suites
+    share it."""
+    return build_fb_plan(_tensor_grid(gamma, x_max, points))
+
+
+@functools.lru_cache(maxsize=None)
+def _sphere_rule(gamma: tuple, points: int):
+    """Hemisphere rule: the mean-value, pizzetti, transform and riesz suites
+    share the config gamma's."""
+    return build_sphere_rule(gamma, points)
+
+
+_REPORT_CACHES = (_tensor_grid, _fb_plan, _sphere_rule)
 
 
 def _freq_probe_nodes(plan, count: int = 5, reach: float = 3.2):
@@ -415,7 +434,7 @@ def suite_transform(cfg: RunConfig) -> List[dict]:
     # Lemma 2.2 with a mean-zero angular part and a non-radial even phi
     if g.n >= 2:
         p2 = _first_basis(g, 2)
-        rule = build_sphere_rule(g, cfg.sphere_points)
+        rule = _sphere_rule(g.values, cfg.sphere_points)
         phi_nr = lambda p: p[..., 0] ** 2 * _gauss(p)
         res = pv_regularized_limit(lambda th: eval_poly(p2, th), phi_nr, rule,
                                    cfg.eps_seq, r_max=cfg.x_max)
@@ -439,11 +458,11 @@ def suite_mean_value(cfg: RunConfig) -> List[dict]:
     rows = []
     for gam, expected in (((0.5, 0.5), 0.5), ((0.5, 1.5), 0.25),
                           ((1.0, 1.0), math.pi / 16.0)):
-        rule = build_sphere_rule(gam, cfg.sphere_points)
+        rule = _sphere_rule(gam, cfg.sphere_points)
         rows.append(_row(cfg, "sphere-measure", float(np.sum(rule.weights)), expected,
                          inputs={"gamma": list(gam)}))
     g = as_gamma(cfg.gamma)
-    rule = build_sphere_rule(g, cfg.sphere_points)
+    rule = _sphere_rule(g.values, cfg.sphere_points)
     rows.append(_row(cfg, "sphere-measure", float(np.sum(rule.weights)),
                      hemisphere_measure(g), inputs={"gamma": list(g.values)}))
     candidates: List = [("constant", lambda p: np.ones(p.shape[:-1]))]
@@ -475,7 +494,7 @@ def suite_pizzetti(cfg: RunConfig) -> List[dict]:
     # normalized sphere mean of |x|^2 at R=1 equals 1 (exact series termination)
     for gam in dict.fromkeys([(0.5, 1.5), tuple(cfg.gamma)]):
         g = as_gamma(gam)
-        rule = build_sphere_rule(g, cfg.sphere_points)
+        rule = _sphere_rule(g.values, cfg.sphere_points)
         r2 = EvenPoly.from_terms(g.n, {tuple(2 if j == i else 0 for j in range(g.n)): 1.0
                                        for i in range(g.n)})
         normalized = sphere_mean(r2, rule, 1.0) / hemisphere_measure(g)
@@ -496,7 +515,7 @@ def suite_pizzetti(cfg: RunConfig) -> List[dict]:
                              inputs={"gamma": list(g.values), "R": R}))
     # remainder decay for the Gaussian
     g = as_gamma(cfg.gamma)
-    rule = build_sphere_rule(g, cfg.sphere_points)
+    rule = _sphere_rule(g.values, cfg.sphere_points)
     nm = sphere_mean(_gauss, rule, 1.0) / hemisphere_measure(g)
     rem = [abs(nm - pizzetti_mean(_gauss, g, 1.0, m)) for m in (0, 1, 2)]
     rows.append(_row(cfg, "pizzetti-decay", 1.0 if rem[0] > rem[1] > rem[2] else 0.0,
@@ -530,14 +549,14 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
         return [_info_row("riesz-skipped", {"reason": "no B-harmonic kernels for n=1"})]
     p2 = _first_basis(g, 2)
     kernel = build_riesz_kernel(p2, g)
-    rule = build_sphere_rule(g, cfg.sphere_points)
+    rule = _sphere_rule(g.values, cfg.sphere_points)
     mean = float(np.dot(rule.weights, eval_poly(p2, rule.nodes)))
     scale = float(np.dot(rule.weights, np.abs(eval_poly(p2, rule.nodes))))
     rows.append(_row(cfg, "riesz-mean-zero", mean, 0.0, scale=scale))
     plan_f = _fb_plan(g.values, cfg.x_max, cfg.points)
     grid = plan_f.grid
     plan_s = build_shift_plan(g, cfg.angles)
-    srule = build_sphere_rule(g, min(cfg.sphere_points, 64))
+    srule = _sphere_rule(g.values, min(cfg.sphere_points, 64))
     f = grid.sample(_gauss)
     rf = riesz_spectral(kernel, f, plan_f)
     interp = GridInterpolator(rf, width=8)
@@ -679,6 +698,42 @@ REPORT_SCHEMA = {
 }
 
 
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
+}
+
+
+def _validate(instance, schema: dict, path: str = "report") -> None:
+    """Raise ValueError unless instance matches schema.
+
+    Interprets the keywords REPORT_SCHEMA uses (type, required, properties,
+    items, minimum) with JSON Schema 2020-12 semantics: a bool is no number,
+    3.0 is an integer, any numbers.Number is a number and NaN passes minimum.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _JSON_TYPES[kind](instance):
+        raise ValueError(f"{path}: {instance!r} is not of type {kind!r}")
+    if "minimum" in schema and _JSON_TYPES["number"](instance) \
+            and instance < schema["minimum"]:
+        raise ValueError(f"{path}: {instance!r} is less than {schema['minimum']!r}")
+    if isinstance(instance, dict):
+        for key in schema.get("required", ()):
+            if key not in instance:
+                raise ValueError(f"{path}: missing required {key!r}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in instance:
+                _validate(instance[key], sub, f"{path}.{key}")
+    if isinstance(instance, list) and "items" in schema:
+        for i, item in enumerate(instance):
+            _validate(item, schema["items"], f"{path}[{i}]")
+
+
 def run_suite(config: RunConfig, suite: str) -> dict:
     """Execute one suite (or 'all') and return the report dictionary."""
     if suite == "all":
@@ -689,7 +744,8 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join([*SUITES, 'all'])}")
     rows = []
-    _fb_plan.cache_clear()
+    for cache in _REPORT_CACHES:
+        cache.cache_clear()
     for name in names:
         try:
             part = SUITES[name](config)
@@ -698,8 +754,9 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         for r in part:
             r["suite"] = name
         rows.extend(part)
-    _fb_plan.cache_clear()
-    passed = sum(1 for r in rows if r["pass"])
+    for cache in _REPORT_CACHES:
+        cache.cache_clear()
+    passed = sum(1 for r in rows if r.get("pass"))  # a row without one fails _validate
     report = {
         "config": config.as_dict(),
         "suite": suite,
@@ -707,12 +764,7 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         "summary": {"total": len(rows), "passed": passed,
                     "failed": len(rows) - passed},
     }
-    try:
-        import jsonschema
-
-        jsonschema.Draft202012Validator(REPORT_SCHEMA).validate(report)
-    except ImportError:  # pragma: no cover
-        pass
+    _validate(report, REPORT_SCHEMA)
     return report
 
 

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import json
 import os
@@ -37,6 +38,28 @@ N3_CONFIG = {"n": 3, "gamma": [0.5, 1.0, 1.5], "grid": {"x_max": 8.0, "points": 
 
 # non-dyadic n = 2 gammas drawn from U[0.05, 5]
 SEEDED_GAMMAS = np.random.default_rng(8).uniform(0.05, 5.0, (2, 2)).tolist()
+
+
+_DELETE = object()
+
+
+def _mutated(doc, path, value):
+    """Copy of doc with the entry at path set to value (removed for _DELETE);
+    only the containers along path are copied."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    out = list(doc) if isinstance(doc, list) else dict(doc)
+    if rest or value is not _DELETE:
+        out[head] = _mutated(doc[head], rest, value)
+    else:
+        del out[head]
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return run_suite(RunConfig(), "all")
 
 
 @pytest.fixture
@@ -101,8 +124,63 @@ class TestRunSuite:
             run_suite(RunConfig(), "nope")
 
     def test_schema_is_valid_draft_2020_12(self):
-        # run_suite validates against it without re-checking it
+        # run_suite reads it through report._validate, which does not check
+        # the schema itself; jsonschema is the oracle here and in the tests below
         jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+
+    def test_validate_interprets_every_schema_keyword(self):
+        # a keyword _validate does not read would be ignored without a word
+        interpreted = {"type", "required", "properties", "items", "minimum"}
+
+        def walk(schema, path):
+            assert set(schema) <= interpreted, (path, set(schema) - interpreted)
+            assert schema.get("type", "object") in report_module._JSON_TYPES, path
+            for key, sub in schema.get("properties", {}).items():
+                walk(sub, f"{path}.{key}")
+            if "items" in schema:
+                walk(schema["items"], f"{path}[]")
+
+        walk({k: v for k, v in REPORT_SCHEMA.items() if k != "$schema"}, "report")
+
+    def test_validate_agrees_with_jsonschema(self, default_report):
+        # every schema path of the default report, set to each value or deleted
+        rows = default_report["rows"]
+        fields = REPORT_SCHEMA["properties"]["rows"]["items"]["properties"]
+        paths = [(), *[(k,) for k in REPORT_SCHEMA["properties"]]]
+        for i in (0, len(rows) - 1):
+            paths += [("rows", i), *[("rows", i, k) for k in fields]]
+        paths += [("summary", k) for k in ("total", "passed", "failed")]
+        values = [None, True, 0, -1, 3.0, 2.5, float("nan"), float("inf"),
+                  float("-inf"), "x", [], (), {}, np.float64(-1), np.int64(2), _DELETE]
+        oracle = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+        verdicts, disagree = [], []
+        for path in paths:
+            for value in values:
+                if not path and value is _DELETE:
+                    continue
+                mutated = _mutated(default_report, path, value)
+                try:
+                    report_module._validate(mutated, REPORT_SCHEMA)
+                    ours = True
+                except ValueError:
+                    ours = False
+                verdicts.append(ours)
+                if ours != oracle.is_valid(mutated):
+                    disagree.append((path, value, ours))
+        assert disagree == []
+        assert len(verdicts) == 383 and 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("row, match", [
+        ({"abs_err": -1e-3}, r"rows\[0\]\.abs_err: .* less than 0"),
+        ({"pass": _DELETE}, r"rows\[0\]: missing required 'pass'"),
+    ])
+    def test_invalid_row_raises(self, monkeypatch, row, match):
+        good = {"check": "made-up", "inputs": {}, "computed": 1.0, "expected": 1.0,
+                "abs_err": 0.0, "rel_err": 0.0, "pass": True}
+        bad = {k: v for k, v in {**good, **row}.items() if v is not _DELETE}
+        monkeypatch.setattr(report_module, "SUITES", {"made-up": lambda cfg: [bad]})
+        with pytest.raises(ValueError, match=match):
+            run_suite(RunConfig(), "all")
 
     @pytest.mark.parametrize("suite", ["pizzetti", "estimates"])
     def test_pass_is_the_tolerance_rule(self, suite):
@@ -158,6 +236,32 @@ class TestRunSuite:
         report = run_suite(RunConfig(), "all")
         assert report["summary"]["failed"] == 0
         assert (len(calls), sum(calls)) == (33, 49353)
+
+    def test_one_rule_per_report_and_none_written(self, monkeypatch):
+        # suites share the cached grid and sphere rules, so none may write
+        # to their arrays: each is compared with a copy taken when it was built
+        built = []
+        for name in ("build_sphere_rule", "build_tensor_grid"):
+            def record(*args, build=getattr(report_module, name)):
+                out = build(*args)
+                built.append((build.__name__, args, out, copy.deepcopy(out)))
+                return out
+
+            monkeypatch.setattr(report_module, name, record)
+        report = run_suite(RunConfig(), "all")
+        assert report["summary"]["failed"] == 0
+        keys = [(name, args) for name, args, _, _ in built]
+        assert len(keys) == len(set(keys))
+        assert [name for name, _ in keys].count("build_sphere_rule") == 4
+        assert [name for name, _ in keys].count("build_tensor_grid") == 1
+
+        def flat(rule):  # grids hold one array per axis, sphere rules one array
+            parts = [a for p in (rule.nodes, rule.weights)
+                     for a in (p if isinstance(p, tuple) else (p,))]
+            return np.concatenate([np.ravel(a) for a in parts])
+
+        for name, args, out, snap in built:
+            assert np.array_equal(flat(out), flat(snap)), (name, args)
 
     @pytest.mark.parametrize("suite", ["riesz", "estimates"])
     def test_fb_plan_suite_alone(self, suite, plan_builds, tmp_path):
@@ -337,24 +441,26 @@ class TestEmit:
 
 
 class TestNoScipyOnReportPath:
-    """The report path imports no scipy (it is used only by is_elliptic)."""
+    """The report path imports neither scipy (used only by is_elliptic) nor
+    jsonschema (run_suite validates with report._validate)."""
 
-    def _scipy_modules_after(self, code, tmp_path):
+    def _modules_after(self, code, tmp_path):
         src = str(Path(bhk.__file__).resolve().parent.parent)
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         probe = (f"import sys\n{code}\n"
-                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+                 "print(sorted(m for m in sys.modules\n"
+                 "             if m.partition('.')[0] in ('scipy', 'jsonschema')))")
         done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         return done.stdout.splitlines()[-1]
 
     def test_import_bhk(self, tmp_path):
-        assert self._scipy_modules_after("import bhk", tmp_path) == "[]"
+        assert self._modules_after("import bhk", tmp_path) == "[]"
 
     def test_cli_report_all_suites(self, tmp_path):
         code = ("from bhk.cli import main\n"
                 "assert main(['run', '--suite', 'all', '--out', 'report.json']) == 0")
-        assert self._scipy_modules_after(code, tmp_path) == "[]"
+        assert self._modules_after(code, tmp_path) == "[]"
         assert json.loads((tmp_path / "report.json").read_text())["summary"]["failed"] == 0

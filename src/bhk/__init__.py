@@ -23,7 +23,7 @@ from .grids import (
     build_sphere_rule,
     hemisphere_measure,
 )
-from .polys import EvenPoly, eval_poly, apply_bessel, b_harmonic_basis, is_elliptic
+from .polys import EvenPoly, eval_poly, apply_bessel, b_harmonic_basis
 from .shift import (
     ShiftOperatorPlan,
     ShiftTruncationWarning,

@@ -3,17 +3,14 @@ of the Bessel operator
 
     B x^alpha = sum_i alpha_i (alpha_i - 1 + 2 gamma_i) x^{alpha - 2 e_i},
 
-construction of B-harmonic polynomials (B P_k = 0) by exact nullspace
-computation over rationals, and a sampled ellipticity check.  Coefficients
-are Fractions (floats, gamma included, are dyadic, so Fraction(float) is
-exact): B P_k = 0 holds exactly for every gamma_i > 0.
+and construction of B-harmonic polynomials (B P_k = 0) by exact nullspace
+computation over rationals.  Coefficients are Fractions (floats, gamma
+included, are dyadic, so Fraction(float) is exact): B P_k = 0 holds exactly
+for every gamma_i > 0.
 
 B-harmonic construction is restricted to even multi-indices: a monomial with
 alpha_i = 1 maps to the non-polynomial term 2 gamma_i x^{alpha - 2 e_i}
 (negative exponent), so odd exponents of 1 are rejected rather than dropped.
-Odd total degree is only reachable through the classical-harmonic flag
-(kernel of the plain Laplacian), which exists for the experimental
-first-order transforms and carries no multiplier guarantee.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import numpy as np
 
 from .grids import as_gamma
 
-__all__ = ["EvenPoly", "eval_poly", "apply_bessel", "b_harmonic_basis", "is_elliptic"]
+__all__ = ["EvenPoly", "eval_poly", "apply_bessel", "b_harmonic_basis"]
 
 
 @dataclass(frozen=True)
@@ -79,21 +76,6 @@ class EvenPoly:
     def as_dict(self) -> Dict[Tuple[int, ...], Fraction]:
         return dict(self.coeffs)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.degree,
-            "terms": [{"alpha": list(a), "c": float(c)} for a, c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "EvenPoly":
-        terms = {tuple(t["alpha"]): float(t["c"]) for t in obj["terms"]}
-        p = cls.from_terms(int(obj["n"]), terms)
-        if p.coeffs and p.degree != int(obj["k"]):
-            raise ValueError(f"declared degree {obj['k']} != actual {p.degree}")
-        return p
-
 
 def eval_poly(p: EvenPoly, x) -> float | np.ndarray:
     """Evaluate sum a_alpha prod x_i^{alpha_i} at points x of shape (..., n)."""
@@ -121,11 +103,11 @@ def _b_terms(alpha: Tuple[int, ...], gamma: Sequence[Fraction]
              ) -> Iterator[Tuple[Tuple[int, ...], Fraction]]:
     """Terms of B x^alpha: alpha_i (alpha_i - 1 + 2 gamma_i) x^{alpha - 2 e_i}.
 
-    gamma = 0 gives the plain Laplacian, which admits alpha_i = 1; for
-    gamma_i > 0 that exponent leaves the polynomial ring and is an error.
+    Every gamma_i > 0, so an exponent of 1 leaves the polynomial ring and is
+    an error.
     """
     for i, a in enumerate(alpha):
-        if a == 1 and gamma[i]:
+        if a == 1:
             raise ValueError(
                 f"monomial {alpha}: exponent 1 on axis {i} maps to the "
                 f"non-polynomial term x_{i+1}^(-1) under B"
@@ -158,10 +140,9 @@ def _require_b_harmonic(p: EvenPoly, gamma) -> None:
         raise ValueError("polynomial is not B-harmonic (apply_bessel != 0)")
 
 
-def _monomials(n: int, k: int, even_only: bool) -> List[Tuple[int, ...]]:
-    """Degree-k multi-indices in lexicographic order."""
-    exps = range(0, k + 1, 2 if even_only else 1)
-    return [a for a in itertools.product(exps, repeat=n) if sum(a) == k]
+def _monomials(n: int, k: int) -> List[Tuple[int, ...]]:
+    """Degree-k even multi-indices in lexicographic order."""
+    return [a for a in itertools.product(range(0, k + 1, 2), repeat=n) if sum(a) == k]
 
 
 def _nullspace_fractions(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
@@ -205,7 +186,7 @@ def _tidy(vec: List[Fraction]) -> List[int]:
     return [i // g for i in ints]
 
 
-def b_harmonic_basis(n: int, k: int, gamma, *, classical_harmonic: bool = False) -> List[EvenPoly]:
+def b_harmonic_basis(n: int, k: int, gamma) -> List[EvenPoly]:
     """Basis of homogeneous degree-k polynomials annihilated by B.
 
     The kernel of the coefficient map (degree-k even monomials -> degree-(k-2)
@@ -213,82 +194,19 @@ def b_harmonic_basis(n: int, k: int, gamma, *, classical_harmonic: bool = False)
     returned polynomials satisfy apply_bessel(p, gamma) == 0 as an exact
     coefficient map, not just numerically; each is scaled to coprime integer
     coefficients with a positive leading term.  Returns [] when the kernel is
-    trivial.  With classical_harmonic=True the plain Laplacian is used instead
-    and odd degrees/monomials are admitted (experimental surface).
+    trivial.
     """
     g = as_gamma(gamma)
     if g.n != n:
         raise ValueError(f"gamma has {g.n} axes, expected {n}")
-    if not classical_harmonic:
-        if k % 2 or k < 2:
-            raise ValueError(
-                "B-harmonic basis requires even k >= 2 "
-                "(odd degrees only via classical_harmonic=True)"
-            )
-    elif k < 1:
-        raise ValueError("degree must be >= 1")
-    sources = _monomials(n, k, even_only=not classical_harmonic)
-    targets = _monomials(n, k - 2, even_only=not classical_harmonic) if k >= 2 else []
-    tindex = {b: i for i, b in enumerate(targets)}
-    gfrac = [Fraction(0) if classical_harmonic else Fraction(gi) for gi in g]
-    rows = [[Fraction(0)] * len(sources) for _ in targets]
+    if k % 2 or k < 2:
+        raise ValueError("B-harmonic basis requires even k >= 2")
+    sources = _monomials(n, k)
+    tindex = {b: i for i, b in enumerate(_monomials(n, k - 2))}
+    gfrac = [Fraction(gi) for gi in g]
+    rows = [[Fraction(0)] * len(sources) for _ in tindex]
     for j, alpha in enumerate(sources):
         for beta, m in _b_terms(alpha, gfrac):
             rows[tindex[beta]][j] += m
     return [EvenPoly.from_terms(n, dict(zip(sources, _tidy(vec))))
             for vec in _nullspace_fractions(rows, len(sources))]
-
-
-def _angles_to_point(phi: np.ndarray, n: int) -> np.ndarray:
-    """Hyperspherical angles in [0, pi/2]^(n-1) -> point on S_+^{n-1}."""
-    theta = np.empty(phi.shape[:-1] + (n,))
-    sin_run = np.ones(phi.shape[:-1])
-    for j in range(n - 1):
-        theta[..., j] = sin_run * np.cos(phi[..., j])
-        sin_run = sin_run * np.sin(phi[..., j])
-    theta[..., n - 1] = sin_run
-    return theta
-
-
-def is_elliptic(p: EvenPoly, samples: int = 256) -> bool:
-    """Sampled sufficient check that P vanishes only at the origin.
-
-    Deterministic low-discrepancy angle sample of the closed positive
-    hemisphere, followed by deterministic local minimization of |P| from the
-    best candidates; P is scaled to unit max coefficient first.  Not a
-    decision procedure: a true minimum below threshold ~1e-9 reports False.
-    """
-    if samples < 100:
-        raise ValueError("is_elliptic requires samples >= 100")
-    if p.is_zero:
-        return False
-    scale = max(abs(c) for _, c in p.coeffs)
-    q = EvenPoly(p.n, p.degree, tuple((a, c / scale) for a, c in p.coeffs))
-
-    if p.n == 1:
-        return abs(eval_poly(q, np.array([1.0]))) > 1e-9
-
-    d = p.n - 1
-    # Kronecker (R_d) sequence on the angle box
-    root = 1.0
-    for _ in range(40):
-        root = (1.0 + root) ** (1.0 / (d + 1))
-    alphas = np.array([root ** -(i + 1) for i in range(d)])
-    j = np.arange(samples)[:, None]
-    phi = ((0.5 + j * alphas) % 1.0) * (0.5 * np.pi)
-    vals = np.abs(eval_poly(q, _angles_to_point(phi, p.n)))
-    order = np.argsort(vals, kind="stable")
-
-    from scipy.optimize import minimize
-
-    best = float(vals[order[0]])
-    for idx in order[:3]:
-        res = minimize(
-            lambda a: abs(eval_poly(q, _angles_to_point(np.asarray(a), p.n))),
-            phi[idx],
-            method="Nelder-Mead",
-            bounds=[(0.0, 0.5 * np.pi)] * d,
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
-        )
-        best = min(best, float(res.fun))
-    return best > 1e-9

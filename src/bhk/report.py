@@ -117,6 +117,15 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 }
 
 
+def _whole(value, key: str) -> int:
+    """A config size: an int, or a float with an integral value (96.0 reads
+    as 96).  96.7, strings and booleans are refused rather than truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed verification configuration (single JSON file, no env vars)."""
@@ -135,13 +144,15 @@ class RunConfig:
         if self.n != len(self.gamma):
             raise ValueError(f"n = {self.n} but gamma has {len(self.gamma)} entries")
         as_gamma(self.gamma)  # validates positivity
-        if self.x_max <= 0 or self.points < 8 or self.angles < 4 or self.sphere_points < 4:
+        if not 0 < self.x_max < math.inf:
+            raise ValueError(f"grid x_max must be positive and finite, got {self.x_max}")
+        if self.points < 8 or self.angles < 4 or self.sphere_points < 4:
             raise ValueError("grid/angle sizes out of range")
         _check_eps_seq(self.eps_seq, 1.0)  # riesz_spatial's range
         unknown = sorted({k for k, _ in self.tolerances} - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"tolerances name no check: {unknown}")
-        if any(t <= 0 for _, t in self.tolerances):
+        if any(not t > 0 for _, t in self.tolerances):
             raise ValueError("tolerances must be positive")
 
     @classmethod
@@ -157,12 +168,12 @@ class RunConfig:
             raise ValueError(f"unknown grid keys: {sorted(unknown)}")
         d = cls()
         return cls(
-            n=int(obj.get("n", d.n)),
+            n=_whole(obj.get("n", d.n), "n"),
             gamma=tuple(float(v) for v in obj.get("gamma", d.gamma)),
             x_max=float(grid.get("x_max", d.x_max)),
-            points=int(grid.get("points", d.points)),
-            angles=int(obj.get("angles", d.angles)),
-            sphere_points=int(obj.get("sphere_points", d.sphere_points)),
+            points=_whole(grid.get("points", d.points), "points"),
+            angles=_whole(obj.get("angles", d.angles), "angles"),
+            sphere_points=_whole(obj.get("sphere_points", d.sphere_points), "sphere_points"),
             eps_seq=tuple(float(e) for e in obj.get("eps_seq", d.eps_seq)),
             tolerances=tuple(sorted(
                 (str(k), float(v)) for k, v in obj.get("tolerances", {}).items()

@@ -73,18 +73,14 @@ class RieszKernel:
     c_k: float
 
 
-def build_riesz_kernel(p: EvenPoly, gamma, *, allow_classical: bool = False) -> RieszKernel:
-    """Validate P_k and assemble the kernel constants.
-
-    allow_classical=True skips the B-harmonicity check (experimental
-    first-order / classical-harmonic kernels; no multiplier guarantee).
-    """
+def build_riesz_kernel(p: EvenPoly, gamma) -> RieszKernel:
+    """Validate P_k (B-harmonic, even degree k >= 2) and assemble the kernel
+    constants."""
     g = as_gamma(gamma)
     k = p.degree
-    if not allow_classical:
-        if k % 2 or k < 2:
-            raise ValueError("Riesz-Bessel kernels require even degree k >= 2")
-        _require_b_harmonic(p, g)
+    if k % 2 or k < 2:
+        raise ValueError("Riesz-Bessel kernels require even degree k >= 2")
+    _require_b_harmonic(p, g)
     q = g.n + 2.0 * g.abs
     printed = 2.0 ** (0.5 * q) * _gamma(0.5 * (q + k)) / _gamma(0.5 * k)
     return RieszKernel(p, g, k, k + q, printed, fb_constant(g) * printed)
@@ -199,32 +195,25 @@ def riesz_spatial(
     return RieszSpatialResult(limit, eps_seq, tuple(values), converged)
 
 
-def priori_bound_probe(
-    plan: FBPlan,
-    p: float,
-    family: Sequence,
-    *,
-    axes: tuple = (0, 1),
-    elliptic_coeffs: Sequence[float] | None = None,
-) -> list:
+def priori_bound_probe(plan: FBPlan, p: float, family: Sequence) -> list:
     """Empirical a-priori-bound ratios (no pass/fail: the constants are unknown).
 
     family entries are (label, f, Bf) GridFunction pairs with Bf the analytic
     Laplace-Bessel image.  Two ratio tables per entry:
 
-      * mixed second derivative, realized spectrally via the composition
-        identity (multiplier xi_i xi_k):  ||d_i d_k f||_p / ||B f||_p;
-      * elliptic control: ||B f||_p / ||sum a_i B_i f||_p with a_i > 0
-        (degree-1 elliptic combination; the only degree for which the
-        multiplier ratio is homogeneous of degree zero).
+      * mixed second derivative on axes (0, 1), realized spectrally via the
+        composition identity (multiplier xi_0 xi_1):  ||d_0 d_1 f||_p / ||B f||_p;
+      * elliptic control: ||B f||_p / ||sum a_i B_i f||_p with the positive
+        coefficients a = (1, 2, 1, ..., 1) (degree-1 elliptic combination; the
+        only degree for which the multiplier ratio is homogeneous of degree
+        zero).
     """
     g = plan.gamma
-    i, k = axes
-    a = tuple(float(v) for v in (elliptic_coeffs or (1.0, 2.0) + (1.0,) * (g.n - 2)))
-    if len(a) != g.n or any(v <= 0 for v in a):
-        raise ValueError("elliptic_coeffs must be positive, one per axis")
+    if g.n < 2:
+        raise ValueError("priori_bound_probe needs n >= 2")
+    a = (1.0, 2.0) + (1.0,) * (g.n - 2)
     xs = np.meshgrid(*plan.freq_grid.nodes, indexing="ij", sparse=True)
-    mult_mixed = xs[i] * xs[k]
+    mult_mixed = xs[0] * xs[1]
     mult_elliptic = -sum(a[j] * xs[j] ** 2 for j in range(g.n))
     rows = []
     for label, f, bf in family:
@@ -237,7 +226,7 @@ def priori_bound_probe(
                 "check": "apriori-mixed-derivative",
                 "label": label,
                 "p": p,
-                "axes": [i, k],
+                "axes": [0, 1],
                 "lhs": lp_norm(dd, p),
                 "rhs": norm_bf,
                 "ratio": lp_norm(dd, p) / norm_bf,

@@ -1,3 +1,4 @@
+import ast
 import copy
 import importlib
 import json
@@ -95,11 +96,18 @@ class TestRunConfig:
             {"bogus": 1},
             {"grid": {"pts": 5}},
             {"tolerances": {"mvtt": 1e-3}},
+            {"tolerances": {"mvt": float("nan")}},
         ],
     )
     def test_validation(self, patch):
         with pytest.raises((ValueError, KeyError)):
             RunConfig.from_dict({**SMALL_CONFIG, **patch})
+
+    def test_whole_float_sizes_read_as_ints(self):
+        cfg = RunConfig.from_dict({**SMALL_CONFIG, "n": 2.0, "angles": 24.0,
+                                   "grid": {"x_max": 8.0, "points": 48.0}})
+        assert cfg == RunConfig.from_dict(SMALL_CONFIG)
+        assert all(type(v) is int for v in (cfg.n, cfg.points, cfg.angles))
 
     def test_empty_dict_gives_defaults(self):
         assert RunConfig.from_dict({}) == RunConfig()
@@ -348,6 +356,30 @@ class TestCliRun:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patch", [
+        {"grid": {"x_max": 8.0, "points": 96.7}}, {"n": 2.9}, {"angles": 24.5},
+        {"sphere_points": 48.2}, {"grid": {"x_max": 8.0, "points": "48"}}, {"n": True},
+    ])
+    def test_non_whole_size_exit_2_no_report(self, tmp_path, capsys, patch):
+        # a fractional size must not be truncated silently
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, **patch}))
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "shift", "--config", str(bad),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "whole number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x_max", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_x_max_exit_2_no_report(self, tmp_path, capsys, x_max):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "grid": {"x_max": x_max, "points": 48}}))
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "shift", "--config", str(bad),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "x_max" in capsys.readouterr().err
+
     def test_decimal_gamma_report_passes(self, tmp_path):
         # gamma_1 = 0.1 is not a short dyadic: B-harmonic bases need exact
         # Fraction coefficients for the kernel gates to accept them
@@ -441,8 +473,8 @@ class TestEmit:
 
 
 class TestNoScipyOnReportPath:
-    """The report path imports neither scipy (used only by is_elliptic) nor
-    jsonschema (run_suite validates with report._validate)."""
+    """The report path imports neither scipy (a test and benchmark dependency
+    only) nor jsonschema (run_suite validates with report._validate)."""
 
     def _modules_after(self, code, tmp_path):
         src = str(Path(bhk.__file__).resolve().parent.parent)
@@ -458,6 +490,23 @@ class TestNoScipyOnReportPath:
 
     def test_import_bhk(self, tmp_path):
         assert self._modules_after("import bhk", tmp_path) == "[]"
+
+    def test_src_imports_stdlib_numpy_bhk_only(self):
+        # numpy is the one runtime dependency: no module may import, even
+        # lazily, anything outside the standard library, numpy and bhk
+        allowed = set(sys.stdlib_module_names) | {"numpy", "bhk"}
+        bad = []
+        for path in sorted(Path(bhk.__file__).resolve().parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                bad += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+        assert bad == []
 
     def test_cli_report_all_suites(self, tmp_path):
         code = ("from bhk.cli import main\n"

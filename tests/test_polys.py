@@ -9,7 +9,6 @@ from bhk.polys import (
     apply_bessel,
     b_harmonic_basis,
     eval_poly,
-    is_elliptic,
 )
 from bhk.shift import build_shift_plan, shift
 
@@ -32,24 +31,6 @@ class TestEvenPoly:
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
             EvenPoly.from_terms(2, {(2, 0): 1.0, (1, 0): 1.0})
-
-    def test_json_round_trip(self):
-        obj = P2_SPEC.to_json_dict()
-        assert obj == {
-            "n": 2,
-            "k": 2,
-            "terms": [
-                {"alpha": [0, 2], "c": -2.0},
-                {"alpha": [2, 0], "c": 4.0},
-            ],
-        }
-        assert EvenPoly.from_json_dict(obj) == P2_SPEC
-
-    def test_json_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            EvenPoly.from_json_dict(
-                {"n": 2, "k": 4, "terms": [{"alpha": [2, 0], "c": 1.0}]}
-            )
 
 
 class TestEvalPoly:
@@ -172,36 +153,9 @@ class TestBHarmonicBasis:
         with pytest.raises(ValueError):
             b_harmonic_basis(2, 0, GAMMA)
 
-    def test_classical_flag_allows_odd(self):
-        basis = b_harmonic_basis(2, 1, GAMMA, classical_harmonic=True)
-        assert {tuple(sorted(p.as_dict())) for p in basis} == {((0, 1),), ((1, 0),)}
-        # classical k=3 kernel: harmonic polys of degree 3 in 2 vars (dim 2)
-        basis3 = b_harmonic_basis(2, 3, GAMMA, classical_harmonic=True)
-        assert len(basis3) == 2
-
     def test_orthogonal_to_constants_on_weighted_sphere(self, sphere96):
         for k in (2, 4):
             for p in b_harmonic_basis(2, k, GAMMA):
                 mean = float(sphere96.weights @ eval_poly(p, sphere96.nodes))
                 scale = float(sphere96.weights @ np.abs(eval_poly(p, sphere96.nodes)))
                 assert abs(mean) < 1e-10 * scale
-
-
-class TestIsElliptic:
-    def test_examples(self):
-        assert is_elliptic(EvenPoly.from_terms(2, {(2, 0): 1.0, (0, 2): 1.0}))
-        assert not is_elliptic(P2_SPEC)
-        assert is_elliptic(EvenPoly.from_terms(2, {(4, 0): 1.0, (0, 4): 1.0}))
-
-    def test_degree_one_positive_coefficients(self):
-        assert is_elliptic(EvenPoly.from_terms(2, {(1, 0): 1.0, (0, 1): 2.0}))
-
-    def test_n3(self):
-        p = EvenPoly.from_terms(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-        assert is_elliptic(p)
-        q = EvenPoly.from_terms(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): -1.0})
-        assert not is_elliptic(q)
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            is_elliptic(P2_SPEC, samples=10)

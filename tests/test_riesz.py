@@ -54,11 +54,6 @@ class TestKernel:
                 EvenPoly.from_terms(2, {(1, 0): 1.0}), GAMMA
             )
 
-    def test_classical_escape_hatch(self):
-        p1 = EvenPoly.from_terms(2, {(1, 0): 1.0})
-        ker = build_riesz_kernel(p1, GAMMA, allow_classical=True)
-        assert ker.degree == 1
-
     def test_angular_mean_zero(self, kernel, sphere96):
         vals = eval_poly(kernel.poly, sphere96.nodes)
         mean = float(sphere96.weights @ vals)
@@ -306,6 +301,11 @@ class TestProbes:
             ratios = [r["ratio"] for r in rows if r["check"] == check]
             assert all(np.isfinite(ratios))
             assert (max(ratios) - min(ratios)) / max(ratios) < 0.1
+
+    def test_apriori_probe_needs_two_axes(self):
+        plan = build_fb_plan(build_tensor_grid((0.5,), 8.0, 48))
+        with pytest.raises(ValueError, match="n >= 2"):
+            priori_bound_probe(plan, 2.0, [])
 
     def test_lp_ratios(self, kernel, fb_plan96, family):
         rows = lp_boundedness_probe(

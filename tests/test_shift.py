@@ -1,6 +1,9 @@
 import functools
 import importlib
+import itertools
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +26,23 @@ from conftest import GAMMA, gauss
 
 def one(p):
     return np.ones(p.shape[:-1])
+
+
+def exact_power_shift(g, m, x, y) -> Fraction:
+    """1-D T^y x^{2m} in exact arithmetic, from the product formula
+    T^y j(x t) = j(x t) j(y t) matched power by power in t:
+
+        sum_j C(m, j) (g+1/2)_m / ((g+1/2)_j (g+1/2)_{m-j}) x^{2j} y^{2(m-j)}.
+
+    g, x and y are floats (dyadic, so Fraction reads them exactly).
+    """
+    a = Fraction(g) + Fraction(1, 2)
+    poch = [Fraction(1)]
+    for i in range(m):
+        poch.append(poch[-1] * (a + i))
+    x2, y2 = Fraction(x) ** 2, Fraction(y) ** 2
+    return sum(math.comb(m, j) * poch[m] / (poch[j] * poch[m - j]) * x2**j * y2 ** (m - j)
+               for j in range(m + 1))
 
 
 class TestPlan:
@@ -96,6 +116,39 @@ class TestShift:
     def test_dimension_mismatch(self, shift_plan):
         with pytest.raises(ValueError):
             shift(shift_plan, gauss, [1.0], [1.0, 2.0])
+
+
+class TestExactPowerOracle:
+    """Both T^y routes against exact_power_shift at a 1e-12 relative gate."""
+
+    def test_square_is_the_m1_case(self):
+        assert exact_power_shift(0.7, 1, 1.25, 0.5) == Fraction(1.25) ** 2 + Fraction(0.5) ** 2
+
+    @pytest.mark.parametrize("g", [0.05, 0.5, 1.5, 5.0])
+    def test_shift(self, g):
+        plan = build_shift_plan((g,), 48)
+        rng = np.random.default_rng(31)
+        for m in range(6):
+            for x, y in rng.uniform(0.1, 3.0, (8, 2)):
+                got = shift(plan, lambda p: p[..., 0] ** (2 * m), [x], [y])
+                ref = float(exact_power_shift(g, m, x, y))
+                assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("g", [(0.05, 5.0), (5.0, 5.0), (0.5, 1.5)])
+    def test_shift_grid(self, g):
+        # per-axis degree <= 8: the width-10 stencil reproduces it exactly, so
+        # every node whose arguments stay within x_max (no clamp) is compared
+        plan, grid = build_shift_plan(g, 48), build_tensor_grid(g, 8.0, 96)
+        y = (1.1, 0.7)
+        inside = [x + yi <= grid.x_max for x, yi in zip(grid.nodes, y)]
+        for m in itertools.product(range(5), repeat=2):
+            f = grid.sample(lambda p: p[..., 0] ** (2 * m[0]) * p[..., 1] ** (2 * m[1]))
+            got = shift_grid(plan, f, y).values[np.ix_(*inside)]
+            # T^y factorizes per axis; each factor is the exact value rounded once
+            ref = functools.reduce(np.multiply.outer, [
+                np.array([float(exact_power_shift(gi, mi, x, yi)) for x in xs[ok]])
+                for gi, mi, xs, yi, ok in zip(g, m, grid.nodes, y, inside)])
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
 
 class TestShiftGrid:

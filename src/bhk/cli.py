@@ -1,31 +1,18 @@
 """Command-line entry point.
 
-    bhk run  --suite <name> [--config <path>] [--out <path>] [--threads N]
+    bhk run  --suite <name> [--config <path>] [--out <path>]
     bhk emit --function <name> [--transform] [--config <path>] --out <path>
 
 Exit status: 0 all checks passed, 1 at least one row failed (or numeric
 non-convergence, or a suite raised: its report holds a failing `suite-error`
-row), 2 configuration/usage error (no report written).  The only
-environment influence is the THREADS override (equivalent to --threads),
-applied before the numeric stack loads.
+row), 2 configuration/usage error (no report written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-
-def _apply_threads(n) -> None:
-    if n is None:
-        n = os.environ.get("THREADS")
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _load_config(path):
@@ -50,7 +37,6 @@ def main(argv=None) -> int:
                             "pizzetti | riesz | estimates | all")
     p_run.add_argument("--config", help="JSON config path (defaults used if omitted)")
     p_run.add_argument("--out", help="report path (default: config 'output' field)")
-    p_run.add_argument("--threads", type=int, help="thread-count override")
 
     p_emit = sub.add_parser("emit", help="sample a corpus function to CSV")
     p_emit.add_argument("--function", required=True)
@@ -58,14 +44,11 @@ def main(argv=None) -> int:
                         help="also write the forward transform CSV")
     p_emit.add_argument("--config", help="JSON config path")
     p_emit.add_argument("--out", required=True)
-    p_emit.add_argument("--threads", type=int)
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-
-    _apply_threads(getattr(args, "threads", None))
 
     try:
         config = _load_config(args.config)

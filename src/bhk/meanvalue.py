@@ -273,6 +273,22 @@ def _antiderivative(terms: _Terms) -> _Terms:
     return out
 
 
+def _radial_bessel(terms: _Terms, q: Fraction) -> _Terms:
+    """Termwise radial B = d^2/dr^2 + (q + 1)/r d/dr of sum c r^p (ln r)^l:
+
+        B(r^p ln^l r) = r^{p-2} [p(p+q) ln^l r + l(2p+q) ln^{l-1} r
+                                 + l(l-1) ln^{l-2} r].
+    """
+    out: _Terms = {}
+    for (p, l), c in terms.items():
+        _add_term(out, p - 2, l, c * float(p * (p + q)))
+        if l:
+            _add_term(out, p - 2, l - 1, c * l * float(2 * p + q))
+        if l > 1:
+            _add_term(out, p - 2, l - 2, c * l * (l - 1.0))
+    return out
+
+
 def _eval_terms(terms: _Terms, r):
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)

@@ -27,6 +27,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -42,7 +43,8 @@ from .grids import (
     integrate,
 )
 from .meanvalue import (
-    bessel_laplacian_fd,
+    _eval_terms,
+    _radial_bessel,
     mean_value_check,
     pizzetti_coeffs,
     pizzetti_mean,
@@ -148,7 +150,7 @@ class RunConfig:
             raise ValueError(f"grid x_max must be positive and finite, got {self.x_max}")
         if self.points < 8 or self.angles < 4 or self.sphere_points < 4:
             raise ValueError("grid/angle sizes out of range")
-        _check_eps_seq(self.eps_seq, 1.0)  # riesz_spatial's range
+        _check_eps_seq(self.eps_seq, 1.0)  # pv-lemma's truncation radii
         unknown = sorted({k for k, _ in self.tolerances} - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"tolerances name no check: {unknown}")
@@ -531,20 +533,18 @@ def suite_pizzetti(cfg: RunConfig) -> List[dict]:
     rem = [abs(nm - pizzetti_mean(_gauss, g, 1.0, m)) for m in (0, 1, 2)]
     rows.append(_row(cfg, "pizzetti-decay", 1.0 if rem[0] > rem[1] > rem[2] else 0.0,
                      1.0, inputs={"R": 1.0, "remainders": rem}))
-    # v recursion: boundary conditions, FD consistency, moment identity
-    q = g.n + 2.0 * g.abs - 2.0
+    # v recursion: boundary conditions, B v_{eta+1} = v_eta, moment identity
     R = 1.0
     vs = v_sequence(g, R, 4)
     c = pizzetti_coeffs(g, R, 5).c
     for eta in (1, 2, 3):
         bnd = max(abs(vs[eta](R)), abs(vs[eta].derivative(R)))
         rows.append(_row(cfg, "v-boundary", bnd, 0.0, scale=1.0, inputs={"eta": eta}))
-    # radial B v = v'' + (q + 1)/r v' is the 1-D operator with gamma = (q + 1)/2
+    # radial B v = v'' + (q + 1)/r v', applied exactly to the power-log terms
+    q = g.n + 2 * sum(map(Fraction, g)) - 2  # v_sequence's exact q
     r = np.linspace(0.2 * R, 0.9 * R, 15)
     for eta in (0, 1, 2):
-        vp = vs[eta + 1]
-        bv = bessel_laplacian_fd(lambda p: vp(p[..., 0]), ((q + 1.0) / 2.0,),
-                                 r[:, None], 1e-3 * R)
+        bv = _eval_terms(_radial_bessel(vs[eta + 1].terms, q), r)
         rel = float(np.max(np.abs(bv - vs[eta](r)) / np.abs(vs[eta](r))))
         rows.append(_row(cfg, "v-consistency", rel, 0.0, scale=1.0, inputs={"eta": eta}))
     for eta in range(4):
@@ -575,7 +575,7 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
     converged = 0
     for _ in range(5):
         x = rng.uniform(0.5, 1.8, g.n)
-        res = riesz_spatial(kernel, f, x, cfg.eps_seq, plan=plan_s, rule=srule)
+        res = riesz_spatial(kernel, f, x, plan_s, srule)
         spec_val = float(interp(x[None, :])[0])
         rows.append(_row(cfg, "riesz-multiplier", res.limit, spec_val,
                          scale=max(abs(spec_val), 1e-3),
@@ -585,7 +585,8 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
                          spatial=res.limit, spectral=spec_val,
                          converged=res.converged))
         converged += res.converged
-    # numeric non-convergence of any eps ladder fails regardless of error
+    # a kernel whose quadrature-level angular mean is not zero leaves the
+    # subtracted integrand singular; that fails regardless of error
     rows.append(_row(cfg, "riesz-converged", converged / 5, 1.0,
                      inputs={"points": 5}))
     # spectral worked value: multiplier times transform at a fixed point

@@ -14,11 +14,14 @@ kernel constant is c_k = c_fb * c_k_printed with c_k_printed =
 same convolution-theorem constant verified in the transform module, fixed so
 the spatial and spectral routes agree; reports carry both values.
 
-Spatial quadrature splits the radial integral at |y| = 1: on (eps, 1] the
-integrand uses P_k(theta) [T^{r theta} f(x) - f(x)] (the angular mean of P_k
-vanishes, so the subtraction cancels the 1/r divergence at quadrature level);
-on (1, r_max] it is integrated directly.  The eps -> 0 limit is Richardson
-extrapolation with the O(eps^2) rate the subtracted integrand gives.
+Spatial quadrature splits the radial integral at |y| = 1: on (0, 1] the
+integrand is P_k(theta) [T^{r theta} f(x) - f(x)] / r, on (1, r_max] it is
+P_k(theta) T^{r theta} f(x) / r.  P_k has zero weighted mean on the
+hemisphere, so subtracting f(x) leaves the integral unchanged, and
+T^{r theta} f(x) is even in each y_i, so T^{r theta} f(x) - f(x) = O(r^2):
+the subtracted integrand is O(r) at r = 0 and the principal value is an
+ordinary integral, taken on Gauss-Legendre nodes that never touch 0 (the
+classical treatment of mean-zero singular kernels).
 """
 
 from __future__ import annotations
@@ -35,13 +38,12 @@ from .grids import (
     GridInterpolator,
     SphereRule,
     as_gamma,
-    build_sphere_rule,
     lp_norm,
 )
 from .polys import EvenPoly, _eval_axes, _require_b_harmonic, eval_poly
-from .shift import ShiftOperatorPlan, ShiftTruncationWarning, build_shift_plan, shift_grid
+from .shift import ShiftOperatorPlan, ShiftTruncationWarning, shift_grid
 from .special import gamma as _gamma
-from .transform import FBPlan, _check_eps_seq, fb_constant, fb_forward, fb_inverse
+from .transform import PV_MEAN_TOL, FBPlan, fb_constant, fb_forward, fb_inverse
 
 __all__ = [
     "RieszKernel",
@@ -55,8 +57,7 @@ __all__ = [
     "lp_boundedness_probe",
 ]
 
-# riesz_spatial: default sphere rule size, radial nodes on (eps, 1], (1, r_max]
-SPHERE_POINTS = 64
+# riesz_spatial: radial nodes on (0, 1] and (1, r_max]
 RADIAL_INNER = 24
 RADIAL_OUTER = 48
 
@@ -116,8 +117,6 @@ def apply_bessel_poly_spectral(p_k: EvenPoly, f: GridFunction, plan: FBPlan) -> 
 @dataclass(frozen=True)
 class RieszSpatialResult:
     limit: float
-    eps: tuple
-    values: tuple
     converged: bool
 
 
@@ -125,10 +124,8 @@ def riesz_spatial(
     kernel: RieszKernel,
     f: GridFunction,
     x,
-    eps_seq: Sequence[float] = (0.4, 0.2, 0.1, 0.05),
-    *,
-    plan: ShiftOperatorPlan | None = None,
-    rule: SphereRule | None = None,
+    plan: ShiftOperatorPlan,
+    rule: SphereRule,
 ) -> RieszSpatialResult:
     """Principal-value evaluation of R^(k) f(x) with the c_k constant.
 
@@ -137,17 +134,13 @@ def riesz_spatial(
     localized f beyond x_max are clamped silently.  kernel, plan, rule and f
     must share one gamma.
 
-    Returns the extrapolated limit and the per-eps truncated values; the
-    converged flag goes False when the last eps step moves the value by more
-    than 10x the extrapolation's own correction estimate.
+    The converged flag is the regularity condition of the subtracted
+    integrand: |sum w P_k| <= PV_MEAN_TOL * sum w |P_k| over the rule.
     """
     g = kernel.gamma
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != g.n:
         raise ValueError(f"x must have {g.n} components")
-    eps_seq = _check_eps_seq(eps_seq, 1.0)
-    plan = plan or build_shift_plan(g, 48)
-    rule = rule or build_sphere_rule(g, SPHERE_POINTS)
     if any(h.values != g.values for h in (plan.gamma, rule.gamma, f.grid.gamma)):
         raise ValueError("kernel, plan, rule and grid gamma indices differ")
     with warnings.catch_warnings():
@@ -155,44 +148,25 @@ def riesz_spatial(
         interp = GridInterpolator(shift_grid(plan, f, x), width=8)
     r_max = f.grid.x_max + float(np.linalg.norm(x))
 
-    gl_t, gl_w = np.polynomial.legendre.leggauss(RADIAL_INNER)
-    radii = []
-    for eps in eps_seq:
-        radii.append((eps + 0.5 * (1.0 - eps) * (gl_t + 1.0),
-                      0.5 * (1.0 - eps) * gl_w))
+    ti_t, ti_w = np.polynomial.legendre.leggauss(RADIAL_INNER)
+    r_in, w_in = 0.5 * (ti_t + 1.0), 0.5 * ti_w
     to_t, to_w = np.polynomial.legendre.leggauss(RADIAL_OUTER)
     r_out = 1.0 + 0.5 * (r_max - 1.0) * (to_t + 1.0)
     w_out = 0.5 * (r_max - 1.0) * to_w
 
-    all_r = np.concatenate([r for r, _ in radii] + [r_out])
+    all_r = np.concatenate([r_in, r_out])
     ys = (all_r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, g.n)
     tvals = interp(ys).reshape(all_r.size, rule.nodes.shape[0])
 
-    p_theta = eval_poly(kernel.poly, rule.nodes)
-    pw = rule.weights * p_theta
+    pw = rule.weights * eval_poly(kernel.poly, rule.nodes)
     mean_hat = float(np.sum(pw))          # quadrature-level angular mean (~0)
     fx = float(interp(np.zeros((1, g.n)))[0])  # T^0 f(x) = f(x)
     g_of_r = tvals @ pw
 
-    outer = float(np.sum(w_out * g_of_r[-r_out.size :] / r_out))
-    values = []
-    pos = 0
-    for (r_in, w_in), eps in zip(radii, eps_seq):
-        gr = g_of_r[pos : pos + r_in.size] - fx * mean_hat
-        inner = float(np.sum(w_in * gr / r_in))
-        values.append(kernel.c_k * (inner + outer))
-        pos += r_in.size
-
-    if len(values) >= 2:
-        e1, e2 = eps_seq[-2], eps_seq[-1]
-        v1, v2 = values[-2], values[-1]
-        limit = v2 + (v2 - v1) * e2 * e2 / (e1 * e1 - e2 * e2)
-        step = abs(v2 - v1)
-        est = abs(limit - v2)
-        converged = step <= 10.0 * max(est, 1e-12 * max(1.0, abs(limit)))
-    else:
-        limit, converged = values[-1], True
-    return RieszSpatialResult(limit, eps_seq, tuple(values), converged)
+    inner = float(np.sum(w_in * (g_of_r[: r_in.size] - fx * mean_hat) / r_in))
+    outer = float(np.sum(w_out * g_of_r[r_in.size :] / r_out))
+    converged = abs(mean_hat) <= PV_MEAN_TOL * float(np.sum(np.abs(pw)))
+    return RieszSpatialResult(kernel.c_k * (inner + outer), converged)
 
 
 def priori_bound_probe(plan: FBPlan, p: float, family: Sequence) -> list:

@@ -291,8 +291,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("gamma", SEEDED_GAMMAS)
     def test_seeded_gamma_has_no_suite_error(self, gamma):
-        # rows may still fail on their tolerances (v-consistency, and
-        # shift-preservation near gamma_i = 5); no suite may raise
+        # rows may still fail on their tolerances (shift-preservation near
+        # gamma_i = 5, the v rows near q = 2); no suite may raise
         report = run_suite(RunConfig.from_dict({"n": 2, "gamma": gamma}), "all")
         assert [r["inputs"] for r in report["rows"] if r["check"] == "suite-error"] == []
 
@@ -391,18 +391,23 @@ class TestCliRun:
         report = json.loads(out.read_text())
         assert report["summary"] == {"failed": 0, "passed": 99, "total": 99}
 
+    @pytest.mark.parametrize("config, total", [
+        ({"gamma": [0.05, 0.05]}, 99),
+        ({"n": 1, "gamma": [0.7]}, 59),
+    ])
+    def test_small_gamma_report_passes(self, tmp_path, config, total):
+        # v-consistency applies the radial B to v_{eta+1} exactly; finite
+        # differences read 5.5e-5 and 4.0e-5 here against a 1e-5 tolerance
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "all", "--config", str(path),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["summary"] == {"failed": 0, "passed": total, "total": total}
+
     def test_unknown_suite_exit_2(self, config_path):
         assert main(["run", "--suite", "bogus", "--config", str(config_path)]) == 2
-
-    def test_threads_override(self, config_path, tmp_path, monkeypatch):
-        import os
-
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        out = tmp_path / "r.json"
-        code = main(["run", "--suite", "special", "--config", str(config_path),
-                     "--out", str(out), "--threads", "1"])
-        assert code == 0
-        assert os.environ["OMP_NUM_THREADS"] == "1"
 
     def test_failing_row_exit_1(self, tmp_path, capsys):
         strict = dict(SMALL_CONFIG)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import warnings
@@ -183,12 +184,17 @@ class TestSpectralValue:
 
 
 @pytest.fixture(scope="module")
-def interior_pairs(kernel, fb_plan96, grid96):
+def spatial_rules():
+    """(shift plan, sphere rule) for riesz_spatial at GAMMA."""
+    return build_shift_plan(GAMMA, 48), build_sphere_rule(GAMMA, 64)
+
+
+@pytest.fixture(scope="module")
+def interior_pairs(kernel, fb_plan96, grid96, spatial_rules):
     """(spatial result, spectral value) at two interior points."""
     f = grid96.sample(gauss)
     interp = GridInterpolator(riesz_spectral(kernel, f, fb_plan96), width=8)
-    plan = build_shift_plan(GAMMA, 48)
-    rule = build_sphere_rule(GAMMA, 64)
+    plan, rule = spatial_rules
     return [(riesz_spatial(kernel, f, np.array(x), plan=plan, rule=rule),
              float(interp(np.array(x)[None, :])[0]))
             for x in ([1.0, 1.0], [1.5, 0.7])]
@@ -201,34 +207,37 @@ class TestSpatialAgainstSpectral:
             assert abs(res.limit - spec) <= 1e-2 * max(abs(spec), 1e-3)
 
     def test_interior_points_interpolation_order(self, interior_pairs):
-        # the gap is 4.7e-6 and 2.9e-6 relative here; reading T^x f with
-        # 4-point in place of 8-point stencils moves it to 1.3e-5 and 5.1e-6,
-        # under the 1e-2 above and under 1e-4, so the pin is 1e-5
+        # the gap is 4.9e-9 and 3.9e-8 relative here; reading T^x f with
+        # 4-point in place of 8-point stencils moves it to 7.8e-6 and 2.1e-6,
+        # so the pin is 5e-7
         for res, spec in interior_pairs:
-            assert abs(res.limit - spec) <= 1e-5 * abs(spec)
+            assert abs(res.limit - spec) <= 5e-7 * abs(spec)
 
-    def test_far_point_decays(self, kernel, grid96):
+    def test_far_point_decays(self, kernel, grid96, spatial_rules):
         f = grid96.sample(gauss)
-        res = riesz_spatial(kernel, f, np.array([9.0, 9.0]))
+        res = riesz_spatial(kernel, f, np.array([9.0, 9.0]), *spatial_rules)
         assert abs(res.limit) < 1e-3
 
-    def test_clamping_is_silent(self, kernel, grid96):
+    def test_clamping_is_silent(self, kernel, grid96, spatial_rules):
         # T^x f reaches beyond x_max at this x; the localized tails clamp
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShiftTruncationWarning)
-            riesz_spatial(kernel, grid96.sample(gauss), np.array([7.0, 7.5]))
+            riesz_spatial(kernel, grid96.sample(gauss), np.array([7.0, 7.5]),
+                          *spatial_rules)
 
-    def test_zero_input(self, kernel, grid96):
+    def test_zero_input(self, kernel, grid96, spatial_rules):
         z = grid96.sample(lambda p: np.zeros(p.shape[:-1]))
-        res = riesz_spatial(kernel, z, np.array([1.0, 1.0]))
+        res = riesz_spatial(kernel, z, np.array([1.0, 1.0]), *spatial_rules)
         assert res.limit == 0.0
 
-    def test_eps_validation(self, kernel, grid96):
-        f = grid96.sample(gauss)
-        with pytest.raises(ValueError):
-            riesz_spatial(kernel, f, np.array([1.0, 1.0]), eps_seq=(0.1, 0.4))
-        with pytest.raises(ValueError, match="strictly decrease"):
-            riesz_spatial(kernel, f, np.array([1.0, 1.0]), eps_seq=(0.4, 0.1, 0.1))
+    def test_nonzero_mean_numerator_not_converged(self, kernel, grid96, spatial_rules):
+        # x_1^2 + x_2^2 has a nonzero hemisphere mean: the subtracted
+        # integrand keeps its 1/r singularity, which the flag reports
+        bad = dataclasses.replace(
+            kernel, poly=EvenPoly.from_terms(2, {(2, 0): 1.0, (0, 2): 1.0}))
+        res = riesz_spatial(bad, grid96.sample(gauss), np.array([1.0, 1.0]),
+                            *spatial_rules)
+        assert not res.converged
 
     @pytest.mark.parametrize("arg", ["plan", "rule", "f"])
     def test_gamma_mismatch(self, kernel, arg):

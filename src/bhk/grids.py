@@ -15,6 +15,7 @@ fixed axis order, keeping results bit-stable run to run.  Separable operators
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -110,9 +111,12 @@ class TensorGrid:
         return tuple(len(x) for x in self.nodes)
 
     def points(self) -> np.ndarray:
-        """All tensor nodes as an array of shape (*shape, n)."""
-        mesh = np.meshgrid(*self.nodes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """All tensor nodes as an array of shape (*shape, n), filled one axis
+        at a time by broadcasting (no per-axis mesh copies)."""
+        out = np.empty(self.shape + (self.n,))
+        for i, x in enumerate(self.nodes):
+            out[..., i] = x.reshape((-1,) + (1,) * (self.n - 1 - i))
+        return out
 
     def sample(self, fn: Callable) -> "GridFunction":
         """Sample a callable fn(points (..., n)) -> values on the grid."""
@@ -348,13 +352,23 @@ class GridInterpolator:
             den = _products_but_one(xn[:, :, None] - xn[:, None, :])
             self.ext_nodes.append(xs)
             self.denominators.append(np.diagonal(den, axis1=1, axis2=2).copy())
-        vals = f.values
+        self._values = f.values
+        self.clipped = 0
+        self.queried = 0
+
+    @functools.cached_property
+    def ext_values(self) -> np.ndarray:
+        """The samples on the extended nodes (even reflection through 0 on
+        every axis), built on first use: only scattered evaluation reads them.
+        The interpolator then drops its reference to the samples, so it holds
+        one copy of them."""
+        vals = self._values
+        del self._values
+        mirror = self.width - 1
         for ax in range(self.grid.n):
             head = np.flip(np.take(vals, np.arange(mirror), axis=ax), axis=ax)
             vals = np.concatenate([head, vals], axis=ax)
-        self.ext_values = vals
-        self.clipped = 0
-        self.queried = 0
+        return vals
 
     def axis_stencil(self, axis: int, z):
         """Per-axis stencil (indices into the extended axis, Lagrange weights).

@@ -35,9 +35,10 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from . import special
 from .grids import GammaIndex, SphereRule, as_gamma, hemisphere_measure
-from .polys import EvenPoly, apply_bessel, eval_poly
-from .shift import _pairs_per_chunk, _shift_values
+from .polys import EvenPoly, _axis_exponents, _sum_terms, apply_bessel, eval_poly
+from .shift import _axis_shift, _pairs_per_chunk, _shift_values
 
 __all__ = [
     "PizzettiCoefficients",
@@ -144,8 +145,13 @@ def shifted_mean_value_check(u, rule: SphereRule, R: float, plan, y) -> dict:
     """Shifted mean value: sphere mean of x -> T^y u(x) against m(S_+) u(y).
 
     T^y u at the nodes R theta comes from the callable route with the plan's
-    angle rules (those of shift(..., adaptive=False)), in chunks of at most
-    special.SHIFT_BUDGET points; y = 0 takes u itself (T^0 u = u exactly).
+    angle rules (those of shift(..., adaptive=False)), evaluating at most
+    special.SHIFT_BUDGET points at once; y = 0 takes u itself (T^0 u = u
+    exactly).  A callable u is shifted on the prod_i A_i law-of-cosines
+    points of each node.  An EvenPoly is shifted one axis at a time: per
+    axis i and distinct exponent a, the 1-D T^{y_i} z^a at every node's x_i
+    (A_i points per node), then sum_alpha c_alpha prod_i T^{y_i} z^{alpha_i}
+    in eval_poly's term order (T^{y_i} z^0 = 1 exactly).
     """
     g = rule.gamma
     fn = _as_callable(u)
@@ -155,6 +161,17 @@ def shifted_mean_value_check(u, rule: SphereRule, R: float, plan, y) -> dict:
     x = R * rule.nodes
     if np.all(y == 0.0):
         vals = np.asarray(fn(x), dtype=float)
+    elif isinstance(u, EvenPoly):
+        if u.n != g.n:
+            raise ValueError(f"polynomial has {u.n} axes, rule has {g.n}")
+        powers = []
+        for xi, yi, c, w, exps in zip(x.T, y, plan.cos_nodes, plan.weights,
+                                      _axis_exponents(u)):
+            step = max(1, special.SHIFT_BUDGET // len(c))
+            powers.append({a: np.concatenate([
+                _axis_shift(lambda z, a=a: z**a, xi[lo : lo + step], yi, c, w)
+                for lo in range(0, xi.size, step)]) for a in exps})
+        vals = _sum_terms(u, powers, x.shape[:1])
     else:
         step = _pairs_per_chunk(plan)
         vals = np.concatenate([

@@ -89,12 +89,29 @@ def _eval_axes(p: EvenPoly, coords: Sequence) -> np.ndarray:
     in axis order, so the values are those of eval_poly on the full points."""
     if len(coords) != p.n:
         raise ValueError(f"point dimension {len(coords)} != n = {p.n}")
-    out = np.zeros(np.broadcast_shapes(*(np.shape(xi) for xi in coords)))
+    shape = np.broadcast_shapes(*(np.shape(xi) for xi in coords))
+    return _sum_terms(p, [{a: xi**a for a in exps}
+                          for xi, exps in zip(coords, _axis_exponents(p))], shape)
+
+
+def _axis_exponents(p: EvenPoly) -> List[List[int]]:
+    """Per axis, the distinct nonzero exponents of p's terms, increasing."""
+    return [sorted({alpha[i] for alpha, _ in p.coeffs} - {0}) for i in range(p.n)]
+
+
+def _sum_terms(p: EvenPoly, powers: Sequence, shape) -> np.ndarray:
+    """sum_alpha c_alpha prod_{alpha_i > 0} powers[i][alpha_i] as an array of
+    the given shape, each term multiplied in axis order.
+
+    powers[i][a] stands for x_i^a: `_eval_axes` passes the powers
+    themselves, the shifted mean value check passes T^{y_i} of z^a.
+    """
+    out = np.zeros(shape)
     for alpha, c in p.coeffs:
         term = float(c)
-        for xi, a in zip(coords, alpha):
+        for pw, a in zip(powers, alpha):
             if a:
-                term = term * xi**a
+                term = term * pw[a]
         out += term
     return out
 

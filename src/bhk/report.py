@@ -338,14 +338,14 @@ def suite_shift(cfg: RunConfig) -> List[dict]:
     t = rng.uniform(0.5, 2.0, g.n)
     x, y = rng.uniform(0.3, 1.8, g.n), rng.uniform(0.3, 1.8, g.n)
 
-    def kern(p):
-        out = np.ones(p.shape[:-1])
-        for i in range(g.n):
-            out = out * normalized_j(g[i] - 0.5, p[..., i] * t[i])
-        return out
+    # the kernel prod_i j_{g_i-1/2}(t_i x_i) as its n 1-D factors (per-axis route)
+    factors = [lambda z, i=i: normalized_j(g[i] - 0.5, z * t[i]) for i in range(g.n)]
 
-    lhs = shift(plan, kern, x, y)
-    rhs = float(kern(x[None, :])[0]) * float(kern(y[None, :])[0])
+    def kern(p):
+        return math.prod(float(h(p[i : i + 1])[0]) for i, h in enumerate(factors))
+
+    lhs = shift(plan, factors, x, y)
+    rhs = kern(x) * kern(y)
     rows.append(_row(cfg, "shift-product-formula", lhs, rhs, scale=1.0,
                      inputs={"t": list(t), "x": list(x), "y": list(y)}))
     return rows

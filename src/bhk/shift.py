@@ -12,20 +12,27 @@ Fourier-Bessel kernel as multiplication by prod j_{gamma_i-1/2}(y_i t_i).
 
 The B-convolution is (f * phi)(x) = int f(y) T^y phi(x) dmu_gamma(y).
 
-T^y is computed along two routes:
+T^y acts on each axis by its own angular average, so for a product
+phi(x) = prod_i phi_i(x_i) it factors, T^y phi(x) = prod_i T^{y_i} phi_i(x_i)
+(sum factorization: sum_i A_i evaluations per point instead of prod_i A_i).
+It is computed along two routes, per axis wherever the input allows:
 
-* callable (`_shift_values`, used by `shift` and `b_convolve`): phi is
-  evaluated once on the tensor of law-of-cosines points of a batch of (x, y)
-  pairs, prod_i A_i evaluations per pair, and the angle weights contracted.
-  For a product kernel phi(x) = prod_i phi_i(x_i) the shift factors,
-  T^y phi(x) = prod_i T^{y_i} phi_i(x_i), so `b_convolve` builds one 1-D
-  kernel matrix per axis (N_i^2 A_i evaluations of phi_i) and applies them
-  with `contract_axes`; an n-D phi costs M(M+1)/2 * prod_i A_i evaluations
-  over the M grid nodes.
+* callable (`_shift_values`): phi is evaluated once on the tensor of
+  law-of-cosines points of a batch of (x, y) pairs and the angle weights
+  contracted.  `_axis_shift` is its 1-D form for one factor phi_i.  `shift`
+  and `b_convolve` take phi either as one callable on points (..., n),
+  prod_i A_i evaluations per pair, or as n 1-D factors, shifted one axis at
+  a time by `_axis_shift`: `shift` multiplies the n values, `b_convolve`
+  builds one kernel matrix per axis (N_i^2 A_i evaluations of phi_i) and
+  applies them with `contract_axes`, where an n-D phi costs
+  M(M+1)/2 * prod_i A_i evaluations over the M grid nodes.
+  `meanvalue.shifted_mean_value_check` shifts an `EvenPoly` the same way, one
+  axis and one distinct exponent at a time.
 * sampled (`shift_grid`): the shifted argument on axis i depends only on
   (x_i, y_i, alpha_i), so per axis each node x_i gives one row, the
-  angle-weighted sum of interpolation stencil rows over the extended nodes,
-  and `grids.contract_axes` applies these rows to the grid samples.
+  angle-weighted sum of interpolation stencil rows with the even reflection
+  at 0 folded back onto the nodes, and `grids.contract_axes` applies these
+  rows to the grid samples.
 """
 
 from __future__ import annotations
@@ -144,30 +151,61 @@ def _shift_values(phi, x, y, cos_nodes, weights):
     return vals
 
 
+def _axis_shift(phi_i, x, y, cos_a, w):
+    """1-D T^y phi_i(x) for broadcastable coordinate arrays x, y: the callable
+    route on one axis, phi_i taking an array of coordinates."""
+    return _shift_values(lambda z: phi_i(z[..., 0]), x[..., None], y[..., None],
+                         [cos_a], [w])
+
+
+def _axis_factors(phi, n: int):
+    """None for one callable on points (..., n); else the list of the n 1-D
+    callables of a product phi, checked."""
+    if callable(phi):
+        return None
+    phis = list(phi)
+    if len(phis) != n or not all(map(callable, phis)):
+        raise ValueError(f"phi must be one callable or {n} 1-D callables")
+    return phis
+
+
 def _pairs_per_chunk(plan: ShiftOperatorPlan) -> int:
     """(x, y) pairs per `_shift_values` call: at most special.SHIFT_BUDGET points."""
     return max(1, special.SHIFT_BUDGET // math.prod(len(c) for c in plan.cos_nodes))
 
 
 def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float:
-    """T^y phi(x) for a callable phi on the positive orthant.
+    """T^y phi(x) for phi on the positive orthant.
 
-    phi receives points as an array of shape (..., n).  y = 0 short-circuits
-    to phi(x) exactly (initial condition of the shift).  With adaptive=True
-    the angular rule is doubled until successive values differ by less than
-    SHIFT_TOL relative (capped at MAX_ANGLES points per axis).
+    phi is either one callable receiving points as an array of shape
+    (..., n), or a sequence of n 1-D callables phi_i, each taking an array of
+    coordinates, for the product prod_i phi_i(x_i); that one is shifted one
+    axis at a time (sum_i A_i evaluations instead of prod_i A_i) and the n
+    values multiplied in axis order.  y = 0 short-circuits to phi(x) exactly
+    (initial condition of the shift).  With adaptive=True the angular rule,
+    the same m points on every axis, is doubled until successive values
+    differ by less than SHIFT_TOL relative (capped at MAX_ANGLES points per
+    axis).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     n = plan.gamma.n
     if x.size != n or y.size != n:
         raise ValueError(f"points must have {n} components")
+    phis = _axis_factors(phi, n)
     if np.all(y == 0.0):
-        return float(np.asarray(phi(x.reshape(1, n)), dtype=float).reshape(()))
+        if phis is None:
+            return float(np.asarray(phi(x.reshape(1, n)), dtype=float).reshape(()))
+        return math.prod(float(np.asarray(h(x[i : i + 1])).reshape(()))
+                         for i, h in enumerate(phis))
 
     def value(m):
         rules = [_angle_rule(gi, m) for gi in plan.gamma]
-        return float(_shift_values(phi, x, y, [r[0] for r in rules], [r[1] for r in rules]))
+        if phis is None:
+            return float(_shift_values(phi, x, y, [r[0] for r in rules],
+                                       [r[1] for r in rules]))
+        return math.prod(float(_axis_shift(h, x[i : i + 1], y[i : i + 1], *r).reshape(()))
+                         for i, (h, r) in enumerate(zip(phis, rules)))
 
     m = plan.angles
     val = value(m)
@@ -189,8 +227,11 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     interpolation (SHIFT_GRID_STENCIL points per axis) with even reflection
     at 0 and clamping at x_max.  Per axis, row p of a (nodes, extended
     nodes) matrix is sum_alpha w(alpha) L((x_p, y)_alpha), L the stencil
-    row; `contract_axes` applies these matrices to the extended samples, so
-    the cost is O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
+    row.  Extended column k < r, r the number of reflected nodes, holds the
+    mirror image of node r - 1 - k, so it is added to that node's column
+    and dropped; `contract_axes` applies the folded (nodes, nodes) matrices
+    to the samples themselves, so the cost is
+    O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
     ShiftTruncationWarning when > 1% of evaluation points are clamped.
     """
     grid = f.grid
@@ -202,9 +243,14 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     if np.all(y == 0.0):
         return GridFunction(grid, f.values.copy())
     interp = GridInterpolator(f, width=SHIFT_GRID_STENCIL)
-    mats = [interp.dense_axis_matrix(ax, _law_of_cosines(x[:, None], y[ax], c), w)
-            for ax, (x, c, w) in enumerate(zip(grid.nodes, plan.cos_nodes, plan.weights))]
-    acc = contract_axes(mats, interp.ext_values)
+    mats = []
+    for ax, (x, c, w) in enumerate(zip(grid.nodes, plan.cos_nodes, plan.weights)):
+        ext = interp.dense_axis_matrix(ax, _law_of_cosines(x[:, None], y[ax], c), w)
+        r = ext.shape[1] - len(x)
+        mat = ext[:, r:].copy()
+        mat[:, :r] += ext[:, r - 1 :: -1]
+        mats.append(mat)
+    acc = contract_axes(mats, f.values)
     if interp.clip_fraction > 0.01:
         warnings.warn(
             f"{100 * interp.clip_fraction:.1f}% of shift evaluations beyond "
@@ -239,16 +285,11 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     grid = f.grid
     if grid.gamma.values != plan.gamma.values:
         raise ValueError("plan and grid gamma indices differ")
-    if not callable(phi):
-        phis = list(phi)
-        if len(phis) != grid.n or not all(map(callable, phis)):
-            raise ValueError(f"phi must be one callable or {grid.n} 1-D callables")
-        mats = [
-            _shift_values(lambda z, phi_i=phi_i: phi_i(z[..., 0]),
-                          x[:, None, None], x[None, :, None], [c], [w]) * wx
-            for phi_i, x, c, w, wx in zip(phis, grid.nodes, plan.cos_nodes,
-                                          plan.weights, grid.weights)
-        ]
+    phis = _axis_factors(phi, grid.n)
+    if phis is not None:
+        mats = [_axis_shift(phi_i, x[:, None], x[None, :], c, w) * wx
+                for phi_i, x, c, w, wx in zip(phis, grid.nodes, plan.cos_nodes,
+                                              plan.weights, grid.weights)]
         return GridFunction(grid, contract_axes(mats, f.values))
     pts = grid.points().reshape(-1, grid.n)
     m = pts.shape[0]

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,23 @@ settings.load_profile("bhk")
 
 def gauss(p):
     return np.exp(-np.sum(p * p, axis=-1))
+
+
+def exact_power_shift(g, m, x, y) -> Fraction:
+    """1-D T^y x^{2m} in exact arithmetic, from the product formula
+    T^y j(x t) = j(x t) j(y t) matched power by power in t:
+
+        sum_j C(m, j) (g+1/2)_m / ((g+1/2)_j (g+1/2)_{m-j}) x^{2j} y^{2(m-j)}.
+
+    g, x and y are floats (dyadic, so Fraction reads them exactly).
+    """
+    a = Fraction(g) + Fraction(1, 2)
+    poch = [Fraction(1)]
+    for i in range(m):
+        poch.append(poch[-1] * (a + i))
+    x2, y2 = Fraction(x) ** 2, Fraction(y) ** 2
+    return sum(math.comb(m, j) * poch[m] / (poch[j] * poch[m - j]) * x2**j * y2 ** (m - j)
+               for j in range(m + 1))
 
 
 @pytest.fixture(scope="session")

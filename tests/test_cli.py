@@ -243,7 +243,7 @@ class TestRunSuite:
                                 calls.append(np.size(r)) or nj(nu, r))
         report = run_suite(RunConfig(), "all")
         assert report["summary"]["failed"] == 0
-        assert (len(calls), sum(calls)) == (33, 49353)
+        assert (len(calls), sum(calls)) == (33, 26601)
 
     def test_one_rule_per_report_and_none_written(self, monkeypatch):
         # suites share the cached grid and sphere rules, so none may write

@@ -1,7 +1,6 @@
 import functools
 import importlib
 import itertools
-import math
 import warnings
 from fractions import Fraction
 
@@ -10,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bhk.grids import GridInterpolator, build_tensor_grid, integrate
+from bhk.grids import GridInterpolator, build_tensor_grid, contract_axes, integrate
 from bhk.shift import (
+    SHIFT_GRID_STENCIL,
     ShiftTruncationWarning,
+    _law_of_cosines,
     _shift_values,
     b_convolve,
     build_shift_plan,
@@ -21,28 +22,17 @@ from bhk.shift import (
 )
 from bhk.special import normalized_j
 
-from conftest import GAMMA, gauss
+from conftest import GAMMA, exact_power_shift, gauss
 
 
 def one(p):
     return np.ones(p.shape[:-1])
 
 
-def exact_power_shift(g, m, x, y) -> Fraction:
-    """1-D T^y x^{2m} in exact arithmetic, from the product formula
-    T^y j(x t) = j(x t) j(y t) matched power by power in t:
-
-        sum_j C(m, j) (g+1/2)_m / ((g+1/2)_j (g+1/2)_{m-j}) x^{2j} y^{2(m-j)}.
-
-    g, x and y are floats (dyadic, so Fraction reads them exactly).
-    """
-    a = Fraction(g) + Fraction(1, 2)
-    poch = [Fraction(1)]
-    for i in range(m):
-        poch.append(poch[-1] * (a + i))
-    x2, y2 = Fraction(x) ** 2, Fraction(y) ** 2
-    return sum(math.comb(m, j) * poch[m] / (poch[j] * poch[m - j]) * x2**j * y2 ** (m - j)
-               for j in range(m + 1))
+def _factors(n):
+    # a different factor per axis, so a value taken on the wrong axis shows
+    return [lambda z, a=a: (1.0 + a * z * z) * np.exp(-a * z * z)
+            for a in (1.5, 0.7, 1.1)[:n]]
 
 
 class TestPlan:
@@ -118,6 +108,41 @@ class TestShift:
             shift(shift_plan, gauss, [1.0], [1.0, 2.0])
 
 
+class TestShiftFactors:
+    """shift with n 1-D callables (per-axis route) against the n-D product."""
+
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("g, angles", [
+        ((0.7,), 48),
+        (GAMMA, 48),
+        ((0.3, 2.2, 4.1), 16),
+        (tuple(np.random.default_rng(34).uniform(0.05, 5.0, 3)), 16),
+    ], ids=["n1", "n2", "n3-dyadic", "n3-seeded"])
+    def test_against_nd_product(self, g, angles, adaptive):
+        n = len(g)
+        plan = build_shift_plan(g, angles)
+        factors = _factors(n)
+        phi = lambda p: np.prod([h(p[..., i]) for i, h in enumerate(factors)], axis=0)
+        rng = np.random.default_rng(40 + n)
+        for x, y in rng.uniform(0.1, 1.5, (4, 2, n)):
+            want = shift(plan, phi, x, y, adaptive=adaptive)
+            got = shift(plan, factors, x, y, adaptive=adaptive)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_identity_at_zero_exact(self, shift_plan):
+        factors = _factors(2)
+        x = np.array([1.3, 0.8])
+        want = float(factors[0](x[:1])[0]) * float(factors[1](x[1:])[0])
+        assert shift(shift_plan, factors, x, [0.0, 0.0]) == want
+
+    @pytest.mark.parametrize("phi", [[np.exp], [np.exp, np.exp, np.exp], [np.exp, 1.0]],
+                             ids=["short", "long", "non-callable"])
+    @pytest.mark.parametrize("y", [[0.0, 0.0], [0.3, 0.9]], ids=["y0", "y"])
+    def test_factors_validated(self, shift_plan, phi, y):
+        with pytest.raises(ValueError):
+            shift(shift_plan, phi, [1.0, 0.5], y)
+
+
 class TestExactPowerOracle:
     """Both T^y routes against exact_power_shift at a 1e-12 relative gate."""
 
@@ -152,6 +177,20 @@ class TestExactPowerOracle:
 
 
 class TestShiftGrid:
+    @pytest.mark.parametrize("g", [(0.05, 5.0), (5.0, 5.0)])
+    def test_folded_rows_against_extended_samples(self, g):
+        # oracle: the unfolded rows on the evenly reflected samples
+        plan, grid = build_shift_plan(g, 48), build_tensor_grid(g, 8.0, 96)
+        f = grid.sample(gauss)
+        y = (1.1, 0.7)
+        interp = GridInterpolator(f, width=SHIFT_GRID_STENCIL)
+        mats = [interp.dense_axis_matrix(ax, _law_of_cosines(x[:, None], yi, c), w)
+                for ax, (x, yi, c, w) in enumerate(zip(grid.nodes, y, plan.cos_nodes,
+                                                       plan.weights))]
+        want = contract_axes(mats, interp.ext_values)
+        got = shift_grid(plan, f, y).values
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_zero_shift_unchanged(self, shift_plan):
         grid = build_tensor_grid(GAMMA, 8.0, 32)
         f = grid.sample(gauss)
@@ -256,12 +295,10 @@ class TestBConvolve:
         (tuple(np.random.default_rng(33).uniform(0.05, 5.0, 3)), 8, 4),
     ], ids=["n1-dyadic", "n2-dyadic", "n3-dyadic", "n1-seeded", "n2-seeded", "n3-seeded"])
     def test_separable_against_direct(self, g, points, angles):
-        # a different factor per axis, so a kernel built on the wrong axis shows
         n = len(g)
         grid = build_tensor_grid(g, 3.0, points)
         plan = build_shift_plan(g, angles)
-        factors = [lambda z, a=a: (1.0 + a * z * z) * np.exp(-a * z * z)
-                   for a in (1.5, 0.7, 1.1)[:n]]
+        factors = _factors(n)
         phi = lambda p: np.prod([h(p[..., i]) for i, h in enumerate(factors)], axis=0)
         f = grid.sample(gauss)
         got = b_convolve(plan, f, factors)

@@ -9,7 +9,7 @@ its Pizzetti-type expansion, high-order Riesz-Bessel transforms, and a verificat
 CLI (`bhk`) that checks the identities numerically.
 """
 
-from .special import BesselOrder, gamma, bessel_j, normalized_j, poisson_representation
+from .special import gamma, normalized_j, poisson_representation
 from .grids import (
     GammaIndex,
     TensorGrid,
@@ -60,7 +60,6 @@ from .riesz import (
     riesz_multiplier,
     riesz_spatial,
     riesz_spectral,
-    apply_bessel_poly_spectral,
     priori_bound_probe,
     lp_boundedness_probe,
 )

@@ -122,13 +122,6 @@ class TensorGrid:
         """Sample a callable fn(points (..., n)) -> values on the grid."""
         return GridFunction(self, np.asarray(fn(self.points()), dtype=float))
 
-    def measure(self) -> float:
-        """Integral of 1, i.e. mu_gamma((0, x_max]^n)."""
-        out = 1.0
-        for w in self.weights:
-            out *= float(np.sum(w))
-        return out
-
 
 @dataclass
 class GridFunction:

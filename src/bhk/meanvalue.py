@@ -38,7 +38,7 @@ import numpy as np
 from . import special
 from .grids import GammaIndex, SphereRule, as_gamma, hemisphere_measure
 from .polys import EvenPoly, _axis_exponents, _sum_terms, apply_bessel, eval_poly
-from .shift import _axis_shift, _pairs_per_chunk, _shift_values
+from .shift import _axis_shift
 
 __all__ = [
     "PizzettiCoefficients",
@@ -141,29 +141,30 @@ def mean_value_check(u, rule: SphereRule, R: float) -> dict:
     }
 
 
-def shifted_mean_value_check(u, rule: SphereRule, R: float, plan, y) -> dict:
-    """Shifted mean value: sphere mean of x -> T^y u(x) against m(S_+) u(y).
+def shifted_mean_value_check(u: EvenPoly, rule: SphereRule, R: float, plan, y) -> dict:
+    """Shifted mean value: sphere mean of x -> T^y u(x) against m(S_+) u(y)
+    for an EvenPoly u (ValueError for anything else).
 
     T^y u at the nodes R theta comes from the callable route with the plan's
-    angle rules (those of shift(..., adaptive=False)), evaluating at most
-    special.SHIFT_BUDGET points at once; y = 0 takes u itself (T^0 u = u
-    exactly).  A callable u is shifted on the prod_i A_i law-of-cosines
-    points of each node.  An EvenPoly is shifted one axis at a time: per
-    axis i and distinct exponent a, the 1-D T^{y_i} z^a at every node's x_i
-    (A_i points per node), then sum_alpha c_alpha prod_i T^{y_i} z^{alpha_i}
-    in eval_poly's term order (T^{y_i} z^0 = 1 exactly).
+    angle rules (those of shift(..., adaptive=False)), one axis at a time:
+    per axis i and distinct exponent a, the 1-D T^{y_i} z^a at every node's
+    x_i (A_i points per node, at most special.SHIFT_BUDGET points at once),
+    then sum_alpha c_alpha prod_i T^{y_i} z^{alpha_i} in eval_poly's term
+    order (T^{y_i} z^0 = 1 exactly).  y = 0 takes u itself (T^0 u = u
+    exactly).
     """
     g = rule.gamma
-    fn = _as_callable(u)
+    if not isinstance(u, EvenPoly):
+        raise ValueError("shifted_mean_value_check takes u as an EvenPoly")
+    if u.n != g.n:
+        raise ValueError(f"polynomial has {u.n} axes, rule has {g.n}")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != g.n:
         raise ValueError(f"y must have {g.n} components")
     x = R * rule.nodes
     if np.all(y == 0.0):
-        vals = np.asarray(fn(x), dtype=float)
-    elif isinstance(u, EvenPoly):
-        if u.n != g.n:
-            raise ValueError(f"polynomial has {u.n} axes, rule has {g.n}")
+        vals = eval_poly(u, x)
+    else:
         powers = []
         for xi, yi, c, w, exps in zip(x.T, y, plan.cos_nodes, plan.weights,
                                       _axis_exponents(u)):
@@ -172,14 +173,8 @@ def shifted_mean_value_check(u, rule: SphereRule, R: float, plan, y) -> dict:
                 _axis_shift(lambda z, a=a: z**a, xi[lo : lo + step], yi, c, w)
                 for lo in range(0, xi.size, step)]) for a in exps})
         vals = _sum_terms(u, powers, x.shape[:1])
-    else:
-        step = _pairs_per_chunk(plan)
-        vals = np.concatenate([
-            _shift_values(fn, x[lo : lo + step], y, plan.cos_nodes, plan.weights)
-            for lo in range(0, x.shape[0], step)
-        ])
     lhs = float(np.dot(rule.weights, vals))
-    uy = float(np.asarray(fn(y.reshape(1, -1)), dtype=float).reshape(()))
+    uy = float(eval_poly(u, y.reshape(1, -1)).reshape(()))
     rhs = hemisphere_measure(g) * uy
     scale = hemisphere_measure(g) * max(1e-300, float(np.max(np.abs(vals))), abs(uy))
     return {

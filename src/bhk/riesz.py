@@ -52,7 +52,6 @@ __all__ = [
     "riesz_multiplier",
     "riesz_spatial",
     "riesz_spectral",
-    "apply_bessel_poly_spectral",
     "priori_bound_probe",
     "lp_boundedness_probe",
 ]
@@ -103,14 +102,6 @@ def riesz_spectral(kernel: RieszKernel, f: GridFunction, plan: FBPlan) -> GridFu
         raise ValueError("spectral route requires even k")
     g_hat = fb_forward(plan, f)
     mult = riesz_multiplier(kernel, plan.freq_grid)
-    return fb_inverse(plan, GridFunction(plan.freq_grid, mult * g_hat.values))
-
-
-def apply_bessel_poly_spectral(p_k: EvenPoly, f: GridFunction, plan: FBPlan) -> GridFunction:
-    """P_k(B_1, ..., B_n) f through the multiplier P_k(-xi_1^2, ..., -xi_n^2)."""
-    xs = np.meshgrid(*plan.freq_grid.nodes, indexing="ij", sparse=True)
-    mult = _eval_axes(p_k, [-x * x for x in xs])
-    g_hat = fb_forward(plan, f)
     return fb_inverse(plan, GridFunction(plan.freq_grid, mult * g_hat.values))
 
 

@@ -20,12 +20,11 @@ It is computed along two routes, per axis wherever the input allows:
 * callable (`_shift_values`): phi is evaluated once on the tensor of
   law-of-cosines points of a batch of (x, y) pairs and the angle weights
   contracted.  `_axis_shift` is its 1-D form for one factor phi_i.  `shift`
-  and `b_convolve` take phi either as one callable on points (..., n),
-  prod_i A_i evaluations per pair, or as n 1-D factors, shifted one axis at
-  a time by `_axis_shift`: `shift` multiplies the n values, `b_convolve`
-  builds one kernel matrix per axis (N_i^2 A_i evaluations of phi_i) and
-  applies them with `contract_axes`, where an n-D phi costs
-  M(M+1)/2 * prod_i A_i evaluations over the M grid nodes.
+  takes phi either as one callable on points (..., n), prod_i A_i
+  evaluations, or as n 1-D factors, shifted one axis at a time by
+  `_axis_shift` and the n values multiplied.  `b_convolve` takes the n
+  factors only and builds one kernel matrix per axis (N_i^2 A_i evaluations
+  of phi_i), applied with `contract_axes`.
   `meanvalue.shifted_mean_value_check` shifts an `EvenPoly` the same way, one
   axis and one distinct exponent at a time.
 * sampled (`shift_grid`): the shifted argument on axis i depends only on
@@ -44,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import special
 from .grids import (
     GammaIndex,
     GridFunction,
@@ -104,15 +102,6 @@ class ShiftOperatorPlan:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"angular weights normalize to {total!r}, expected 1")
 
-    @property
-    def c_gamma(self) -> float:
-        """prod Gamma(g_i+1/2)/(Gamma(1/2) Gamma(g_i)); already folded into
-        the stored weights."""
-        out = 1.0
-        for gi in self.gamma:
-            out *= _gamma(gi + 0.5) / (math.sqrt(math.pi) * _gamma(gi))
-        return out
-
 
 def build_shift_plan(gamma, angles: int = 48) -> ShiftOperatorPlan:
     g = as_gamma(gamma)
@@ -167,11 +156,6 @@ def _axis_factors(phi, n: int):
     if len(phis) != n or not all(map(callable, phis)):
         raise ValueError(f"phi must be one callable or {n} 1-D callables")
     return phis
-
-
-def _pairs_per_chunk(plan: ShiftOperatorPlan) -> int:
-    """(x, y) pairs per `_shift_values` call: at most special.SHIFT_BUDGET points."""
-    return max(1, special.SHIFT_BUDGET // math.prod(len(c) for c in plan.cos_nodes))
 
 
 def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float:
@@ -262,49 +246,24 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
 
 
 def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
-    """(f * phi)(x) = int f(y) T^y phi(x) dmu_gamma(y) at every grid node.
+    """(f * phi)(x) = int f(y) T^y phi(x) dmu_gamma(y) at every grid node, for
+    the product kernel phi(x) = prod_i phi_i(x_i) given as the sequence of
+    its n 1-D callables phi_i, each taking an array of coordinates (one
+    callable on points (..., n) is refused with ValueError).
 
     The y-integral uses the grid quadrature; T^y phi comes from the callable
-    route, which evaluates phi itself (no sampling or interpolation).
-
-    phi is either a sequence of n 1-D callables phi_i, each taking an array
-    of coordinates, for the product kernel prod_i phi_i(x_i) (separable
-    route), or one callable on points of shape (..., n) (direct route).
-
-    Separable: per axis, K_i[x, y] = w_i(y) T^{y} phi_i(x) on the axis's
-    nodes, N_i^2 A_i evaluations of phi_i, and f * phi =
+    route, which evaluates the phi_i themselves (no sampling or
+    interpolation).  Per axis, K_i[x, y] = w_i(y) T^{y} phi_i(x) on the
+    axis's nodes, N_i^2 A_i evaluations of phi_i, and f * phi =
     contract_axes([K_1, ..., K_n], f), O(sum_i N_i^2 A_i + N^n sum_i N_i).
-
-    Direct: the kernel K[x, y] = T^y phi(x) is symmetric (T^y phi(x) =
-    T^x phi(y), and the law-of-cosines argument is bitwise symmetric in
-    x_i, y_i), so each unordered node pair is evaluated once and scattered
-    to both of its nodes: M(M+1)/2 * prod_i A_i evaluations of phi for M
-    grid nodes.  The row-major upper triangle of pairs is walked in chunks
-    of equal size holding at most special.SHIFT_BUDGET evaluation points.
     """
     grid = f.grid
     if grid.gamma.values != plan.gamma.values:
         raise ValueError("plan and grid gamma indices differ")
     phis = _axis_factors(phi, grid.n)
-    if phis is not None:
-        mats = [_axis_shift(phi_i, x[:, None], x[None, :], c, w) * wx
-                for phi_i, x, c, w, wx in zip(phis, grid.nodes, plan.cos_nodes,
-                                              plan.weights, grid.weights)]
-        return GridFunction(grid, contract_axes(mats, f.values))
-    pts = grid.points().reshape(-1, grid.n)
-    m = pts.shape[0]
-    w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
-    chunk = _pairs_per_chunk(plan)
-    # row p of the triangle holds the pairs (p, p), ..., (p, m - 1)
-    row_start = np.concatenate(([0], np.cumsum(np.arange(m, 0, -1))))
-    total = int(row_start[-1])
-    out = np.zeros(m)
-    for lo in range(0, total, chunk):
-        k = np.arange(lo, min(lo + chunk, total))
-        p = np.searchsorted(row_start, k, side="right") - 1
-        q = p + (k - row_start[p])
-        vals = _shift_values(phi, pts[p], pts[q], plan.cos_nodes, plan.weights)
-        out += np.bincount(p, w_f[q] * vals, minlength=m)
-        off = p != q
-        out += np.bincount(q[off], w_f[p[off]] * vals[off], minlength=m)
-    return GridFunction(grid, out.reshape(grid.shape))
+    if phis is None:
+        raise ValueError(f"b_convolve takes phi as {grid.n} 1-D callables")
+    mats = [_axis_shift(phi_i, x[:, None], x[None, :], c, w) * wx
+            for phi_i, x, c, w, wx in zip(phis, grid.nodes, plan.cos_nodes,
+                                          plan.weights, grid.weights)]
+    return GridFunction(grid, contract_axes(mats, f.values))

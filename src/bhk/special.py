@@ -1,5 +1,4 @@
-"""Gamma function, Bessel functions of the first kind, and the normalized
-Bessel kernel j_nu.
+"""Gamma function and the normalized Bessel kernel j_nu.
 
 j_nu(r) = 2^nu Gamma(nu+1) J_nu(r) r^(-nu), normalized so j_nu(0) = 1.  It is
 even in r and satisfies the one-dimensional Bessel eigenrelation
@@ -36,14 +35,11 @@ polynomials, all from one pass of the three-term recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BesselOrder",
     "gamma",
-    "bessel_j",
     "normalized_j",
     "gauss_jacobi",
     "poisson_representation",
@@ -53,29 +49,11 @@ _SERIES_MAX_TERMS = 160
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
 # values per chunk of the batched evaluations: Miller recurrence entries here,
-# law-of-cosines points of the shift module's callable route and stencil
-# values of GridInterpolator's gather; bounds their transient memory
+# 1-D law-of-cosines points of shifted_mean_value_check's per-axis shifts and
+# stencil values of GridInterpolator's gather; bounds their transient memory
 # (b_convolve's 1-D kernel builds run unchunked: N_i^2 A_i points, 3.5 MB at
 # 96 points and 48 angles)
 SHIFT_BUDGET = 2**16
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Real Bessel order nu > -1 (nu = gamma_i - 1/2 with gamma_i > 0 in use)."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nu) or self.nu <= -1.0:
-            raise ValueError(f"Bessel order must satisfy nu > -1, got {self.nu}")
-
-
-def _order(nu) -> float:
-    nu = nu.nu if isinstance(nu, BesselOrder) else float(nu)
-    if not math.isfinite(nu) or nu <= -1.0:
-        raise ValueError(f"Bessel order must satisfy nu > -1, got {nu}")
-    return nu
 
 
 def gamma(x: float) -> float:
@@ -226,43 +204,19 @@ def _miller_pass(nu: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radii(r, who: str) -> np.ndarray:
-    """r as a 1-D float array; ValueError unless every entry is finite and
-    >= 0 (a NaN or inf start order would spoil its whole Miller pass)."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all((arr >= 0.0) & (arr < np.inf)):
-        raise ValueError(f"{who} requires finite r >= 0")
-    return arr
-
-
-def bessel_j(nu, r):
-    """Bessel function of the first kind J_nu(r), r >= 0, nu > -1.
-
-    Scalar or ndarray r; abs. error <= 1e-12 on r in [0, 100], nu in [-0.5, 10].
-    """
-    nu = _order(nu)
-    arr = _radii(r, "bessel_j")
-    out = np.empty_like(arr)
-    small = arr < _series_switch(nu)
-    if np.any(small):
-        rs = arr[small]
-        series = _normalized_series(nu, rs)
-        # J_nu = (r/2)^nu / Gamma(nu+1) * j_nu ; safe: series branch only
-        # (r = 0 with nu < 0 correctly diverges)
-        with np.errstate(divide="ignore"):
-            out[small] = (0.5 * rs) ** nu / math.gamma(nu + 1.0) * series
-    if np.any(~small):
-        out[~small] = _miller_jv(nu, arr[~small])
-    return out if np.ndim(r) else float(out[0])
-
-
 def normalized_j(nu, r):
     """Normalized Bessel function j_nu(r) = 2^nu Gamma(nu+1) J_nu(r) r^(-nu).
 
-    j_nu(0) = 1 exactly (series branch); even in r.  Scalar or ndarray r.
+    j_nu(0) = 1 exactly (series branch); even in r.  Scalar or ndarray r;
+    ValueError unless nu > -1 and every r is finite and >= 0 (a NaN or inf
+    start order would spoil its whole Miller pass).
     """
-    nu = _order(nu)
-    arr = _radii(r, "normalized_j")
+    nu = float(nu)
+    if not math.isfinite(nu) or nu <= -1.0:
+        raise ValueError(f"Bessel order must satisfy nu > -1, got {nu}")
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValueError("normalized_j requires finite r >= 0")
     out = np.empty_like(arr)
     small = arr < _series_switch(nu)
     if np.any(small):

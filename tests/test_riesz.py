@@ -18,7 +18,6 @@ from bhk.grids import (
 )
 from bhk.polys import EvenPoly, b_harmonic_basis, eval_poly
 from bhk.riesz import (
-    apply_bessel_poly_spectral,
     build_riesz_kernel,
     lp_boundedness_probe,
     priori_bound_probe,
@@ -27,7 +26,13 @@ from bhk.riesz import (
     riesz_spectral,
 )
 from bhk.shift import ShiftTruncationWarning, build_shift_plan
-from bhk.transform import build_fb_plan, fb_forward, fb_forward_at, gaussian_transform
+from bhk.transform import (
+    build_fb_plan,
+    fb_forward,
+    fb_forward_at,
+    fb_inverse,
+    gaussian_transform,
+)
 
 from conftest import GAMMA, gauss
 
@@ -133,9 +138,10 @@ class TestMultipliersOnOpenMesh:
             assert np.array_equal(riesz_multiplier(kernel, plan.freq_grid), ref)
 
     def test_bessel_poly_and_apriori_multipliers(self, open_mesh_case, monkeypatch):
-        # with F f = 1 and F^{-1} the identity, each route hands its
-        # multiplier itself to fb_inverse
-        plan, kernels, f = open_mesh_case
+        # with F f = 1 and F^{-1} the identity, priori_bound_probe hands its
+        # multipliers themselves to fb_inverse: xi_1 xi_2, and the Bessel
+        # polynomial sum_j a_j B_j as -sum_j a_j xi_j^2
+        plan, _, f = open_mesh_case
         n = plan.gamma.n
         seen = []
         riesz_mod = importlib.import_module("bhk.riesz")
@@ -144,12 +150,6 @@ class TestMultipliersOnOpenMesh:
         monkeypatch.setattr(riesz_mod, "fb_inverse", lambda pl, h: (
             seen.append(h.values), GridFunction(pl.grid, h.values))[1])
         pts = plan.freq_grid.points()
-        odd = EvenPoly.from_terms(n, {(4,) + (0,) * (n - 1): 1.5,
-                                      (1, 3) + (0,) * (n - 2): -0.25,
-                                      (0,) * (n - 1) + (4,): 3.0})
-        for p_k in (kernels[1].poly, odd):
-            apply_bessel_poly_spectral(p_k, f, plan)
-            assert np.array_equal(seen.pop(), eval_poly(p_k, -pts * pts))
         a = (1.0, 2.0) + (1.0,) * (n - 2)
         priori_bound_probe(plan, 2.0, [("gauss", f, f)])
         assert np.array_equal(seen[0], pts[..., 0] * pts[..., 1])
@@ -163,7 +163,6 @@ class TestMultipliersOnOpenMesh:
 
         monkeypatch.setattr(TensorGrid, "points", refuse)
         riesz_spectral(kernels[0], f, plan)
-        apply_bessel_poly_spectral(kernels[1].poly, f, plan)
         priori_bound_probe(plan, 2.0, [("gauss", f, f)])
 
 
@@ -248,6 +247,13 @@ class TestSpatialAgainstSpectral:
             riesz_spatial(kernel, f, np.array([1.0, 1.0]), plan=build_shift_plan(g["plan"], 8),
                           rule=build_sphere_rule(g["rule"], 8))
 
+def _bessel_poly(p, f, plan):
+    """P(B_1, ..., B_n) f through the multiplier P(-xi_1^2, ..., -xi_n^2)."""
+    pts = plan.freq_grid.points()
+    mult = eval_poly(p, -pts * pts)
+    return fb_inverse(plan, GridFunction(plan.freq_grid, mult * fb_forward(plan, f).values))
+
+
 class TestOperatorSubstitution:
     def test_single_axis_square_against_sympy(self, fb_plan96, grid96):
         # P = x1^2 -> B_1^2, checked against the symbolically iterated operator
@@ -259,7 +265,7 @@ class TestOperatorSubstitution:
         ref = sympy.lambdify((x1, x2), ref_expr, "numpy")
         p = EvenPoly.from_terms(2, {(2, 0): 1.0})
         f = grid96.sample(gauss)
-        got = apply_bessel_poly_spectral(p, f, fb_plan96)
+        got = _bessel_poly(p, f, fb_plan96)
         pts = grid96.points()
         expected = ref(pts[..., 0], pts[..., 1])
         assert np.max(np.abs(got.values - expected)) < 1e-7 * np.max(np.abs(expected))
@@ -267,7 +273,7 @@ class TestOperatorSubstitution:
     def test_sum_gives_laplace_bessel(self, fb_plan96, grid96):
         p = EvenPoly.from_terms(2, {(1, 0): 1.0, (0, 1): 1.0})
         f = grid96.sample(gauss)
-        got = apply_bessel_poly_spectral(p, f, fb_plan96)
+        got = _bessel_poly(p, f, fb_plan96)
         ref = grid96.sample(
             lambda q: (4.0 * np.sum(q * q, axis=-1) - 12.0) * gauss(q)
         )
@@ -276,7 +282,7 @@ class TestOperatorSubstitution:
     def test_zero_function(self, fb_plan96, grid96):
         p = EvenPoly.from_terms(2, {(2, 0): 1.0})
         z = grid96.sample(lambda q: np.zeros(q.shape[:-1]))
-        assert np.all(apply_bessel_poly_spectral(p, z, fb_plan96).values == 0.0)
+        assert np.all(_bessel_poly(p, z, fb_plan96).values == 0.0)
 
 
 @pytest.fixture(scope="module")

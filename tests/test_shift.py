@@ -1,6 +1,6 @@
 import functools
-import importlib
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -41,11 +41,13 @@ class TestPlan:
             assert_allclose(np.sum(w), 1.0, rtol=1e-13)
 
     def test_c_gamma_against_raw_rule_sums(self, shift_plan):
-        # c_gamma times the raw sin^{2g-1} weight sums is the plan invariant
+        # c_gamma = prod Gamma(g+1/2)/(Gamma(1/2) Gamma(g)) times the raw
+        # sin^{2g-1} weight sums is the plan invariant
         from bhk.grids import jacobi_angle_rule
 
-        total = shift_plan.c_gamma
+        total = 1.0
         for g in GAMMA:
+            total *= math.gamma(g + 0.5) / (math.sqrt(math.pi) * math.gamma(g))
             total *= np.sum(jacobi_angle_rule(g, 48)[1])
         assert_allclose(total, 1.0, rtol=1e-12)
 
@@ -237,14 +239,14 @@ class TestBConvolve:
     def test_constant_phi_gives_total_mass(self, small):
         plan, grid = small
         f = grid.sample(gauss)
-        out = b_convolve(plan, f, one)
+        out = b_convolve(plan, f, [np.ones_like] * 2)
         assert_allclose(out.values, integrate(f), rtol=1e-12)
 
     def test_commutativity_at_nodes(self, small):
         plan, grid = small
         phi = lambda p: np.exp(-1.5 * np.sum(p * p, axis=-1))
-        ab = b_convolve(plan, grid.sample(gauss), phi)
-        ba = b_convolve(plan, grid.sample(phi), gauss)
+        ab = b_convolve(plan, grid.sample(gauss), [lambda z: np.exp(-1.5 * z * z)] * 2)
+        ba = b_convolve(plan, grid.sample(phi), [lambda z: np.exp(-z * z)] * 2)
         idx = np.unravel_index(np.linspace(0, ab.values.size - 1, 10).astype(int),
                                ab.values.shape)
         assert_allclose(ab.values[idx], ba.values[idx], atol=1e-6)
@@ -256,35 +258,9 @@ class TestBConvolve:
         f = grid.sample(lambda p: sharp(p) / mass)
         # phi narrow enough that its translates keep their mass inside x_max
         phi = lambda p: np.exp(-1.5 * np.sum(p * p, axis=-1))
-        out = b_convolve(plan, f, phi)
+        out = b_convolve(plan, f, [lambda z: np.exp(-1.5 * z * z)] * 2)
         # smoothing preserves total mass: int (f * phi) = int f . int phi
         assert_allclose(integrate(out), integrate(grid.sample(phi)), rtol=1e-6)
-
-    @pytest.mark.parametrize("g, points, angles, pairs", [
-        ((0.7,), 10, 16, 7),
-        (GAMMA, 8, 6, 7),
-        ((0.5, 1.0, 1.5), 8, 4, 1000),
-    ], ids=["n1", "n2", "n3"])
-    def test_against_all_ordered_pairs(self, monkeypatch, g, points, angles, pairs):
-        # oracle: every ordered (x, y) pair, one grid row of x at a time
-        grid = build_tensor_grid(g, 3.0, points)
-        plan = build_shift_plan(g, angles)
-        scale = np.array([1.5, 0.7, 1.1])[: len(g)]
-        phi = lambda p: (1.0 + p[..., 0] ** 2) * np.exp(-np.sum(scale * p * p, axis=-1))
-        f = grid.sample(gauss)
-        pts = grid.points().reshape(-1, len(g))
-        w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
-        want = np.array([
-            np.dot(w_f, _shift_values(phi, x, pts, plan.cos_nodes, plan.weights))
-            for x in pts
-        ]).reshape(grid.shape)
-        # chunks of `pairs` pairs: boundaries fall mid-row, the last is short
-        row_start = set(np.cumsum(np.arange(len(pts), 0, -1)).tolist())
-        total = max(row_start)
-        assert total % pairs and set(range(pairs, total, pairs)) - row_start
-        monkeypatch.setattr(importlib.import_module("bhk.special"), "SHIFT_BUDGET", pairs * angles ** len(g))
-        got = b_convolve(plan, f, phi)
-        assert_allclose(got.values, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("g, points, angles", [
         ((0.5,), 24, 16),
@@ -294,18 +270,26 @@ class TestBConvolve:
         (tuple(np.random.default_rng(32).uniform(0.05, 5.0, 2)), 10, 8),
         (tuple(np.random.default_rng(33).uniform(0.05, 5.0, 3)), 8, 4),
     ], ids=["n1-dyadic", "n2-dyadic", "n3-dyadic", "n1-seeded", "n2-seeded", "n3-seeded"])
-    def test_separable_against_direct(self, g, points, angles):
+    def test_against_all_ordered_pairs(self, g, points, angles):
+        # oracle: the n-D product kernel shifted on every ordered (x, y) pair,
+        # one grid row of x at a time
         n = len(g)
         grid = build_tensor_grid(g, 3.0, points)
         plan = build_shift_plan(g, angles)
         factors = _factors(n)
         phi = lambda p: np.prod([h(p[..., i]) for i, h in enumerate(factors)], axis=0)
         f = grid.sample(gauss)
+        pts = grid.points().reshape(-1, n)
+        w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
+        want = np.array([
+            np.dot(w_f, _shift_values(phi, x, pts, plan.cos_nodes, plan.weights))
+            for x in pts
+        ]).reshape(grid.shape)
         got = b_convolve(plan, f, factors)
-        assert_allclose(got.values, b_convolve(plan, f, phi).values, rtol=1e-13, atol=0)
+        assert_allclose(got.values, want, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("phi", [[gauss], [gauss, gauss, gauss], [gauss, 1.0]],
-                             ids=["short", "long", "non-callable"])
+    @pytest.mark.parametrize("phi", [[gauss], [gauss, gauss, gauss], [gauss, 1.0], gauss],
+                             ids=["short", "long", "non-callable", "one-callable"])
     def test_separable_factors_validated(self, small, phi):
         plan, grid = small
         with pytest.raises(ValueError):

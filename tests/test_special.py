@@ -10,8 +10,6 @@ from numpy.testing import assert_allclose
 from bhk import special
 from bhk.shift import MAX_ANGLES
 from bhk.special import (
-    BesselOrder,
-    bessel_j,
     gamma,
     gauss_jacobi,
     normalized_j,
@@ -65,7 +63,14 @@ class TestGamma:
         assert_allclose(gamma(x + 1.0), x * gamma(x), rtol=1e-13)
 
 
+def bessel_j(nu, r):
+    """J_nu(r) = (r/2)^nu / Gamma(nu+1) * j_nu(r), from normalized_j."""
+    return normalized_j(nu, r) * (0.5 * np.asarray(r)) ** nu / gamma(nu + 1.0)
+
+
 class TestBesselJ:
+    """normalized_j against J_nu through bessel_j above."""
+
     def test_values_at_zero(self):
         assert bessel_j(0.0, 0.0) == 1.0
         assert bessel_j(1.0, 0.0) == 0.0
@@ -84,14 +89,11 @@ class TestBesselJ:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            bessel_j(0.0, -1.0)
+            normalized_j(0.0, -1.0)
         with pytest.raises(ValueError):
-            bessel_j(-1.5, 1.0)
+            normalized_j(-1.5, 1.0)
         with pytest.raises(ValueError):
-            BesselOrder(-1.0)
-
-    def test_accepts_bessel_order(self):
-        assert bessel_j(BesselOrder(0.5), 2.0) == bessel_j(0.5, 2.0)
+            normalized_j(-1.0, 1.0)
 
 
 def _bucketed_miller_jv(nu, r):
@@ -197,12 +199,11 @@ class TestNormalizedJ:
         for nu in (0.0, 1.0, 3.5):
             assert abs(normalized_j(nu, r)) <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("fn", [normalized_j, bessel_j])
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
-    def test_non_finite_refused(self, fn, bad):
+    def test_non_finite_refused(self, bad):
         # a NaN or inf beside 20.0 in one Miller pass turned both into NaN
         with pytest.raises(ValueError, match="finite r >= 0"):
-            fn(0.5, np.array([bad, 20.0]))
+            normalized_j(0.5, np.array([bad, 20.0]))
 
     @given(st.floats(min_value=-0.5, max_value=9.5),
            st.lists(st.floats(min_value=0.0, max_value=2.5), min_size=1, max_size=40))

@@ -287,8 +287,9 @@ class TestConvolutionTheorem:
         plan = build_fb_plan(grid)
         splan = build_shift_plan(g, 48)
         f = grid.sample(lambda p: np.exp(-p[..., 0] ** 2))
-        phi = lambda p: np.exp(-1.5 * p[..., 0] ** 2)
-        conv = b_convolve(splan, f, phi)
+        phi_1 = lambda z: np.exp(-1.5 * z**2)
+        phi = lambda p: phi_1(p[..., 0])
+        conv = b_convolve(splan, f, [phi_1])
         lhs = fb_forward(plan, conv).values
         rhs = 2.0 * fb_forward(plan, f).values * fb_forward(plan, grid.sample(phi)).values
         assert np.max(np.abs(lhs - rhs)) < 1e-4 * np.max(np.abs(rhs))

@@ -234,6 +234,19 @@ def small():
     return build_shift_plan(GAMMA, 20), grid
 
 
+def _all_pairs_convolution(plan, f, factors):
+    # direct oracle: the n-D product kernel shifted on every ordered (x, y)
+    # pair, one grid row of x at a time
+    grid = f.grid
+    phi = lambda p: np.prod([h(p[..., i]) for i, h in enumerate(factors)], axis=0)
+    pts = grid.points().reshape(-1, grid.n)
+    w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
+    return np.array([
+        np.dot(w_f, _shift_values(phi, x, pts, plan.cos_nodes, plan.weights))
+        for x in pts
+    ]).reshape(grid.shape)
+
+
 class TestBConvolve:
 
     def test_constant_phi_gives_total_mass(self, small):
@@ -263,6 +276,22 @@ class TestBConvolve:
         assert_allclose(integrate(out), integrate(grid.sample(phi)), rtol=1e-6)
 
     @pytest.mark.parametrize("g, points, angles", [
+        ((0.7,), 10, 16),
+        (GAMMA, 8, 6),
+        ((0.5, 1.0, 1.5), 8, 4),
+    ], ids=["n1", "n2", "n3"])
+    def test_against_all_ordered_pairs(self, g, points, angles):
+        # the kernel (1 + x_1^2) exp(-sum_i s_i x_i^2), given as its factors
+        grid = build_tensor_grid(g, 3.0, points)
+        plan = build_shift_plan(g, angles)
+        scale = (1.5, 0.7, 1.1)[: len(g)]
+        factors = [lambda z, s=s, k=k: (1.0 + (k == 0) * z * z) * np.exp(-s * z * z)
+                   for k, s in enumerate(scale)]
+        f = grid.sample(gauss)
+        assert_allclose(b_convolve(plan, f, factors).values,
+                        _all_pairs_convolution(plan, f, factors), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("g, points, angles", [
         ((0.5,), 24, 16),
         ((0.5, 1.5), 10, 8),
         ((0.5, 1.5, 1.0), 8, 4),
@@ -270,23 +299,13 @@ class TestBConvolve:
         (tuple(np.random.default_rng(32).uniform(0.05, 5.0, 2)), 10, 8),
         (tuple(np.random.default_rng(33).uniform(0.05, 5.0, 3)), 8, 4),
     ], ids=["n1-dyadic", "n2-dyadic", "n3-dyadic", "n1-seeded", "n2-seeded", "n3-seeded"])
-    def test_against_all_ordered_pairs(self, g, points, angles):
-        # oracle: the n-D product kernel shifted on every ordered (x, y) pair,
-        # one grid row of x at a time
-        n = len(g)
+    def test_separable_against_direct(self, g, points, angles):
         grid = build_tensor_grid(g, 3.0, points)
         plan = build_shift_plan(g, angles)
-        factors = _factors(n)
-        phi = lambda p: np.prod([h(p[..., i]) for i, h in enumerate(factors)], axis=0)
+        factors = _factors(len(g))
         f = grid.sample(gauss)
-        pts = grid.points().reshape(-1, n)
-        w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
-        want = np.array([
-            np.dot(w_f, _shift_values(phi, x, pts, plan.cos_nodes, plan.weights))
-            for x in pts
-        ]).reshape(grid.shape)
-        got = b_convolve(plan, f, factors)
-        assert_allclose(got.values, want, rtol=1e-13, atol=0)
+        assert_allclose(b_convolve(plan, f, factors).values,
+                        _all_pairs_convolution(plan, f, factors), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("phi", [[gauss], [gauss, gauss, gauss], [gauss, 1.0], gauss],
                              ids=["short", "long", "non-callable", "one-callable"])

@@ -545,7 +545,10 @@ codes = [main(["run", "--suite", "all", "--out", "default.json"]),
 codes += [main(["emit", "--function", name, "--transform", "--config", "n1.json",
                 "--out", name + ".csv"]) for name in corpus_names() + ["nope"]]
 sys.setprofile(None)
-ran = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in ran}
+# co_qualname only exists from Python 3.11: key on co_name, which with the
+# file and first line is unique per body, and print the qualified name
+# where there is one
+ran = {(c.co_filename, c.co_firstlineno, c.co_name) for c in ran}
 unreached = []
 for path in sorted(Path(bhk.__file__).parent.glob("*.py")):
     stack = [compile(path.read_text(), str(path), "exec")]
@@ -553,8 +556,9 @@ for path in sorted(Path(bhk.__file__).parent.glob("*.py")):
         code = stack.pop()
         stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
         if (not code.co_name.startswith("<")
-                and (code.co_filename, code.co_firstlineno, code.co_qualname) not in ran):
-            unreached.append(f"{path.name}:{code.co_firstlineno} {code.co_qualname}")
+                and (code.co_filename, code.co_firstlineno, code.co_name) not in ran):
+            name = getattr(code, "co_qualname", code.co_name)
+            unreached.append(f"{path.name}:{code.co_firstlineno} {name}")
 print(json.dumps({"codes": codes, "unreached": sorted(unreached)}))
 """
 

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from . import special
 from .grids import GammaIndex, SphereRule, as_gamma, hemisphere_measure
 from .polys import EvenPoly, _axis_exponents, _sum_terms, apply_bessel, eval_poly
 from .shift import _axis_shift
@@ -148,10 +147,9 @@ def shifted_mean_value_check(u: EvenPoly, rule: SphereRule, R: float, plan, y) -
     T^y u at the nodes R theta comes from the callable route with the plan's
     angle rules (those of shift(..., adaptive=False)), one axis at a time:
     per axis i and distinct exponent a, the 1-D T^{y_i} z^a at every node's
-    x_i (A_i points per node, at most special.SHIFT_BUDGET points at once),
-    then sum_alpha c_alpha prod_i T^{y_i} z^{alpha_i} in eval_poly's term
-    order (T^{y_i} z^0 = 1 exactly).  y = 0 takes u itself (T^0 u = u
-    exactly).
+    x_i (A_i points per node), then sum_alpha c_alpha prod_i T^{y_i}
+    z^{alpha_i} in eval_poly's term order (T^{y_i} z^0 = 1 exactly).  y = 0
+    takes u itself (T^0 u = u exactly).
     """
     g = rule.gamma
     if not isinstance(u, EvenPoly):
@@ -168,10 +166,8 @@ def shifted_mean_value_check(u: EvenPoly, rule: SphereRule, R: float, plan, y) -
         powers = []
         for xi, yi, c, w, exps in zip(x.T, y, plan.cos_nodes, plan.weights,
                                       _axis_exponents(u)):
-            step = max(1, special.SHIFT_BUDGET // len(c))
-            powers.append({a: np.concatenate([
-                _axis_shift(lambda z, a=a: z**a, xi[lo : lo + step], yi, c, w)
-                for lo in range(0, xi.size, step)]) for a in exps})
+            powers.append({a: _axis_shift(lambda z, a=a: z**a, xi, yi, c, w)
+                           for a in exps})
         vals = _sum_terms(u, powers, x.shape[:1])
     lhs = float(np.dot(rule.weights, vals))
     uy = float(eval_poly(u, y.reshape(1, -1)).reshape(()))

@@ -569,13 +569,14 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
     plan_s = build_shift_plan(g, cfg.angles)
     srule = _sphere_rule(g.values, min(cfg.sphere_points, 64))
     f = grid.sample(_gauss)
+    factors = [lambda z: np.exp(-z * z)] * g.n  # _gauss, one axis at a time
     rf = riesz_spectral(kernel, f, plan_f)
     interp = GridInterpolator(rf, width=8)
     rng = np.random.default_rng(_SEED)
     converged = 0
     for _ in range(5):
         x = rng.uniform(0.5, 1.8, g.n)
-        res = riesz_spatial(kernel, f, x, plan_s, srule)
+        res = riesz_spatial(kernel, factors, x, plan_s, srule, cfg.x_max)
         spec_val = float(interp(x[None, :])[0])
         rows.append(_row(cfg, "riesz-multiplier", res.limit, spec_val,
                          scale=max(abs(spec_val), 1e-3),

@@ -21,27 +21,23 @@ hemisphere, so subtracting f(x) leaves the integral unchanged, and
 T^{r theta} f(x) is even in each y_i, so T^{r theta} f(x) - f(x) = O(r^2):
 the subtracted integrand is O(r) at r = 0 and the principal value is an
 ordinary integral, taken on Gauss-Legendre nodes that never touch 0 (the
-classical treatment of mean-zero singular kernels).
+classical treatment of mean-zero singular kernels).  f is a product of 1-D
+factors, so T^{r theta} f(x) is the product of the per-axis shifts
+T^{r theta_i} f_i(x_i), each from the callable route of `bhk.shift`: no
+sampling, no interpolation and no clamping.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .grids import (
-    GammaIndex,
-    GridFunction,
-    GridInterpolator,
-    SphereRule,
-    as_gamma,
-    lp_norm,
-)
+from .grids import GammaIndex, GridFunction, SphereRule, as_gamma, lp_norm
 from .polys import EvenPoly, _eval_axes, _require_b_harmonic, eval_poly
-from .shift import ShiftOperatorPlan, ShiftTruncationWarning, shift_grid
+from .shift import ShiftOperatorPlan, _axis_factors, _axis_shift
 from .special import gamma as _gamma
 from .transform import PV_MEAN_TOL, FBPlan, fb_constant, fb_forward, fb_inverse
 
@@ -113,17 +109,21 @@ class RieszSpatialResult:
 
 def riesz_spatial(
     kernel: RieszKernel,
-    f: GridFunction,
+    f,
     x,
     plan: ShiftOperatorPlan,
     rule: SphereRule,
+    x_max: float,
 ) -> RieszSpatialResult:
     """Principal-value evaluation of R^(k) f(x) with the c_k constant.
 
-    T^y f(x) = T^x f(y): `shift_grid` gives T^x f on the grid once and
-    8-point interpolation reads it at the polar nodes y; the tails of the
-    localized f beyond x_max are clamped silently.  kernel, plan, rule and f
-    must share one gamma.
+    f is the product f(x) = prod_i f_i(x_i) given as the sequence of its n
+    1-D callables f_i, each taking an array of coordinates (anything else is
+    refused with ValueError), and negligible beyond x_max on every axis, so
+    the radial integral stops at x_max + |x|.  At each polar node y = r
+    theta, T^y f(x) = prod_i T^{y_i} f_i(x_i) comes from the callable route
+    one axis at a time on the plan's angle rules, sum_i A_i evaluations of
+    the f_i per node.  kernel, plan and rule must share one gamma.
 
     The converged flag is the regularity condition of the subtracted
     integrand: |sum w P_k| <= PV_MEAN_TOL * sum w |P_k| over the rule.
@@ -132,12 +132,12 @@ def riesz_spatial(
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != g.n:
         raise ValueError(f"x must have {g.n} components")
-    if any(h.values != g.values for h in (plan.gamma, rule.gamma, f.grid.gamma)):
-        raise ValueError("kernel, plan, rule and grid gamma indices differ")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShiftTruncationWarning)
-        interp = GridInterpolator(shift_grid(plan, f, x), width=8)
-    r_max = f.grid.x_max + float(np.linalg.norm(x))
+    if any(h.values != g.values for h in (plan.gamma, rule.gamma)):
+        raise ValueError("kernel, plan and rule gamma indices differ")
+    fs = _axis_factors(f, g.n)
+    if fs is None:
+        raise ValueError(f"riesz_spatial takes f as {g.n} 1-D callables")
+    r_max = x_max + float(np.linalg.norm(x))
 
     ti_t, ti_w = np.polynomial.legendre.leggauss(RADIAL_INNER)
     r_in, w_in = 0.5 * (ti_t + 1.0), 0.5 * ti_w
@@ -146,12 +146,14 @@ def riesz_spatial(
     w_out = 0.5 * (r_max - 1.0) * to_w
 
     all_r = np.concatenate([r_in, r_out])
-    ys = (all_r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, g.n)
-    tvals = interp(ys).reshape(all_r.size, rule.nodes.shape[0])
+    tvals = math.prod(_axis_shift(fi, xi, np.multiply.outer(all_r, th), c, w)
+                      for fi, xi, th, c, w in zip(fs, x, rule.nodes.T, plan.cos_nodes,
+                                                  plan.weights))
 
     pw = rule.weights * eval_poly(kernel.poly, rule.nodes)
     mean_hat = float(np.sum(pw))          # quadrature-level angular mean (~0)
-    fx = float(interp(np.zeros((1, g.n)))[0])  # T^0 f(x) = f(x)
+    fx = math.prod(float(np.asarray(fi(x[i : i + 1])).reshape(()))
+                   for i, fi in enumerate(fs))  # T^0 f(x) = f(x)
     g_of_r = tvals @ pw
 
     inner = float(np.sum(w_in * (g_of_r[: r_in.size] - fx * mean_hat) / r_in))

@@ -19,14 +19,15 @@ It is computed along two routes, per axis wherever the input allows:
 
 * callable (`_shift_values`): phi is evaluated once on the tensor of
   law-of-cosines points of a batch of (x, y) pairs and the angle weights
-  contracted.  `_axis_shift` is its 1-D form for one factor phi_i.  `shift`
-  takes phi either as one callable on points (..., n), prod_i A_i
-  evaluations, or as n 1-D factors, shifted one axis at a time by
-  `_axis_shift` and the n values multiplied.  `b_convolve` takes the n
-  factors only and builds one kernel matrix per axis (N_i^2 A_i evaluations
-  of phi_i), applied with `contract_axes`.
-  `meanvalue.shifted_mean_value_check` shifts an `EvenPoly` the same way, one
-  axis and one distinct exponent at a time.
+  contracted.  `_axis_shift` is its 1-D form for one factor phi_i, in
+  chunks of at most special.SHIFT_BUDGET points.  `shift` takes phi either
+  as one callable on points (..., n), prod_i A_i evaluations, or as n 1-D
+  factors, shifted one axis at a time by `_axis_shift` and the n values
+  multiplied.  `b_convolve` takes the n factors only and builds one kernel
+  matrix per axis (N_i^2 A_i evaluations of phi_i), applied with
+  `contract_axes`.  `riesz.riesz_spatial` shifts its n factors to every
+  polar node the same way, and `meanvalue.shifted_mean_value_check` shifts
+  an `EvenPoly` one axis and one distinct exponent at a time.
 * sampled (`shift_grid`): the shifted argument on axis i depends only on
   (x_i, y_i, alpha_i), so per axis each node x_i gives one row, the
   angle-weighted sum of interpolation stencil rows with the even reflection
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import special
 from .grids import (
     GammaIndex,
     GridFunction,
@@ -142,9 +144,22 @@ def _shift_values(phi, x, y, cos_nodes, weights):
 
 def _axis_shift(phi_i, x, y, cos_a, w):
     """1-D T^y phi_i(x) for broadcastable coordinate arrays x, y: the callable
-    route on one axis, phi_i taking an array of coordinates."""
-    return _shift_values(lambda z: phi_i(z[..., 0]), x[..., None], y[..., None],
-                         [cos_a], [w])
+    route on one axis, phi_i taking an array of coordinates.
+
+    phi_i is evaluated on the law-of-cosines points of the flattened
+    broadcast batch, at most special.SHIFT_BUDGET points at once, and the
+    angle weights contracted; returns an array of the broadcast shape.
+    """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    xs, ys = np.broadcast_to(x, shape).flat, np.broadcast_to(y, shape).flat
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    step = max(1, special.SHIFT_BUDGET // len(cos_a))
+    for lo in range(0, flat.size, step):
+        z = _law_of_cosines(xs[lo : lo + step][:, None], ys[lo : lo + step][:, None],
+                            cos_a)
+        flat[lo : lo + step] = phi_i(z) @ w
+    return out
 
 
 def _axis_factors(phi, n: int):
@@ -152,9 +167,9 @@ def _axis_factors(phi, n: int):
     callables of a product phi, checked."""
     if callable(phi):
         return None
-    phis = list(phi)
+    phis = list(phi) if np.iterable(phi) else []
     if len(phis) != n or not all(map(callable, phis)):
-        raise ValueError(f"phi must be one callable or {n} 1-D callables")
+        raise ValueError(f"expected one callable or {n} 1-D callables")
     return phis
 
 

@@ -49,10 +49,9 @@ _SERIES_MAX_TERMS = 160
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
 # values per chunk of the batched evaluations: Miller recurrence entries here,
-# 1-D law-of-cosines points of shifted_mean_value_check's per-axis shifts and
-# stencil values of GridInterpolator's gather; bounds their transient memory
-# (b_convolve's 1-D kernel builds run unchunked: N_i^2 A_i points, 3.5 MB at
-# 96 points and 48 angles)
+# 1-D law-of-cosines points of shift._axis_shift (every per-axis shift of
+# b_convolve, riesz_spatial and shifted_mean_value_check) and stencil values
+# of GridInterpolator's gather; bounds their transient memory
 SHIFT_BUDGET = 2**16
 
 

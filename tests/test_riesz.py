@@ -1,7 +1,6 @@
 import dataclasses
 import importlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from bhk.riesz import (
     riesz_spatial,
     riesz_spectral,
 )
-from bhk.shift import ShiftTruncationWarning, build_shift_plan
+from bhk.shift import build_shift_plan
 from bhk.transform import (
     build_fb_plan,
     fb_forward,
@@ -182,10 +181,18 @@ class TestSpectralValue:
         assert lp_norm(rf, 2.0) <= (np.max(np.abs(m)) + 1e-6) * lp_norm(f, 2.0)
 
 
+# the Gaussian gauss(p) = prod_i exp(-p_i^2) as riesz_spatial takes it
+GAUSS_FACTORS = [lambda z: np.exp(-z * z)] * 2
+X_MAX = 8.0
+
+
 @pytest.fixture(scope="module")
 def spatial_rules():
     """(shift plan, sphere rule) for riesz_spatial at GAMMA."""
     return build_shift_plan(GAMMA, 48), build_sphere_rule(GAMMA, 64)
+
+
+INTERIOR = ([1.0, 1.0], [1.5, 0.7])
 
 
 @pytest.fixture(scope="module")
@@ -194,9 +201,10 @@ def interior_pairs(kernel, fb_plan96, grid96, spatial_rules):
     f = grid96.sample(gauss)
     interp = GridInterpolator(riesz_spectral(kernel, f, fb_plan96), width=8)
     plan, rule = spatial_rules
-    return [(riesz_spatial(kernel, f, np.array(x), plan=plan, rule=rule),
+    return [(riesz_spatial(kernel, GAUSS_FACTORS, np.array(x), plan=plan, rule=rule,
+                           x_max=X_MAX),
              float(interp(np.array(x)[None, :])[0]))
-            for x in ([1.0, 1.0], [1.5, 0.7])]
+            for x in INTERIOR]
 
 
 class TestSpatialAgainstSpectral:
@@ -205,47 +213,53 @@ class TestSpatialAgainstSpectral:
             assert res.converged
             assert abs(res.limit - spec) <= 1e-2 * max(abs(spec), 1e-3)
 
-    def test_interior_points_interpolation_order(self, interior_pairs):
-        # the gap is 4.9e-9 and 3.9e-8 relative here; reading T^x f with
-        # 4-point in place of 8-point stencils moves it to 7.8e-6 and 2.1e-6,
-        # so the pin is 5e-7
-        for res, spec in interior_pairs:
-            assert abs(res.limit - spec) <= 5e-7 * abs(spec)
+    def test_rules_converged(self, kernel, interior_pairs, monkeypatch):
+        # doubling the angle, sphere and radial rules moves the value by
+        # 2.1e-14 and 1.7e-14 relative; with 8 angles per axis it moves by
+        # 3.2e-10 and 5.5e-8, and with 8/16 radial nodes by 3.9e-9 and 1.9e-8
+        riesz_mod = importlib.import_module("bhk.riesz")
+        monkeypatch.setattr(riesz_mod, "RADIAL_INNER", 2 * riesz_mod.RADIAL_INNER)
+        monkeypatch.setattr(riesz_mod, "RADIAL_OUTER", 2 * riesz_mod.RADIAL_OUTER)
+        plan, rule = build_shift_plan(GAMMA, 96), build_sphere_rule(GAMMA, 128)
+        for x, (res, _) in zip(INTERIOR, interior_pairs):
+            ref = riesz_spatial(kernel, GAUSS_FACTORS, np.array(x), plan, rule, X_MAX)
+            assert abs(res.limit - ref.limit) <= 1e-12 * abs(ref.limit)
 
-    def test_far_point_decays(self, kernel, grid96, spatial_rules):
-        f = grid96.sample(gauss)
-        res = riesz_spatial(kernel, f, np.array([9.0, 9.0]), *spatial_rules)
+    def test_far_point_decays(self, kernel, spatial_rules):
+        res = riesz_spatial(kernel, GAUSS_FACTORS, np.array([9.0, 9.0]), *spatial_rules,
+                            X_MAX)
         assert abs(res.limit) < 1e-3
 
-    def test_clamping_is_silent(self, kernel, grid96, spatial_rules):
-        # T^x f reaches beyond x_max at this x; the localized tails clamp
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ShiftTruncationWarning)
-            riesz_spatial(kernel, grid96.sample(gauss), np.array([7.0, 7.5]),
-                          *spatial_rules)
-
-    def test_zero_input(self, kernel, grid96, spatial_rules):
-        z = grid96.sample(lambda p: np.zeros(p.shape[:-1]))
-        res = riesz_spatial(kernel, z, np.array([1.0, 1.0]), *spatial_rules)
+    def test_zero_input(self, kernel, spatial_rules):
+        zero = [lambda z: np.zeros_like(z)] * 2
+        res = riesz_spatial(kernel, zero, np.array([1.0, 1.0]), *spatial_rules, X_MAX)
         assert res.limit == 0.0
 
-    def test_nonzero_mean_numerator_not_converged(self, kernel, grid96, spatial_rules):
+    def test_nonzero_mean_numerator_not_converged(self, kernel, spatial_rules):
         # x_1^2 + x_2^2 has a nonzero hemisphere mean: the subtracted
         # integrand keeps its 1/r singularity, which the flag reports
         bad = dataclasses.replace(
             kernel, poly=EvenPoly.from_terms(2, {(2, 0): 1.0, (0, 2): 1.0}))
-        res = riesz_spatial(bad, grid96.sample(gauss), np.array([1.0, 1.0]),
-                            *spatial_rules)
+        res = riesz_spatial(bad, GAUSS_FACTORS, np.array([1.0, 1.0]), *spatial_rules,
+                            X_MAX)
         assert not res.converged
 
-    @pytest.mark.parametrize("arg", ["plan", "rule", "f"])
+    @pytest.mark.parametrize("arg", ["plan", "rule"])
     def test_gamma_mismatch(self, kernel, arg):
         # one argument built for another gamma than the kernel's
-        g = {name: (0.5, 1.0) if name == arg else GAMMA for name in ("plan", "rule", "f")}
-        f = build_tensor_grid(g["f"], 8.0, 16).sample(gauss)
-        with pytest.raises(ValueError, match="kernel, plan, rule and grid gamma"):
-            riesz_spatial(kernel, f, np.array([1.0, 1.0]), plan=build_shift_plan(g["plan"], 8),
-                          rule=build_sphere_rule(g["rule"], 8))
+        g = {name: (0.5, 1.0) if name == arg else GAMMA for name in ("plan", "rule")}
+        with pytest.raises(ValueError, match="kernel, plan and rule gamma"):
+            riesz_spatial(kernel, GAUSS_FACTORS, np.array([1.0, 1.0]),
+                          plan=build_shift_plan(g["plan"], 8),
+                          rule=build_sphere_rule(g["rule"], 8), x_max=X_MAX)
+
+    @pytest.mark.parametrize("which", ["grid-function", "n-d-callable", "one-factor"])
+    def test_refuses_all_but_n_factors(self, kernel, grid96, spatial_rules, which):
+        f = {"grid-function": grid96.sample(gauss), "n-d-callable": gauss,
+             "one-factor": GAUSS_FACTORS[:1]}[which]
+        with pytest.raises(ValueError, match="callables"):
+            riesz_spatial(kernel, f, np.array([1.0, 1.0]), *spatial_rules, X_MAX)
+
 
 def _bessel_poly(p, f, plan):
     """P(B_1, ..., B_n) f through the multiplier P(-xi_1^2, ..., -xi_n^2)."""

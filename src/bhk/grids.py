@@ -15,7 +15,6 @@ fixed axis order, keeping results bit-stable run to run.  Separable operators
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -308,16 +307,15 @@ def _products_but_one(d) -> np.ndarray:
 
 
 class GridInterpolator:
-    """Tensor-product local Lagrange interpolation of a GridFunction.
+    """Per-axis local Lagrange stencil rows on a TensorGrid's nodes, the
+    table `shift.shift_grid` builds its sampled T^y rows from.
 
     Per axis: a `width`-point Lagrange stencil on the grid nodes, extended by
     even reflection through 0 (consistent with even regular solutions) and
-    clamped to [0, x_max].  width=4 is the plain cubic baseline; shift_grid
-    uses width=10, whose O(h^10) error is what its 1e-8 integral-preservation
-    budget needs at default grid resolutions.  Evaluations beyond x_max are
-    clamped and counted so callers can flag truncation bias.  A scattered
-    point reads the width^n block of extended samples its per-axis stencils
-    cover, so it costs O(width^n) whatever the grid size.
+    clamped to [0, x_max].  shift_grid uses width=10, whose O(h^10) error is
+    what its 1e-8 integral-preservation budget needs at default grid
+    resolutions.  Arguments beyond x_max are clamped and counted so callers
+    can flag truncation bias.
 
     The Lagrange denominators prod_{b != a} (x_{s+a} - x_{s+b}) depend only
     on the stencil start s, so each axis keeps one (starts, width) table of
@@ -328,40 +326,25 @@ class GridInterpolator:
     without its rescaling).
     """
 
-    def __init__(self, f: GridFunction, width: int = 4):
+    def __init__(self, grid: TensorGrid, width: int = 4):
         if width < 2 or width % 2:
             raise ValueError("stencil width must be even and >= 2")
-        if width > min(f.grid.shape):
+        if width > min(grid.shape):
             raise ValueError("stencil width exceeds grid size")
         self.width = width
-        self.grid = f.grid
+        self.grid = grid
         mirror = width - 1
         self.ext_nodes = []
         self.denominators = []
         window = np.arange(width)
-        for x in self.grid.nodes:
+        for x in grid.nodes:
             xs = np.concatenate([-x[mirror - 1 :: -1], x])
             xn = xs[np.arange(len(xs) - width + 1)[:, None] + window]
             den = _products_but_one(xn[:, :, None] - xn[:, None, :])
             self.ext_nodes.append(xs)
             self.denominators.append(np.diagonal(den, axis1=1, axis2=2).copy())
-        self._values = f.values
         self.clipped = 0
         self.queried = 0
-
-    @functools.cached_property
-    def ext_values(self) -> np.ndarray:
-        """The samples on the extended nodes (even reflection through 0 on
-        every axis), built on first use: only scattered evaluation reads them.
-        The interpolator then drops its reference to the samples, so it holds
-        one copy of them."""
-        vals = self._values
-        del self._values
-        mirror = self.width - 1
-        for ax in range(self.grid.n):
-            head = np.flip(np.take(vals, np.arange(mirror), axis=ax), axis=ax)
-            vals = np.concatenate([head, vals], axis=ax)
-        return vals
 
     def axis_stencil(self, axis: int, z):
         """Per-axis stencil (indices into the extended axis, Lagrange weights).
@@ -400,24 +383,3 @@ class GridInterpolator:
     @property
     def clip_fraction(self) -> float:
         return self.clipped / self.queried if self.queried else 0.0
-
-    def __call__(self, pts) -> np.ndarray:
-        """Evaluate at scattered points of shape (..., n): each point's width^n
-        block of ext_values, gathered under its axis stencils, is contracted
-        with their weights, in chunks of at most special.SHIFT_BUDGET gathered
-        values."""
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, self.grid.n)
-        n, width = self.grid.n, self.width
-        axes = "abcdefghijklmnoqrstuvwxyz"[:n]
-        spec = "p" + axes + "," + ",".join("p" + a for a in axes) + "->p"
-        step = max(1, special.SHIFT_BUDGET // width**n)
-        out = np.empty(flat.shape[0])
-        for lo in range(0, flat.shape[0], step):
-            idx, w = zip(*(self.axis_stencil(ax, flat[lo : lo + step, ax])
-                           for ax in range(n)))
-            block = self.ext_values[tuple(
-                i.reshape((-1,) + (1,) * ax + (width,) + (1,) * (n - ax - 1))
-                for ax, i in enumerate(idx))]
-            out[lo : lo + step] = np.einsum(spec, block, *w)
-        return out.reshape(pts.shape[:-1])

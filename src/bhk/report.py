@@ -35,7 +35,6 @@ import numpy as np
 from . import corpus
 from .grids import (
     GammaIndex,
-    GridInterpolator,
     as_gamma,
     build_sphere_rule,
     build_tensor_grid,
@@ -161,6 +160,11 @@ class RunConfig:
     def from_dict(cls, obj: dict) -> "RunConfig":
         known = {"n", "gamma", "grid", "angles", "sphere_points", "eps_seq",
                  "tolerances", "output"}
+        if not isinstance(obj, dict):
+            raise ValueError("config must be a JSON object")
+        for key in ("grid", "tolerances"):
+            if not isinstance(obj.get(key, {}), dict):
+                raise ValueError(f"config {key!r} must be a JSON object")
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -571,13 +575,15 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
     f = grid.sample(_gauss)
     factors = [lambda z: np.exp(-z * z)] * g.n  # _gauss, one axis at a time
     rf = riesz_spectral(kernel, f, plan_f)
-    interp = GridInterpolator(rf, width=8)
+    # the points are grid nodes, so the spectral side is read without interpolation
+    inner = [np.flatnonzero((x >= 0.5) & (x <= 1.8)) for x in grid.nodes]
     rng = np.random.default_rng(_SEED)
     converged = 0
     for _ in range(5):
-        x = rng.uniform(0.5, 1.8, g.n)
+        idx = tuple(int(rng.choice(i)) for i in inner)
+        x = np.array([nodes[k] for nodes, k in zip(grid.nodes, idx)])
         res = riesz_spatial(kernel, factors, x, plan_s, srule, cfg.x_max)
-        spec_val = float(interp(x[None, :])[0])
+        spec_val = float(rf.values[idx])
         rows.append(_row(cfg, "riesz-multiplier", res.limit, spec_val,
                          scale=max(abs(spec_val), 1e-3),
                          inputs={"point": [float(v) for v in x]},

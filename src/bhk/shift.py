@@ -241,7 +241,7 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
         raise ValueError("plan and grid gamma indices differ")
     if np.all(y == 0.0):
         return GridFunction(grid, f.values.copy())
-    interp = GridInterpolator(f, width=SHIFT_GRID_STENCIL)
+    interp = GridInterpolator(grid, width=SHIFT_GRID_STENCIL)
     mats = []
     for ax, (x, c, w) in enumerate(zip(grid.nodes, plan.cos_nodes, plan.weights)):
         ext = interp.dense_axis_matrix(ax, _law_of_cosines(x[:, None], y[ax], c), w)

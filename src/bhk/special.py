@@ -48,10 +48,10 @@ __all__ = [
 _SERIES_MAX_TERMS = 160
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
-# values per chunk of the batched evaluations: Miller recurrence entries here,
-# 1-D law-of-cosines points of shift._axis_shift (every per-axis shift of
-# b_convolve, riesz_spatial and shifted_mean_value_check) and stencil values
-# of GridInterpolator's gather; bounds their transient memory
+# values per chunk of the batched evaluations: Miller recurrence entries here
+# and 1-D law-of-cosines points of shift._axis_shift (every per-axis shift of
+# b_convolve, riesz_spatial and shifted_mean_value_check); bounds their
+# transient memory
 SHIFT_BUDGET = 2**16
 
 

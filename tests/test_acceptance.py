@@ -17,7 +17,6 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from bhk.grids import (
-    GridInterpolator,
     build_sphere_rule,
     build_tensor_grid,
     hemisphere_measure,
@@ -246,17 +245,18 @@ def test_criterion_08_riesz_bessel():
         got = mult * float(fb_forward_at(plan_f, f, xi))
         ref = -(1.0 / 8.0) * math.exp(-0.5)
         assert abs(got - ref) <= 1e-6 * abs(ref)
-        # spatial principal value vs spectral multiplier at 5 interior points
+        # spatial principal value vs spectral multiplier at 5 interior grid nodes
         rf = riesz_spectral(kernel, f, plan_f)
-        interp = GridInterpolator(rf, width=8)
         plan_s = build_shift_plan(GAMMA, 48)
         srule = build_sphere_rule(GAMMA, 64)
+        inner = [np.flatnonzero((x >= 0.5) & (x <= 1.8)) for x in grid.nodes]
         rng = np.random.default_rng(42)
         for _ in range(5):
-            x = rng.uniform(0.5, 1.8, 2)
+            idx = tuple(int(rng.choice(i)) for i in inner)
+            x = np.array([nodes[k] for nodes, k in zip(grid.nodes, idx)])
             res = riesz_spatial(kernel, [lambda z: np.exp(-z * z)] * 2, x, plan=plan_s,
                                 rule=srule, x_max=grid.x_max)
-            spec = float(interp(x[None, :])[0])
+            spec = float(rf.values[idx])
             assert res.converged
             assert abs(res.limit - spec) <= 1e-2 * max(abs(spec), 1e-3)
 

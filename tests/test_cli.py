@@ -344,6 +344,20 @@ class TestCliRun:
         assert not out.exists()
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        [], {"grid": []}, {"grid": ["x_max"]}, {"tolerances": [1]}, {"tolerances": "mvt"},
+    ], ids=["top-list", "grid-empty-list", "grid-list", "tolerances-list",
+            "tolerances-string"])
+    def test_non_object_config_exit_2_no_report(self, tmp_path, capsys, config):
+        # the top level, grid and tolerances must be JSON objects
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "special", "--config", str(bad),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "bhk: config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("eps_seq", [
         [0.05, 0.4], [], [0.2, 0.2, 0.1], [1.5, 0.4], [0.4, 0.0], [0.4, -0.1], 0.4,
     ])

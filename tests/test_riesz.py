@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from bhk.grids import (
     GridFunction,
-    GridInterpolator,
     TensorGrid,
     build_sphere_rule,
     build_tensor_grid,
@@ -192,37 +191,66 @@ def spatial_rules():
     return build_shift_plan(GAMMA, 48), build_sphere_rule(GAMMA, 64)
 
 
-INTERIOR = ([1.0, 1.0], [1.5, 0.7])
+def _nearest_node(grid, x):
+    """(index, point) of the grid node nearest x, axis by axis."""
+    idx = tuple(int(np.argmin(np.abs(nodes - xi))) for nodes, xi in zip(grid.nodes, x))
+    return idx, np.array([nodes[k] for nodes, k in zip(grid.nodes, idx)])
+
+
+def _node_pairs(kernel, grid, fb_plan, plan, rule, targets):
+    """(node, spatial result, spectral value) at the grid nodes nearest the
+    targets; riesz_spectral's output is read there without interpolation."""
+    rf = riesz_spectral(kernel, grid.sample(gauss), fb_plan)
+    factors = [lambda z: np.exp(-z * z)] * grid.n
+    out = []
+    for x in targets:
+        idx, node = _nearest_node(grid, x)
+        out.append((node, riesz_spatial(kernel, factors, node, plan, rule, X_MAX),
+                    float(rf.values[idx])))
+    return out
 
 
 @pytest.fixture(scope="module")
 def interior_pairs(kernel, fb_plan96, grid96, spatial_rules):
-    """(spatial result, spectral value) at two interior points."""
-    f = grid96.sample(gauss)
-    interp = GridInterpolator(riesz_spectral(kernel, f, fb_plan96), width=8)
-    plan, rule = spatial_rules
-    return [(riesz_spatial(kernel, GAUSS_FACTORS, np.array(x), plan=plan, rule=rule,
-                           x_max=X_MAX),
-             float(interp(np.array(x)[None, :])[0]))
-            for x in INTERIOR]
+    """(node, spatial result, spectral value) at two interior grid nodes."""
+    return _node_pairs(kernel, grid96, fb_plan96, *spatial_rules,
+                       ([1.0, 1.0], [1.5, 0.7]))
 
 
 class TestSpatialAgainstSpectral:
     def test_interior_points(self, interior_pairs):
-        for res, spec in interior_pairs:
+        for _, res, spec in interior_pairs:
             assert res.converged
             assert abs(res.limit - spec) <= 1e-2 * max(abs(spec), 1e-3)
+
+    def test_grid_nodes_agree_96(self, interior_pairs):
+        # read at grid nodes, the routes differ by 7.1e-11 and 1.3e-11 relative
+        for _, res, spec in interior_pairs:
+            assert abs(res.limit - spec) <= 1e-7 * max(abs(spec), 1e-3)
+
+    def test_grid_nodes_agree_n3(self):
+        # README's n = 3 config (48 points, 16 angles, 16 sphere points): the
+        # routes differ by 2.5e-10, 3.1e-10 and 8.1e-11 relative at these nodes
+        g = (0.5, 1.0, 1.5)
+        grid = build_tensor_grid(g, X_MAX, 48)
+        kernel3 = build_riesz_kernel(b_harmonic_basis(3, 2, g)[0], g)
+        pairs = _node_pairs(kernel3, grid, build_fb_plan(grid), build_shift_plan(g, 16),
+                            build_sphere_rule(g, 16),
+                            ([1.0, 1.0, 1.0], [1.5, 0.7, 1.2], [0.6, 1.7, 0.9]))
+        for _, res, spec in pairs:
+            assert res.converged
+            assert abs(res.limit - spec) <= 1e-7 * max(abs(spec), 1e-3)
 
     def test_rules_converged(self, kernel, interior_pairs, monkeypatch):
         # doubling the angle, sphere and radial rules moves the value by
         # 2.1e-14 and 1.7e-14 relative; with 8 angles per axis it moves by
-        # 3.2e-10 and 5.5e-8, and with 8/16 radial nodes by 3.9e-9 and 1.9e-8
+        # 1.2e-10 and 3.8e-8, and with 8/16 radial nodes by 2.9e-9 and 1.8e-8
         riesz_mod = importlib.import_module("bhk.riesz")
         monkeypatch.setattr(riesz_mod, "RADIAL_INNER", 2 * riesz_mod.RADIAL_INNER)
         monkeypatch.setattr(riesz_mod, "RADIAL_OUTER", 2 * riesz_mod.RADIAL_OUTER)
         plan, rule = build_shift_plan(GAMMA, 96), build_sphere_rule(GAMMA, 128)
-        for x, (res, _) in zip(INTERIOR, interior_pairs):
-            ref = riesz_spatial(kernel, GAUSS_FACTORS, np.array(x), plan, rule, X_MAX)
+        for x, res, _ in interior_pairs:
+            ref = riesz_spatial(kernel, GAUSS_FACTORS, x, plan, rule, X_MAX)
             assert abs(res.limit - ref.limit) <= 1e-12 * abs(ref.limit)
 
     def test_far_point_decays(self, kernel, spatial_rules):

@@ -52,7 +52,6 @@ from .meanvalue import (
     pizzetti_coeffs,
     pizzetti_mean,
     v_sequence,
-    bessel_laplacian_fd,
 )
 from .riesz import (
     RieszKernel,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -46,84 +46,36 @@ __all__ = [
     "shifted_mean_value_check",
     "pizzetti_coeffs",
     "pizzetti_mean",
-    "bessel_laplacian_fd",
     "v_sequence",
 ]
 
-_AXIS_FLOOR = 1e-9  # below this a coordinate counts as on-axis for the FD limit
-# B u = 0 probe of mean_value_check: largest FD residual that still counts
-# as B-harmonic, FD step, and number of sphere directions probed
-RESIDUAL_TOL = 1e-6
-RESIDUAL_H = 1e-4
-RESIDUAL_POINTS = 5
-
-
-def _as_callable(u) -> Callable:
-    if isinstance(u, EvenPoly):
-        return lambda pts: eval_poly(u, pts)
-    return u
-
 
 def sphere_mean(u, rule: SphereRule, R: float) -> float:
-    """int_{S_+^{n-1}} u(R theta) prod theta_i^{2 gamma_i} dS via the rule."""
+    """int_{S_+^{n-1}} u(R theta) prod theta_i^{2 gamma_i} dS via the rule,
+    for an EvenPoly or a callable u."""
     if R <= 0:
         raise ValueError("R must be positive")
-    fn = _as_callable(u)
-    vals = np.asarray(fn(R * rule.nodes), dtype=float)
+    x = R * rule.nodes
+    vals = eval_poly(u, x) if isinstance(u, EvenPoly) else np.asarray(u(x), dtype=float)
     return float(np.dot(rule.weights, vals))
 
 
-def bessel_laplacian_fd(u, gamma, x, h: float = 1e-4) -> float | np.ndarray:
-    """Finite-difference Laplace-Bessel operator (4th-order stencils) at points
-    x of shape (..., n).
+def mean_value_check(u: EvenPoly, rule: SphereRule, R: float) -> dict:
+    """Compare the weighted sphere mean of an EvenPoly u (ValueError for
+    anything else) against m(S_+) u(0).
 
-    Returns an array of the batch shape, or a float for a single point of
-    shape (n,); u is evaluated once, on all stencil points of the batch.  For
-    coordinates on the axis (x_i ~ 0) the singular term is replaced by its
-    even limit, B_i u -> (1 + 2 gamma_i) d_i^2 u; stencil arguments that cross
-    zero are reflected (u is assumed even in each variable, as everywhere in
-    this theory).
+    The B u = 0 precondition is checked exactly on apply_bessel(u): residual
+    is its largest |coefficient| (0.0 for B-harmonic u); a failing residual
+    is reported in the row, not raised.
     """
-    g = as_gamma(gamma)
-    fn = _as_callable(u)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != g.n:
-        raise ValueError(f"x must have {g.n} components")
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    pts = np.repeat(x[..., None, :], 4 * g.n + 1, axis=-2)
-    for i in range(g.n):
-        pts[..., 4 * i : 4 * i + 4, i] = np.abs(x[..., i, None] + offsets)
-    vals = np.asarray(fn(pts), dtype=float)
-    u0 = vals[..., -1]
-    total = 0.0
-    for i in range(g.n):
-        um2, um1, up1, up2 = (vals[..., k] for k in range(4 * i, 4 * i + 4))
-        d2 = (-up2 + 16.0 * up1 - 30.0 * u0 + 16.0 * um1 - um2) / (12.0 * h * h)
-        d1 = (-up2 + 8.0 * up1 - 8.0 * um1 + um2) / (12.0 * h)
-        xi = x[..., i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = total + np.where(
-                xi > _AXIS_FLOOR, d2 + 2.0 * g[i] / xi * d1, (1.0 + 2.0 * g[i]) * d2
-            )
-    return float(total) if x.ndim == 1 else total
-
-
-def mean_value_check(u, rule: SphereRule, R: float) -> dict:
-    """Compare the weighted sphere mean of u against m(S_+) u(0).
-
-    The B u = 0 precondition is probed by finite differences at a few interior
-    points; a failing residual is reported in the row, not raised.
-    """
+    if not isinstance(u, EvenPoly):
+        raise ValueError("mean_value_check takes u as an EvenPoly")
     if R <= 0:
         raise ValueError("R must be positive")
     g = rule.gamma
-    fn = _as_callable(u)
-    step = max(1, rule.nodes.shape[0] // RESIDUAL_POINTS)
-    radii = np.array([0.35, 0.55, 0.75])
-    probes = (radii[:, None, None] * R) * rule.nodes[None, ::step]
-    residual = float(np.max(np.abs(bessel_laplacian_fd(fn, g, probes, RESIDUAL_H))))
-    u0 = float(np.asarray(fn(np.zeros((1, g.n))), dtype=float).reshape(()))
-    vals = np.asarray(fn(R * rule.nodes), dtype=float)
+    bu = apply_bessel(u, g)
+    u0 = float(eval_poly(u, np.zeros(g.n)))
+    vals = eval_poly(u, R * rule.nodes)
     lhs = float(np.dot(rule.weights, vals))
     rhs = hemisphere_measure(g) * u0
     scale = hemisphere_measure(g) * max(1e-300, float(np.max(np.abs(vals))), abs(u0))
@@ -135,8 +87,8 @@ def mean_value_check(u, rule: SphereRule, R: float) -> dict:
         "rhs": rhs,
         "abs_err": abs(lhs - rhs),
         "scale": scale,
-        "residual": residual,
-        "residual_ok": bool(residual < RESIDUAL_TOL),
+        "residual": float(max((abs(c) for _, c in bu.coeffs), default=0)),
+        "residual_ok": bu.is_zero,
     }
 
 
@@ -225,32 +177,20 @@ def _poly_b_power_at_zero(p: EvenPoly, gamma, eta: int) -> float:
     return float(p.as_dict().get((0,) * p.n, 0))
 
 
-def pizzetti_mean(u, gamma, R: float, m: int, *, h: float | None = None) -> float:
-    """Truncated Pizzetti sum sum_{eta<=m} c_eta (B^eta u)(0).
+def pizzetti_mean(u: EvenPoly, gamma, R: float, m: int) -> float:
+    """Truncated Pizzetti sum sum_{eta<=m} c_eta (B^eta u)(0) for an EvenPoly
+    u (ValueError for anything else).
 
-    For EvenPoly input the powers B^eta come from repeated apply_bessel and
-    the series terminates exactly once 2m >= deg u.  For callables the powers
-    are nested finite differences (limited to m <= 2; roundoff dominates
-    beyond that), with h defaulting to 1e-2 R.
+    The powers B^eta come from repeated apply_bessel, so every term is exact
+    and the series terminates once 2m >= deg u.
     """
+    if not isinstance(u, EvenPoly):
+        raise ValueError("pizzetti_mean takes u as an EvenPoly")
     g = as_gamma(gamma)
     coeffs = pizzetti_coeffs(g, R, m).c
-    if isinstance(u, EvenPoly):
-        return math.fsum(
-            coeffs[eta] * _poly_b_power_at_zero(u, g, eta) for eta in range(m + 1)
-        )
-    if m > 2:
-        raise ValueError("callable inputs support m <= 2 (nested FD roundoff)")
-    h = 1e-2 * R if h is None else h
-    fn = _as_callable(u)
-    origin = np.zeros(g.n)
-    terms = [float(np.asarray(fn(origin[None, :]), dtype=float).reshape(()))]
-    if m >= 1:
-        terms.append(bessel_laplacian_fd(fn, g, origin, h))
-    if m >= 2:
-        bu = lambda pts: bessel_laplacian_fd(fn, g, pts, h)
-        terms.append(bessel_laplacian_fd(bu, g, origin, h))
-    return math.fsum(c * t for c, t in zip(coeffs, terms))
+    return math.fsum(
+        coeffs[eta] * _poly_b_power_at_zero(u, g, eta) for eta in range(m + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

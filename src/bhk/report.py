@@ -51,7 +51,7 @@ from .meanvalue import (
     shifted_mean_value_check,
     v_sequence,
 )
-from .polys import EvenPoly, b_harmonic_basis, eval_poly
+from .polys import EvenPoly, _monomials, b_harmonic_basis, eval_poly
 from .riesz import (
     build_riesz_kernel,
     lp_boundedness_probe,
@@ -261,6 +261,13 @@ def _gauss(p):
 
 def _first_basis(g: GammaIndex, k: int) -> EvenPoly:
     return b_harmonic_basis(g.n, k, g)[0]
+
+
+def _radius_power(n: int, k: int) -> EvenPoly:
+    """|x|^{2k} = sum_{|beta| = k} k!/prod beta_i! x^{2 beta} as an EvenPoly."""
+    return EvenPoly.from_terms(n, {
+        a: math.factorial(k) // math.prod(math.factorial(ai // 2) for ai in a)
+        for a in _monomials(n, 2 * k)})
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +489,7 @@ def suite_mean_value(cfg: RunConfig) -> List[dict]:
     rule = _sphere_rule(g.values, cfg.sphere_points)
     rows.append(_row(cfg, "sphere-measure", float(np.sum(rule.weights)),
                      hemisphere_measure(g), inputs={"gamma": list(g.values)}))
-    candidates: List = [("constant", lambda p: np.ones(p.shape[:-1]))]
+    candidates = [("constant", _radius_power(g.n, 0))]
     if g.n >= 2:
         candidates.append(("b-harmonic-k2", _first_basis(g, 2)))
         candidates.append(("b-harmonic-k4", _first_basis(g, 4)))
@@ -512,8 +519,7 @@ def suite_pizzetti(cfg: RunConfig) -> List[dict]:
     for gam in dict.fromkeys([(0.5, 1.5), tuple(cfg.gamma)]):
         g = as_gamma(gam)
         rule = _sphere_rule(g.values, cfg.sphere_points)
-        r2 = EvenPoly.from_terms(g.n, {tuple(2 if j == i else 0 for j in range(g.n)): 1.0
-                                       for i in range(g.n)})
+        r2 = _radius_power(g.n, 1)
         normalized = sphere_mean(r2, rule, 1.0) / hemisphere_measure(g)
         series = pizzetti_mean(r2, g, 1.0, 1)
         rows.append(_row(cfg, "pizzetti-exact", normalized, series,
@@ -530,11 +536,15 @@ def suite_pizzetti(cfg: RunConfig) -> List[dict]:
             )
             rows.append(_row(cfg, "pizzetti-ratio", worst, 0.0, scale=1.0,
                              inputs={"gamma": list(g.values), "R": R}))
-    # remainder decay for the Gaussian
+    # remainder decay for the Gaussian: its Taylor terms (-1)^k |x|^{2k} / k!
+    # have (B^eta |x|^{2k})(0) = 0 unless eta = k, so terms k > m add nothing
     g = as_gamma(cfg.gamma)
     rule = _sphere_rule(g.values, cfg.sphere_points)
     nm = sphere_mean(_gauss, rule, 1.0) / hemisphere_measure(g)
-    rem = [abs(nm - pizzetti_mean(_gauss, g, 1.0, m)) for m in (0, 1, 2)]
+    rem = [abs(nm - math.fsum((-1) ** k / math.factorial(k)
+                              * pizzetti_mean(_radius_power(g.n, k), g, 1.0, m)
+                              for k in range(m + 1)))
+           for m in (0, 1, 2)]
     rows.append(_row(cfg, "pizzetti-decay", 1.0 if rem[0] > rem[1] > rem[2] else 0.0,
                      1.0, inputs={"R": 1.0, "remainders": rem}))
     # v recursion: boundary conditions, B v_{eta+1} = v_eta, moment identity
@@ -577,25 +587,31 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
     rf = riesz_spectral(kernel, f, plan_f)
     # the points are grid nodes, so the spectral side is read without interpolation
     inner = [np.flatnonzero((x >= 0.5) & (x <= 1.8)) for x in grid.nodes]
-    rng = np.random.default_rng(_SEED)
-    converged = 0
-    for _ in range(5):
-        idx = tuple(int(rng.choice(i)) for i in inner)
-        x = np.array([nodes[k] for nodes, k in zip(grid.nodes, idx)])
-        res = riesz_spatial(kernel, factors, x, plan_s, srule, cfg.x_max)
-        spec_val = float(rf.values[idx])
-        rows.append(_row(cfg, "riesz-multiplier", res.limit, spec_val,
-                         scale=max(abs(spec_val), 1e-3),
-                         inputs={"point": [float(v) for v in x]},
-                         k=kernel.degree, gamma=list(g.values),
-                         point=[float(v) for v in x],
-                         spatial=res.limit, spectral=spec_val,
-                         converged=res.converged))
-        converged += res.converged
-    # a kernel whose quadrature-level angular mean is not zero leaves the
-    # subtracted integrand singular; that fails regardless of error
-    rows.append(_row(cfg, "riesz-converged", converged / 5, 1.0,
-                     inputs={"points": 5}))
+    empty = [i for i, idx in enumerate(inner) if idx.size == 0]
+    if empty:
+        rows.append(_error_row(ValueError(
+            f"no grid node in [0.5, 1.8] on axes {empty}: "
+            "riesz-multiplier and riesz-converged not run")))
+    else:
+        rng = np.random.default_rng(_SEED)
+        converged = 0
+        for _ in range(5):
+            idx = tuple(int(rng.choice(i)) for i in inner)
+            x = np.array([nodes[k] for nodes, k in zip(grid.nodes, idx)])
+            res = riesz_spatial(kernel, factors, x, plan_s, srule, cfg.x_max)
+            spec_val = float(rf.values[idx])
+            rows.append(_row(cfg, "riesz-multiplier", res.limit, spec_val,
+                             scale=max(abs(spec_val), 1e-3),
+                             inputs={"point": [float(v) for v in x]},
+                             k=kernel.degree, gamma=list(g.values),
+                             point=[float(v) for v in x],
+                             spatial=res.limit, spectral=spec_val,
+                             converged=res.converged))
+            converged += res.converged
+        # a kernel whose quadrature-level angular mean is not zero leaves the
+        # subtracted integrand singular; that fails regardless of error
+        rows.append(_row(cfg, "riesz-converged", converged / 5, 1.0,
+                         inputs={"points": 5}))
     # spectral worked value: multiplier times transform at a fixed point
     xi = np.ones(g.n)
     mult_xi = ((-1.0) ** (kernel.degree // 2) * eval_poly(p2, xi)

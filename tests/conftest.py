@@ -21,6 +21,30 @@ def gauss(p):
     return np.exp(-np.sum(p * p, axis=-1))
 
 
+def bessel_laplacian_fd(u, gamma, x, h: float = 1e-4) -> float:
+    """B u at one point x of shape (n,) by 4th-order finite differences: an
+    oracle for apply_bessel that shares none of its algebra.
+
+    On the axis (x_i <= 1e-9) the singular term takes its even limit,
+    B_i u -> (1 + 2 gamma_i) d_i^2 u; stencil arguments that cross zero are
+    reflected (u is even in each variable).
+    """
+    x = np.asarray(x, dtype=float)
+    u0 = float(u(x))
+    total = 0.0
+    for i, gi in enumerate(gamma):
+        vals = []
+        for t in (-2.0, -1.0, 1.0, 2.0):
+            y = x.copy()
+            y[i] = abs(x[i] + t * h)
+            vals.append(float(u(y)))
+        um2, um1, up1, up2 = vals
+        d2 = (-up2 + 16.0 * up1 - 30.0 * u0 + 16.0 * um1 - um2) / (12.0 * h * h)
+        d1 = (-up2 + 8.0 * up1 - 8.0 * um1 + um2) / (12.0 * h)
+        total += d2 + 2.0 * gi / x[i] * d1 if x[i] > 1e-9 else (1.0 + 2.0 * gi) * d2
+    return total
+
+
 def exact_power_shift(g, m, x, y) -> Fraction:
     """1-D T^y x^{2m} in exact arithmetic, from the product formula
     T^y j(x t) = j(x t) j(y t) matched power by power in t:

@@ -179,7 +179,7 @@ def test_criterion_05_harmonic_gaussian_transform():
 def test_criterion_06_mean_value():
     with criterion(6, "mean value formula", 180.0):
         rule = build_sphere_rule(GAMMA, 96)
-        us = [lambda p: np.ones(p.shape[:-1])]
+        us = [EvenPoly.from_terms(2, {(0, 0): 1.0})]
         us += [b_harmonic_basis(2, k, GAMMA)[0] for k in (2, 4)]
         for u in us:
             for R in (0.7, 1.0, 1.6):

@@ -2,6 +2,7 @@ import ast
 import copy
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import bhk
 import bhk.report as report_module
@@ -289,6 +291,17 @@ class TestRunSuite:
         assert [r["check"] for r in report["rows"] if not r["pass"]] == []
         assert report["summary"] == {"failed": 0, "passed": 10, "total": 10}
 
+    @pytest.mark.parametrize("config", [{}, {"gamma": [5.0, 0.05]}, N3_CONFIG])
+    def test_pizzetti_decay_remainders_are_taylor_tails(self, config):
+        # on the unit sphere the Gaussian is e^{-1}, and the Pizzetti sum of
+        # its Taylor terms up to k = m is the Taylor sum T_m(-1) of e^t
+        report = run_suite(RunConfig.from_dict(config), "pizzetti")
+        (row,) = [r for r in report["rows"] if r["check"] == "pizzetti-decay"]
+        want = [abs(math.exp(-1.0) - math.fsum((-1.0) ** k / math.factorial(k)
+                                               for k in range(m + 1)))
+                for m in (0, 1, 2)]
+        assert_allclose(row["inputs"]["remainders"], want, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("gamma", SEEDED_GAMMAS)
     def test_seeded_gamma_has_no_suite_error(self, gamma):
         # rows may still fail on their tolerances (shift-preservation near
@@ -434,6 +447,22 @@ class TestCliRun:
         assert code == 1
         assert out.exists()  # report still written; failures are row-level
         assert "FAIL" in capsys.readouterr().err
+
+    def test_riesz_empty_point_window_is_one_failing_row(self, tmp_path, capsys):
+        # 16 nodes on [0, 200] leave none in [0.5, 1.8]: the multiplier rows
+        # give way to one error row, and the other riesz rows still run
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps({"grid": {"x_max": 200, "points": 16}}))
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "riesz", "--config", str(path),
+                     "--out", str(out)]) == 1
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["check"] for r in rows] == [
+            "riesz-mean-zero", "suite-error", "riesz-spectral-value",
+            "riesz-homogeneity", "riesz-constant"]
+        assert not rows[1]["pass"]
+        assert rows[1]["inputs"]["message"].startswith(
+            "no grid node in [0.5, 1.8] on axes [0, 1]")
 
     def test_suite_exception_is_a_failing_row(self, config_path, tmp_path, capsys,
                                               monkeypatch):

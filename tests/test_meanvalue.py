@@ -13,7 +13,6 @@ from bhk.meanvalue import (
     PizzettiCoefficients,
     _eval_terms,
     _radial_bessel,
-    bessel_laplacian_fd,
     mean_value_check,
     pizzetti_coeffs,
     pizzetti_mean,
@@ -25,7 +24,7 @@ from bhk.polys import EvenPoly, b_harmonic_basis, eval_poly
 from bhk.report import DEFAULT_TOLERANCES
 from bhk.shift import build_shift_plan, shift
 
-from conftest import GAMMA, exact_power_shift, gauss
+from conftest import GAMMA, bessel_laplacian_fd, exact_power_shift, gauss
 
 R2 = EvenPoly.from_terms(2, {(2, 0): 1.0, (0, 2): 1.0})
 
@@ -49,6 +48,7 @@ class TestSphereMean:
 
 
 class TestBesselLaplacianFd:
+    # the finite-difference oracle of test_polys, against closed forms
     def test_gaussian_analytic(self):
         for x in ([0.6, 0.8], [1.5, 0.3]):
             got = bessel_laplacian_fd(gauss, GAMMA, x)
@@ -65,27 +65,12 @@ class TestBesselLaplacianFd:
         ref = (4.0 - 12.0) * math.exp(-1.0)
         assert_allclose(got, ref, rtol=1e-6)
 
-    @pytest.mark.parametrize("gam", [(0.7,), GAMMA, (0.3, 2.2, 4.1)])
-    def test_batch_equals_point_calls(self, gam):
-        # a (3, 4, n) batch with on-axis and origin points, against one call
-        # per point: the arithmetic per point is unchanged, so bitwise equal
-        n = len(gam)
-        pts = np.random.default_rng(n).uniform(0.0, 2.0, (3, 4, n))
-        pts[0, 0] = 0.0
-        pts[1, :, 0] = 0.0
-        pts[2, 1, -1] = 1e-12
-        u = lambda p: np.cos(np.sum(p * p, axis=-1)) + p[..., 0] ** 4
-        got = bessel_laplacian_fd(u, gam, pts)
-        want = np.array([bessel_laplacian_fd(u, gam, p) for p in pts.reshape(-1, n)])
-        assert got.shape == (3, 4)
-        assert np.array_equal(got.reshape(-1), want)
-        assert isinstance(bessel_laplacian_fd(u, gam, pts[0, 0]), float)
-
 
 class TestMeanValueCheck:
     def test_constant(self, sphere96):
-        row = mean_value_check(lambda p: np.ones(p.shape[:-1]), sphere96, 1.0)
+        row = mean_value_check(EvenPoly.from_terms(2, {(0, 0): 1.0}), sphere96, 1.0)
         assert row["residual_ok"]
+        assert row["residual"] == 0.0
         assert_allclose(row["lhs"], row["rhs"], rtol=1e-12)
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -97,9 +82,24 @@ class TestMeanValueCheck:
         assert row["rhs"] == 0.0
         assert row["abs_err"] <= 1e-8 * row["scale"]
 
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("gam", [(5.0, 0.05), (0.05, 5.0), (0.4314, 0.2019, 0.1802),
+                                     (0.5, 1.0, 1.5, 0.75)])
+    def test_b_harmonic_residual_is_exact_zero(self, gam, k):
+        # B u = 0 is read off apply_bessel's coefficients, at any gamma and n
+        rule = build_sphere_rule(gam, 16)
+        basis = b_harmonic_basis(len(gam), k, gam)
+        assert basis
+        for p in basis:
+            row = mean_value_check(p, rule, 1.0)
+            assert row["residual"] == 0.0
+            assert row["residual_ok"]
+
     def test_non_solution_flagged(self, sphere96):
-        row = mean_value_check(gauss, sphere96, 1.0)
-        assert not row["residual_ok"]  # B(gaussian) != 0
+        # B|x|^2 = 2 (1 + 2 gamma_1) + 2 (1 + 2 gamma_2) = 12 at gamma = (0.5, 1.5)
+        row = mean_value_check(R2, sphere96, 1.0)
+        assert row["residual"] == 12.0
+        assert not row["residual_ok"]
 
     def test_shifted_form(self, sphere96, shift_plan):
         p2 = b_harmonic_basis(2, 2, GAMMA)[0]
@@ -252,14 +252,12 @@ class TestPizzettiMean:
         for m in (0, 1, 2):
             assert pizzetti_mean(p2, GAMMA, 1.0, m) == 0.0
 
-    def test_callable_remainder_decays(self, sphere96):
-        normalized = sphere_mean(gauss, sphere96, 1.0) / hemisphere_measure(GAMMA)
-        rem = [abs(normalized - pizzetti_mean(gauss, GAMMA, 1.0, m)) for m in (0, 1, 2)]
-        assert rem[0] > rem[1] > rem[2]
-
-    def test_callable_m_limit(self):
-        with pytest.raises(ValueError):
-            pizzetti_mean(gauss, GAMMA, 1.0, 3)
+    def test_callable_refused(self, sphere96):
+        # B is applied exactly, on EvenPoly coefficients only
+        with pytest.raises(ValueError, match="EvenPoly"):
+            pizzetti_mean(gauss, GAMMA, 1.0, 1)
+        with pytest.raises(ValueError, match="EvenPoly"):
+            mean_value_check(gauss, sphere96, 1.0)
 
 
 class TestVRecursion:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bhk.meanvalue import bessel_laplacian_fd
 from bhk.polys import (
     EvenPoly,
     apply_bessel,
@@ -12,7 +11,7 @@ from bhk.polys import (
 )
 from bhk.shift import build_shift_plan, shift
 
-from conftest import GAMMA
+from conftest import GAMMA, bessel_laplacian_fd
 
 P2_SPEC = EvenPoly.from_terms(2, {(2, 0): 4.0, (0, 2): -2.0})
 

@@ -8,22 +8,24 @@ even in r and satisfies the one-dimensional Bessel eigenrelation
 which makes prod_i j_{gamma_i-1/2}(x_i y_i) the kernel of the Fourier-Bessel
 transform used everywhere else in this package.
 
-Evaluation strategy: ascending power series below r = max(12, 2|nu|), and
-Miller backward recurrence with Neumann-series normalization above.  Every
-argument starts the recurrence at its own order (about r + 12 sqrt(r) + 30),
-so that a deep start cannot underflow a shallow argument, and one downward
-pass in extended precision serves all arguments of a call: sorted by start
-order, the step at order j runs only on those that start at j or above.  The
-pass runs in chunks of SHIFT_BUDGET arguments.  The series stops each
-argument at its own last term, so on both branches an argument's value does
-not depend on the rest of the batch: normalized_j(nu, r)[i] is bitwise
-normalized_j(nu, r[i]).  The series is accumulated in
-double-double arithmetic (error-free transforms): plain double accumulation
-near the switch radius carries ~1e-12 cancellation jitter, which the
-finite-difference eigenrelation check amplifies by 1/h^2 far past its 1e-7
-budget, while the compensated sum keeps evaluations correctly rounded at
-double precision.  The removable singularity of j_nu at r = 0 is never
-evaluated as J_nu(r)/r^nu; the series gives j_nu(0) = 1 exactly.
+Evaluation strategy: one downward Miller recurrence (Gautschi, SIAM Rev. 9,
+1967) in extended precision for every r > 0, normalized by the Neumann sum
+
+    sum_k a_k J_{nu+2k}(r) = (r/2)^nu / Gamma(nu+1),
+    a_0 = 1,  a_k = (nu+2k) (nu+1)_{k-1} / k!,
+
+so that j_nu(r) = f_0 / sum_k a_k f_{2k} for the unnormalized f_j of the pass,
+rounded to double once: no power of r and no Gamma value enters.  Every
+argument starts at its own order m, past the Debye decay of J_{nu+m}(r)
+(about top + 10 top^(1/3) + 12, top = max(r, |nu|)), so that a deep start
+cannot overflow a shallow argument, and one pass serves all arguments of a
+call: sorted by start order, the steps below an order run only on the
+arguments that start at or above it, each seeded at its own order.  An
+argument's value therefore does not depend on the rest of the batch:
+normalized_j(nu, r)[i] is bitwise normalized_j(nu, r[i]).  The pass runs in
+chunks of SHIFT_BUDGET arguments.  Where r^2 < 2^-52 (nu+1), r = 0 included,
+the series 1 - r^2 / (4 (nu+1)) + ... rounds to 1 and j_nu(r) is 1.0 exactly;
+the pass, whose growth (2/r)^m overflows as r -> 0, does not run there.
 
 Gauss-Jacobi rules (`gauss_jacobi`, the one quadrature rule behind every grid,
 angle and sphere rule of the package) are computed in numpy by Golub-Welsch:
@@ -45,14 +47,16 @@ __all__ = [
     "poisson_representation",
 ]
 
-_SERIES_MAX_TERMS = 160
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
-
 # values per chunk of the batched evaluations: Miller recurrence entries here
 # and 1-D law-of-cosines points of shift._axis_shift (every per-axis shift of
 # b_convolve, riesz_spatial and shifted_mean_value_check); bounds their
 # transient memory
 SHIFT_BUDGET = 2**16
+# start value f_m of the Miller pass: 2^64 above the smallest normal
+# extended-precision number, so the pass may grow through nearly the whole
+# exponent range while every term a_k f_{2k} stays normal; a power of two only
+# scales the pass, exactly
+_SEED = np.finfo(np.longdouble).tiny * 2.0**64
 
 
 def gamma(x: float) -> float:
@@ -67,165 +71,72 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def _series_switch(nu: float) -> float:
-    return max(12.0, 2.0 * abs(nu))
-
-
-# -- double-double helpers (hi/lo ndarray pairs) ----------------------------
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fast_two_sum(a, b):  # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a, b):
-    p = a * b
-    c = _SPLITTER * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLITTER * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_mul(a, b):
-    p, e = _two_prod(a[0], b[0])
-    e = e + a[0] * b[1] + a[1] * b[0]
-    return _fast_two_sum(p, e)
-
-
-def _dd_div_scalar(a, d):
-    q1 = a[0] / d
-    p, e = _two_prod(q1, d)
-    q2 = (((a[0] - p) - e) + a[1]) / d
-    return _fast_two_sum(q1, q2)
-
-
-def _dd_add(a, b):
-    s, e = _two_sum(a[0], b[0])
-    return _fast_two_sum(s, e + (a[1] + b[1]))
-
-
-def _normalized_series(nu: float, r: np.ndarray) -> np.ndarray:
-    """j_nu by its ascending series sum_k (-1)^k (r^2/4)^k / (k! (nu+1)_k),
-    accumulated in double-double so the result is correctly rounded.
-
-    Every eighth term, the arguments whose last term is negligible are
-    written out and dropped from the active arrays, so each argument stops
-    at the term it would stop at alone and its value does not depend on the
-    rest of the batch.
-    """
-    out = np.empty_like(r)
-    idx = np.arange(r.size)
-    zh, zl = _two_prod(r, r)
-    negz = (-0.25 * zh, -0.25 * zl)
-    term = (np.ones_like(r), np.zeros_like(r))
-    total = (np.ones_like(r), np.zeros_like(r))
-    for k in range(_SERIES_MAX_TERMS):
-        term = _dd_mul(term, negz)
-        term = _dd_div_scalar(term, (k + 1.0) * (nu + k + 1.0))
-        total = _dd_add(total, term)
-        if k % 8 == 7:
-            done = np.abs(term[0]) <= 1e-34 * np.maximum(np.abs(total[0]), 1.0)
-            if done.any():
-                out[idx[done]] = total[0][done] + total[1][done]
-                live = ~done
-                idx = idx[live]
-                if not idx.size:
-                    return out
-                negz, term, total = ((a[live], b[live]) for a, b in (negz, term, total))
-    out[idx] = total[0] + total[1]
-    return out
-
-
-def _miller_jv(nu: float, r: np.ndarray) -> np.ndarray:
-    """J_nu(r) for r above the series switch by backward recurrence.
-
-    Downward three-term recurrence J_{mu-1} = (2 mu / r) J_mu - J_{mu+1} from a
-    start order well above max(nu, r), normalized with the Neumann sum
-    sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(r) = (r/2)^nu.  Runs in extended
-    precision to keep the evaluation jitter near one double ulp.  Chunks of at
-    most SHIFT_BUDGET entries bound the memory of the pass.
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
-    for lo in range(0, r.size, SHIFT_BUDGET):
-        out[lo : lo + SHIFT_BUDGET] = _miller_pass(nu, r[lo : lo + SHIFT_BUDGET])
-    return out
-
-
 def _miller_pass(nu: float, r: np.ndarray) -> np.ndarray:
-    """One downward pass of `_miller_jv` over every entry of r.
+    """j_nu(r) for every entry r > 0 of a 1-D array, by one downward pass.
 
-    Each entry starts at its own order, so a deep start cannot underflow
-    shallow entries: sorted deepest first, the step at order j runs on the
-    prefix of entries that start at j or above, each seeded at its own start
-    order, and an entry sees the same operations as in a pass of its own.
+    f_{j-1} = (2 (nu + j) / r) f_j - f_{j+1} from f_{m+1} = 0, f_m = _SEED
+    at each entry's even start order m, in place on the prefix of entries
+    (sorted deepest first) already started.  Every block of steps between two
+    start orders is even, so fp and fc hold f_{j+1} and f_j again at its end.
     """
     top = np.maximum(r, abs(nu))
-    m_need = (top + 12.0 * np.sqrt(top) + 30.0).astype(int)
-    m_need += m_need % 2  # even number of downward steps
+    m_need = (top + 10.0 * np.cbrt(top) + 12.0).astype(int)
+    m_need += m_need % 2
     order = np.argsort(-m_need, kind="stable")
     m = m_need[order]
-    rs = r[order].astype(np.longdouble)
-    inv_r = 2.0 / rs
-    fp = np.empty_like(rs)  # J_{nu+j+1} (unnormalized)
-    fc = np.empty_like(rs)  # J_{nu+j}
-    norm = np.zeros_like(rs)
-    # live[j]: entries whose start order is >= j (m is non-increasing)
-    live = np.searchsorted(-m, -np.arange(m[0] + 1), side="right")
-    started = 0
-    for j in range(m[0], -1, -1):
-        p = live[j]
-        if p > started:  # entries that start at order j
-            fp[started:p], fc[started:p] = 0.0, 1e-35
-            started = p
-        if j % 2 == 0:
-            k = j // 2
-            if k == 0:
-                g = math.gamma(nu + 1.0)
-            else:
-                g = (nu + 2.0 * k) * math.exp(math.lgamma(nu + k) - math.lgamma(k + 1.0))
-            norm[:p] += np.longdouble(g) * fc[:p]
-        if j == 0:
-            break
-        fp[:p] = (nu + j) * inv_r[:p] * fc[:p] - fp[:p]
-        fp, fc = fc, fp
+    inv_r = 1.0 / r[order].astype(np.longdouble)
+    x = np.longdouble(nu)
+    coef = 2.0 * (x + np.arange(m[0] + 1))  # 2 (nu + j)
+    # a_0 = 1, a_k = (nu + 2k) (nu + 1)_{k-1} / k!; cumprod is sequential, so
+    # a prefix does not depend on the batch's deepest start order
+    k = np.arange(1, m[0] // 2 + 1, dtype=np.longdouble)
+    rising = np.cumprod(np.concatenate(([1.0], (x + k[:-1]) / k[1:])))
+    a = np.concatenate(([1.0], (x + 2.0 * k) * rising))
+    fp, fc, norm = np.zeros_like(inv_r), np.zeros_like(inv_r), np.zeros_like(inv_r)
+    tmp = np.empty_like(inv_r)
+    lo = 0
+    for p in [*(np.flatnonzero(np.diff(m)) + 1), m.size]:  # runs of equal m
+        fc[lo:p] = _SEED
+        f1, f0, t, s, acc = fp[:p], fc[:p], tmp[:p], inv_r[:p], norm[:p]
+        for j in range(m[lo], m[p] if p < m.size else -1, -1):
+            if j % 2 == 0:
+                np.multiply(f0, a[j // 2], out=t)
+                acc += t
+            if j:
+                np.multiply(f0, s, out=t)
+                t *= coef[j]
+                np.subtract(t, f1, out=f1)
+                f1, f0 = f0, f1
+        lo = p
     out = np.empty_like(r)
-    out[order] = (fc * (0.5 * rs) ** np.longdouble(nu) / norm).astype(float)
+    out[order] = fc / norm
     return out
 
 
 def normalized_j(nu, r):
     """Normalized Bessel function j_nu(r) = 2^nu Gamma(nu+1) J_nu(r) r^(-nu).
 
-    j_nu(0) = 1 exactly (series branch); even in r.  Scalar or ndarray r;
+    Even in r; exactly 1.0 where r^2 < 2^-52 (nu + 1), and one Miller pass
+    (`_miller_pass`) per chunk of SHIFT_BUDGET arguments above.  The pass
+    fits the extended exponent range up to nu = 800 (at nu = 1000 it
+    overflows next to that cut), far past the gamma_i < 84.8 at which the
+    tensor grid's Gauss-Jacobi mass overflows.  Scalar or ndarray r;
     ValueError unless nu > -1 and every r is finite and >= 0 (a NaN or inf
-    start order would spoil its whole Miller pass).
+    start order would spoil its whole pass).
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:
         raise ValueError(f"Bessel order must satisfy nu > -1, got {nu}")
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all((arr >= 0.0) & (arr < np.inf)):
+    arr = np.asarray(r, dtype=float)
+    flat = arr.ravel()
+    if not np.all((flat >= 0.0) & (flat < np.inf)):
         raise ValueError("normalized_j requires finite r >= 0")
-    out = np.empty_like(arr)
-    small = arr < _series_switch(nu)
-    if np.any(small):
-        out[small] = _normalized_series(nu, arr[small])
-    if np.any(~small):
-        rl = arr[~small]
-        out[~small] = (
-            2.0**nu * math.gamma(nu + 1.0) * _miller_jv(nu, rl) * rl ** (-nu)
-        )
-    return out if np.ndim(r) else float(out[0])
+    out = np.ones(flat.shape)
+    idx = np.flatnonzero(flat >= 2.0**-26 * math.sqrt(nu + 1.0))
+    for lo in range(0, idx.size, SHIFT_BUDGET):
+        sel = idx[lo : lo + SHIFT_BUDGET]
+        out[sel] = _miller_pass(nu, flat[sel])
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 def gauss_jacobi(n: int, a: float, b: float):
@@ -296,8 +207,8 @@ def poisson_representation(gamma_axis: float, r, quad_points: int = 64):
             * int_0^pi e^{i r cos a} (sin a)^{2 gamma - 1} da
 
     evaluated (real part) by Gauss-Jacobi quadrature in t = cos a, the rule
-    from `gauss_jacobi`.  That rule shares no code with the series or Miller
-    paths of normalized_j, so this stays an independent cross-check of it.
+    from `gauss_jacobi`.  That rule shares no code with the Miller pass of
+    normalized_j, so this stays an independent cross-check of it.
     Scalar or ndarray r.
     """
     gamma_axis = float(gamma_axis)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,76 +97,78 @@ class TestBesselJ:
             normalized_j(-1.0, 1.0)
 
 
-def _bucketed_miller_jv(nu, r):
-    """Oracle: Miller's recurrence with one downward loop per start order."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
-    m_need = _start_orders(nu, r)
-    for m in np.unique(m_need):
-        sel = m_need == m
-        rs = r[sel].astype(np.longdouble)
-        inv_r = 2.0 / rs
-        fp = np.zeros_like(rs)
-        fc = np.full_like(rs, np.longdouble(1e-35))
-        norm = np.zeros_like(rs)
-        f0 = fc
-        for j in range(m, -1, -1):
-            if j % 2 == 0:
-                k = j // 2
-                if k == 0:
-                    g = math.gamma(nu + 1.0)
-                else:
-                    g = (nu + 2.0 * k) * math.exp(
-                        math.lgamma(nu + k) - math.lgamma(k + 1.0)
-                    )
-                norm = norm + np.longdouble(g) * fc
-            if j == 0:
-                f0 = fc
-                break
-            fp, fc = fc, (nu + j) * inv_r * fc - fp
-        out[sel] = (f0 * (0.5 * rs) ** np.longdouble(nu) / norm).astype(float)
-    return out
-
-
 def _start_orders(nu, r):
     top = np.maximum(r, abs(nu))
-    m_need = (top + 12.0 * np.sqrt(top) + 30.0).astype(int)
+    m_need = (top + 10.0 * np.cbrt(top) + 12.0).astype(int)
     return m_need + m_need % 2
 
 
+def _tiny_r(nu):
+    """Largest r below which j_nu(r) = 1 - r^2 / (4 (nu + 1)) + ... rounds to 1."""
+    return 2.0**-26 * math.sqrt(nu + 1.0)
+
+
+def _bucketed_miller_j(nu, r):
+    """Oracle: Miller's recurrence with one downward loop per start order, on
+    fresh arrays seeded with 1, normalized by the Neumann sum
+    sum_k a_k f_{2k}, a_0 = 1, a_k = (nu + 2k) (nu + 1)_{k-1} / k!."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    m_need = _start_orders(nu, r)
+    x = np.longdouble(nu)
+    a, rising = [np.longdouble(1.0)], np.longdouble(1.0)
+    for k in range(1, int(m_need.max()) // 2 + 1):
+        if k > 1:
+            rising = rising * ((x + (k - 1)) / np.longdouble(k))
+        a.append((x + 2 * k) * rising)
+    for m in np.unique(m_need):
+        sel = m_need == m
+        inv_r = 1.0 / r[sel].astype(np.longdouble)
+        fp = np.zeros_like(inv_r)
+        fc = np.ones_like(inv_r)
+        norm = np.zeros_like(inv_r)
+        for j in range(m, -1, -1):
+            if j % 2 == 0:
+                norm = norm + a[j // 2] * fc
+            if j:
+                fp, fc = fc, fc * inv_r * (2 * (x + j)) - fp
+        out[sel] = fc / norm
+    return out
+
+
 class TestMillerRecurrence:
-    """The one-pass recurrence is bitwise equal to the bucketed one."""
+    """The one in-place pass is bitwise equal to the bucketed one."""
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0, 4.5, 9.5])
     def test_random_arguments(self, nu):
-        r = np.random.default_rng(9).uniform(special._series_switch(nu), 100.0, 3000)
-        assert np.array_equal(special._miller_jv(nu, r), _bucketed_miller_jv(nu, r))
+        r = np.random.default_rng(9).uniform(0.0, 100.0, 3000)
+        assert np.array_equal(normalized_j(nu, r), _bucketed_miller_j(nu, r))
 
     @pytest.mark.parametrize("nu", [-0.5, 2.0, 9.5])
     def test_single_argument(self, nu):
-        r = np.array([37.3])
-        assert np.array_equal(special._miller_jv(nu, r), _bucketed_miller_jv(nu, r))
+        for r in (37.3, 0.3, 1.001 * _tiny_r(nu)):
+            assert normalized_j(nu, r) == _bucketed_miller_j(nu, r)[0]
 
     def test_shared_start_order(self):
         r = 40.0 + np.linspace(0.0, 0.05, 9)
         assert np.unique(_start_orders(0.5, r)).size == 1
-        assert np.array_equal(special._miller_jv(0.5, r), _bucketed_miller_jv(0.5, r))
+        assert np.array_equal(normalized_j(0.5, r), _bucketed_miller_j(0.5, r))
 
     def test_adjacent_start_orders(self):
         # unsorted arguments on both sides of a step of the start order
         r = np.random.default_rng(3).permutation(np.linspace(40.0, 41.0, 41))
         m = np.unique(_start_orders(2.0, r))
         assert m.size == 2 and m[1] - m[0] == 2
-        assert np.array_equal(special._miller_jv(2.0, r), _bucketed_miller_jv(2.0, r))
+        assert np.array_equal(normalized_j(2.0, r), _bucketed_miller_j(2.0, r))
 
     def test_chunks_equal_one_pass(self, monkeypatch):
-        r = np.random.default_rng(5).uniform(12.0, 80.0, special.SHIFT_BUDGET + 1001)
-        chunked = special._miller_jv(0.0, r)
+        r = np.random.default_rng(5).uniform(0.0, 80.0, special.SHIFT_BUDGET + 1001)
+        chunked = normalized_j(0.0, r)
         monkeypatch.setattr(special, "SHIFT_BUDGET", r.size)
-        assert np.array_equal(chunked, special._miller_jv(0.0, r))
+        assert np.array_equal(chunked, normalized_j(0.0, r))
 
     def test_peak_memory_bounded(self):
-        # 14.3 MB now; 9.4 MB for the bucketed form, 33.8 MB for one unchunked pass
+        # 12.7 MB in chunks of SHIFT_BUDGET, 32.1 MB for one unchunked pass
         r = np.random.default_rng(7).uniform(12.0, 80.0, 200_000)
         tracemalloc.start()
         try:
@@ -206,20 +209,62 @@ class TestNormalizedJ:
             normalized_j(0.5, np.array([bad, 20.0]))
 
     @given(st.floats(min_value=-0.5, max_value=9.5),
-           st.lists(st.floats(min_value=0.0, max_value=2.5), min_size=1, max_size=40))
+           st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40))
     @settings(max_examples=60)
-    def test_batch_equals_scalar_calls(self, nu, scales):
-        # arguments on both sides of the series/Miller switch, and 0: each
-        # entry of a batch is bitwise its value in a call of its own
-        r = special._series_switch(nu) * np.array([0.0, 0.99, 1.01, *scales])
+    def test_batch_equals_scalar_calls(self, nu, extra):
+        # 0, the smallest subnormal, both sides of the tiny-r cut, a step of
+        # the start order and random arguments: each entry of a batch is
+        # bitwise its value in a call of its own
+        tiny = _tiny_r(nu)
+        steps = np.linspace(20.0, 22.0, 17)
+        assert np.unique(_start_orders(nu, steps)).size > 1
+        r = np.array([0.0, 5e-324, 0.999 * tiny, 1.001 * tiny, *steps, *extra])
         batch = normalized_j(nu, r)
+        assert batch[0] == batch[1] == batch[2] == 1.0
         assert np.array_equal(batch, [normalized_j(nu, float(x)) for x in r])
         assert np.array_equal(batch[::-1], normalized_j(nu, r[::-1]))
+
+    def test_array_shapes(self):
+        # a transposed (Fortran-ordered) array is read and written in its
+        # own index order
+        r = np.linspace(0.0, 30.0, 12).reshape(3, 4)
+        got = normalized_j(1.5, r.T)
+        assert got.shape == (4, 3)
+        assert np.array_equal(got, normalized_j(1.5, r).T)
+        assert isinstance(normalized_j(1.5, np.array(2.0)), float)
+
+    @pytest.mark.parametrize("nu", [-0.99, 4.5, 9.5])
+    def test_tiny_arguments_exact_without_warning(self, nu):
+        # the pass's growth (2/r)^m overflows as r -> 0 (at nu = 4.5,
+        # r = 1e-150 it warned); below the cut j_nu is exactly 1.0
+        r = np.array([5e-324, 1e-300, 1e-150, 1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(normalized_j(nu, r), np.ones(4))
+            assert 0.0 < 1.0 - normalized_j(nu, 1.001 * _tiny_r(nu)) < 1e-15
+
+    def test_against_mpmath(self):
+        # 40-digit J_nu over seeded gamma in [0.05, 5], the cosine order and
+        # gamma = 0.05; r in [0, 100] with a dense band around r = 12, where
+        # a double-rounded series once read 1.24e-12 off at nu = -0.45
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(22)
+        nus = [*(rng.uniform(0.05, 5.0, 5) - 0.5), -0.5, -0.45]
+        r = np.concatenate(([0.0, 1e-6, 0.25], rng.uniform(0.0, 100.0, 60),
+                            rng.uniform(11.5, 12.5, 30)))
+        with mp.workdps(40):
+            for nu in nus:
+                got = normalized_j(nu, r)
+                mnu = mp.mpf(nu)
+                scale = 2**mnu * mp.gamma(mnu + 1)
+                want = [1.0] + [float(scale * mp.besselj(mnu, mp.mpf(x)) / mp.mpf(x) ** mnu)
+                                for x in r[1:]]
+                assert np.max(np.abs(got - want)) <= 1e-14, nu
 
     def test_eigenrelation_residual(self):
         # u'' + (2 g / r) u' + u = 0 for u = j_{g-1/2}, central differences
         h = 1e-4
-        for g in (0.5, 1.5, 3.0):
+        for g in (0.5, 1.5, 3.0, 0.05, 0.7):
             nu = g - 0.5
             r = np.linspace(0.5, 20.0, 391)
             u0 = normalized_j(nu, r)

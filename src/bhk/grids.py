@@ -10,7 +10,7 @@ comes from `special.gauss_jacobi` (Golub-Welsch eigenvalues, one Newton step,
 Christoffel-sum weights).  Reductions use numpy's pairwise summation in a
 fixed axis order, keeping results bit-stable run to run.  Separable operators
 (Fourier-Bessel kernels, per-axis shift rows) act on tensor samples through
-`contract_axes` (one matrix per axis).
+`contract_axes` (one matrix per axis, one GEMM each).
 """
 
 from __future__ import annotations
@@ -110,16 +110,36 @@ class TensorGrid:
         return tuple(len(x) for x in self.nodes)
 
     def points(self) -> np.ndarray:
-        """All tensor nodes as an array of shape (*shape, n), filled one axis
-        at a time by broadcasting (no per-axis mesh copies)."""
-        out = np.empty(self.shape + (self.n,))
-        for i, x in enumerate(self.nodes):
-            out[..., i] = x.reshape((-1,) + (1,) * (self.n - 1 - i))
-        return out
+        """All tensor nodes as an array of shape (*shape, n)."""
+        return _point_array(self.nodes)
 
     def sample(self, fn: Callable) -> "GridFunction":
-        """Sample a callable fn(points (..., n)) -> values on the grid."""
-        return GridFunction(self, np.asarray(fn(self.points()), dtype=float))
+        """Sample a callable fn(points (..., n)) -> values on the grid.
+
+        fn is called on whole slices of the first axis, as many per call as
+        fit in special.SHIFT_BUDGET points (at least one), so the
+        (*shape, n) point array is never built.
+        """
+        out = np.empty(self.shape)
+        step = max(1, special.SHIFT_BUDGET // math.prod(self.shape[1:]))
+        for lo in range(0, self.shape[0], step):
+            pts = _point_array((self.nodes[0][lo : lo + step],) + self.nodes[1:])
+            vals = np.asarray(fn(pts), dtype=float)
+            if vals.shape != pts.shape[:-1]:
+                raise ValueError(f"fn returned shape {vals.shape} for points {pts.shape}")
+            out[lo : lo + step] = vals
+        return GridFunction(self, out)
+
+
+def _point_array(nodes) -> np.ndarray:
+    """The tensor of nodes[0] x ... x nodes[n-1] as an array of shape
+    (len(nodes[0]), ..., len(nodes[n-1]), n), filled one axis at a time by
+    broadcasting (no per-axis mesh copies)."""
+    n = len(nodes)
+    out = np.empty(tuple(len(x) for x in nodes) + (n,))
+    for i, x in enumerate(nodes):
+        out[..., i] = x.reshape((-1,) + (1,) * (n - 1 - i))
+    return out
 
 
 @dataclass
@@ -193,11 +213,15 @@ def contract_axes(mats, values) -> np.ndarray:
     """Apply one matrix per axis: out[b] = sum_a prod_i mats[i][b_i, a_i] values[a].
 
     mats[i] has shape (M_i, N_i), values (N_1, ..., N_n), the result
-    (M_1, ..., M_n); one tensordot per axis, O(n N^{n+1}) for square mats.
+    (M_1, ..., M_n), C-contiguous.  Each step is one GEMM that contracts the
+    leading axis and rotates the new one to the end: the (N_i, rest) view of
+    acc, transposed, times mat.T, where BLAS reads both transposes as views.
+    After n steps the axes are back in order, with no transposed copy made;
+    O(n N^{n+1}) for square mats.
     """
     acc = values
-    for ax, mat in enumerate(mats):
-        acc = np.moveaxis(np.tensordot(mat, acc, axes=([1], [ax])), 0, ax)
+    for mat in mats:
+        acc = (acc.reshape(acc.shape[0], -1).T @ mat.T).reshape(acc.shape[1:] + mat.shape[:1])
     return acc
 
 

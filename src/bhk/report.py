@@ -287,14 +287,15 @@ def suite_special(cfg: RunConfig) -> List[dict]:
     rows.append(_row(cfg, "special-closed-form",
                      float(np.max(np.abs(normalized_j(-0.5, r) - np.cos(r)))), 0.0,
                      scale=1.0, inputs={"nu": -0.5, "points": 1000}))
-    for g_ax in (0.5, 1.0, 2.5):
+    # the fixed orders, then each distinct config gamma_i not among them
+    for g_ax in dict.fromkeys((0.5, 1.0, 2.5) + as_gamma(cfg.gamma).values):
         rr = np.linspace(0.0, 20.0, 81)
         diff = float(np.max(np.abs(
             poisson_representation(g_ax, rr, 64) - normalized_j(g_ax - 0.5, rr))))
         rows.append(_row(cfg, "special-poisson", diff, 0.0, scale=1.0,
                          inputs={"gamma_axis": g_ax, "quad_points": 64}))
     h = 1e-4
-    for g_ax in (0.5, 1.5, 3.0):
+    for g_ax in dict.fromkeys((0.5, 1.5, 3.0) + as_gamma(cfg.gamma).values):
         nu = g_ax - 0.5
         rr = np.linspace(0.5, 20.0, 391)
         u0 = normalized_j(nu, rr)

@@ -97,8 +97,8 @@ def riesz_spectral(kernel: RieszKernel, f: GridFunction, plan: FBPlan) -> GridFu
     if kernel.degree % 2:
         raise ValueError("spectral route requires even k")
     g_hat = fb_forward(plan, f)
-    mult = riesz_multiplier(kernel, plan.freq_grid)
-    return fb_inverse(plan, GridFunction(plan.freq_grid, mult * g_hat.values))
+    g_hat.values *= riesz_multiplier(kernel, plan.freq_grid)
+    return fb_inverse(plan, g_hat)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ phi(x) = prod_i phi_i(x_i) it factors, T^y phi(x) = prod_i T^{y_i} phi_i(x_i)
 (sum factorization: sum_i A_i evaluations per point instead of prod_i A_i).
 It is computed along two routes, per axis wherever the input allows:
 
-* callable (`_shift_values`): phi is evaluated once on the tensor of
-  law-of-cosines points of a batch of (x, y) pairs and the angle weights
-  contracted.  `_axis_shift` is its 1-D form for one factor phi_i, in
-  chunks of at most special.SHIFT_BUDGET points.  `shift` takes phi either
+* callable (`_shift_values`): phi is evaluated on the tensor of
+  law-of-cosines points of a batch of (x, y) pairs, in chunks of whole
+  slices of the first angle axis (at most special.SHIFT_BUDGET points unless
+  one slice is larger), and the angle weights contracted.  `_axis_shift` is
+  its 1-D form for one factor phi_i, in chunks of at most
+  special.SHIFT_BUDGET points.  `shift` takes phi either
   as one callable on points (..., n), prod_i A_i evaluations, or as n 1-D
   factors, shifted one axis at a time by `_axis_shift` and the n values
   multiplied.  `b_convolve` takes the n factors only and builds one kernel
@@ -123,23 +125,32 @@ def _law_of_cosines(x, y, cos_a):
 def _shift_values(phi, x, y, cos_nodes, weights):
     """Callable route: T^y phi(x) for broadcastable points x, y of shape (..., n).
 
-    Evaluates phi once on the (..., A_1, ..., A_n, n) tensor of per-axis
-    law-of-cosines points and contracts the angle weights, last axis first;
-    returns an array of the broadcast batch shape.
+    Evaluates phi on the (..., A_1, ..., A_n, n) tensor of per-axis
+    law-of-cosines points in chunks along the first angle axis, each as many
+    whole slices as fit in special.SHIFT_BUDGET points (at least one), and
+    contracts the angle weights last axis first: the trailing weights per
+    chunk, the first weight last.  A tensor within the budget is one chunk.
+    Returns an array of the broadcast batch shape.
     """
     n = len(cos_nodes)
     batch = np.broadcast_shapes(x.shape, y.shape)[:-1]
-    pts = np.empty(batch + tuple(len(c) for c in cos_nodes) + (n,))
-    for i, c in enumerate(cos_nodes):
-        pts[..., i] = _law_of_cosines(
-            x[..., i].reshape(x.shape[:-1] + (1,) * n),
-            y[..., i].reshape(y.shape[:-1] + (1,) * n),
-            c.reshape((1,) * i + (-1,) + (1,) * (n - i - 1)),
-        )
-    vals = np.asarray(phi(pts), dtype=float)
-    for w in reversed(weights):
-        vals = np.tensordot(vals, w, axes=1)
-    return vals
+    sizes = tuple(len(c) for c in cos_nodes)
+    step = max(1, special.SHIFT_BUDGET // math.prod(batch + sizes[1:]))
+    first = np.empty(batch + sizes[:1])
+    for lo in range(0, sizes[0], step):
+        chunk = (cos_nodes[0][lo : lo + step],) + tuple(cos_nodes[1:])
+        pts = np.empty(batch + tuple(len(c) for c in chunk) + (n,))
+        for i, c in enumerate(chunk):
+            pts[..., i] = _law_of_cosines(
+                x[..., i].reshape(x.shape[:-1] + (1,) * n),
+                y[..., i].reshape(y.shape[:-1] + (1,) * n),
+                c.reshape((1,) * i + (-1,) + (1,) * (n - i - 1)),
+            )
+        vals = np.asarray(phi(pts), dtype=float)
+        for w in reversed(weights[1:]):
+            vals = np.tensordot(vals, w, axes=1)
+        first[..., lo : lo + step] = vals
+    return np.tensordot(first, weights[0], axes=1)
 
 
 def _axis_shift(phi_i, x, y, cos_a, w):

@@ -20,9 +20,12 @@ with the *same* constant on the inverse, which makes F an involution
     (the constant-free identity holds only when S = 1, e.g. all g_i = 1/2).
 
 The kernel is a product of 1-D kernels: fb_forward/fb_inverse apply one
-kernel matrix per axis (`grids.contract_axes`, O(n N^{n+1})), fb_forward_at
-one kernel row per axis and distinct coordinate, folded in one axis at a time
-(sum factorization, O(P N^n) for P points).  The frequency
+weighted kernel matrix per axis through `grids.contract_axes`, O(n N^{n+1}):
+each axis is one GEMM on transposed views that contracts the leading axis and
+rotates the new one to the end, so no transposed copy is made and the result
+is C-contiguous; c_fb then scales that fresh array in place.  fb_forward_at
+applies one kernel row per axis and distinct coordinate, folded in one axis
+at a time (sum factorization, O(P N^n) for P points).  The frequency
 grid keeps the spatial point count but extends x_max slightly so the inverse
 quadrature captures the transform's tail; round-trip accuracy on the unit
 Gaussian is verified at plan construction.
@@ -132,14 +135,18 @@ def fb_forward(plan: FBPlan, f: GridFunction) -> GridFunction:
     """Forward transform of a spatial GridFunction onto the frequency grid."""
     _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
     mats = [k.T * w[None, :] for k, w in zip(plan.kernels, plan.grid.weights)]
-    return GridFunction(plan.freq_grid, plan.c_fb * contract_axes(mats, f.values))
+    out = contract_axes(mats, f.values)
+    out *= plan.c_fb
+    return GridFunction(plan.freq_grid, out)
 
 
 def fb_inverse(plan: FBPlan, g: GridFunction) -> GridFunction:
     """Inverse transform of a frequency GridFunction back to the spatial grid."""
     _require_grid(g.grid, plan.freq_grid, "g is not on the plan's frequency grid")
     mats = [k * w[None, :] for k, w in zip(plan.kernels, plan.freq_grid.weights)]
-    return GridFunction(plan.grid, plan.c_fb * contract_axes(mats, g.values))
+    out = contract_axes(mats, g.values)
+    out *= plan.c_fb
+    return GridFunction(plan.grid, out)
 
 
 def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:

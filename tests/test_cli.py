@@ -237,7 +237,8 @@ class TestRunSuite:
     def test_normalized_j_calls_per_report(self, monkeypatch):
         # frequency-node probes read plan.kernels; every other argument set
         # is evaluated once (patched through importlib: bhk re-exports names
-        # that shadow its submodules)
+        # that shadow its submodules); the special suite's poisson row at
+        # the config's gamma_2 = 1.5 is one call on 81 arguments
         calls = []
         for name in ("bhk.transform", "bhk.report"):
             mod = importlib.import_module(name)
@@ -245,7 +246,7 @@ class TestRunSuite:
                                 calls.append(np.size(r)) or nj(nu, r))
         report = run_suite(RunConfig(), "all")
         assert report["summary"]["failed"] == 0
-        assert (len(calls), sum(calls)) == (33, 26601)
+        assert (len(calls), sum(calls)) == (34, 26682)
 
     def test_one_rule_per_report_and_none_written(self, monkeypatch):
         # suites share the cached grid and sphere rules, so none may write
@@ -280,6 +281,20 @@ class TestRunSuite:
         report = json.loads(out.read_text())
         assert report["summary"]["failed"] == 0 and report["summary"]["total"] > 1
         assert len(plan_builds) == 1
+
+    @pytest.mark.parametrize("gamma, extra_poisson, extra_ode", [
+        ((0.5, 1.5), [1.5], []),
+        ((0.05, 0.7), [0.05, 0.7], [0.05, 0.7]),
+        ((0.05, 0.05), [0.05], [0.05]),
+    ])
+    def test_special_orders_from_config(self, gamma, extra_poisson, extra_ode):
+        # the fixed orders, then each distinct config gamma_i not among them
+        report = run_suite(RunConfig(gamma=gamma), "special")
+        orders = lambda check: [r["inputs"]["gamma_axis"] for r in report["rows"]
+                                if r["check"] == check]
+        assert orders("special-poisson") == [0.5, 1.0, 2.5] + extra_poisson
+        assert orders("special-ode") == [0.5, 1.5, 3.0] + extra_ode
+        assert report["summary"]["failed"] == 0
 
     def test_transform_suite_n3(self):
         report = run_suite(RunConfig.from_dict(N3_CONFIG), "transform")
@@ -416,11 +431,11 @@ class TestCliRun:
         assert main(["run", "--suite", "all", "--config", str(path),
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["summary"] == {"failed": 0, "passed": 99, "total": 99}
+        assert report["summary"] == {"failed": 0, "passed": 102, "total": 102}
 
     @pytest.mark.parametrize("config, total", [
-        ({"gamma": [0.05, 0.05]}, 99),
-        ({"n": 1, "gamma": [0.7]}, 59),
+        ({"gamma": [0.05, 0.05]}, 101),
+        ({"n": 1, "gamma": [0.7]}, 61),
     ])
     def test_small_gamma_report_passes(self, tmp_path, config, total):
         # v-consistency applies the radial B to v_{eta+1} exactly; finite

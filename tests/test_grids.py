@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bhk import special
 from bhk.grids import (
     GammaIndex,
     GridFunction,
@@ -80,6 +81,30 @@ class TestTensorGrid:
         want = np.stack(np.meshgrid(*grid.nodes, indexing="ij"), axis=-1)
         assert pts.shape == want.shape and np.array_equal(pts, want)
         assert peak <= 1.1 * pts.nbytes
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sample_chunks_equal_points(self, n, monkeypatch):
+        # chunks of 3 first-axis slices, and a last one of 2: bitwise the
+        # callable on the whole point array
+        grid = build_tensor_grid((0.5, 1.0, 1.5)[:n], 4.0, 11)
+        fn = lambda p: np.exp(-np.sum(p * p, axis=-1)) * p[..., 0]
+        monkeypatch.setattr(special, "SHIFT_BUDGET", 3 * 11 ** (n - 1) + 5)
+        f = grid.sample(fn)
+        assert np.array_equal(f.values, fn(grid.points()))
+        with pytest.raises(ValueError, match="shape"):
+            grid.sample(lambda p: np.ones(p.shape))
+
+    def test_sample_transient_memory(self):
+        # n = 4, 48 points: 48.9 MiB traced with the 40.5 MiB result; on the
+        # whole (*shape, n) point array it traced 364.5 MiB
+        grid = build_tensor_grid((0.5, 1.0, 1.5, 0.75), 8.0, 48)
+        tracemalloc.start()
+        try:
+            grid.sample(gauss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -209,20 +234,39 @@ class TestSphereRule:
             build_sphere_rule((0.5, 1.5), 2)
 
 
-class TestContractions:
-    """The shared separable contractions against a dense einsum oracle."""
+def _tensordot_loop(mats, values):
+    """The earlier contract_axes, kept as an oracle: one tensordot per axis,
+    then moveaxis back into place."""
+    acc = values
+    for ax, mat in enumerate(mats):
+        acc = np.moveaxis(np.tensordot(mat, acc, axes=([1], [ax])), 0, ax)
+    return acc
 
-    @pytest.mark.parametrize("shape", [(7,), (5, 6), (4, 5, 3)])
+
+class TestContractions:
+    """The shared separable contractions against a dense einsum oracle and
+    the tensordot loop they replaced."""
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 6), (4, 5, 3), (3, 5, 4, 6)])
     def test_contract_axes(self, shape):
         rng = np.random.default_rng(len(shape))
-        values = rng.standard_normal(shape)
-        mats = [rng.standard_normal((m + 2, m)) for m in shape]
-        axes, out = "abc"[: len(shape)], "xyz"[: len(shape)]
+        # non-square mats: axes grow and shrink
+        mats = [rng.standard_normal((m + 2 if i % 2 == 0 else m - 1, m))
+                for i, m in enumerate(shape)]
+        axes, out = "abcd"[: len(shape)], "wxyz"[: len(shape)]
         spec = ",".join(o + a for o, a in zip(out, axes)) + f",{axes}->{out}"
-        ref = np.einsum(spec, *mats, values)
-        got = contract_axes(mats, values)
-        assert got.shape == tuple(m + 2 for m in shape)
-        assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        # a C-contiguous input, and a strided transposed view of a larger one
+        big = rng.standard_normal(tuple(2 * m for m in reversed(shape)))
+        strided = big.T[(slice(None, None, 2),) * len(shape)]
+        assert strided.shape == shape and not strided.flags.c_contiguous
+        for values in (rng.standard_normal(shape), strided):
+            ref = np.einsum(spec, *mats, values)
+            got = contract_axes(mats, values)
+            assert got.shape == tuple(m.shape[0] for m in mats)
+            assert got.flags.c_contiguous
+            atol = 1e-13 * np.max(np.abs(ref))
+            assert_allclose(got, ref, rtol=0, atol=atol)
+            assert_allclose(got, _tensordot_loop(mats, values), rtol=0, atol=atol)
 
 
 class TestCsv:

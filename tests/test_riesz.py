@@ -120,6 +120,19 @@ def open_mesh_case(request):
     return plan, kernels, plan.grid.sample(gauss)
 
 
+class TestSpectralRoute:
+    def test_multiplier_in_place_bitwise(self, open_mesh_case):
+        # the multiplier scales fb_forward's fresh output in place
+        plan, kernels, f = open_mesh_case
+        for kernel in kernels:
+            got = riesz_spectral(kernel, f, plan)
+            mult = riesz_multiplier(kernel, plan.freq_grid)
+            f_hat = fb_forward(plan, f)
+            want = fb_inverse(plan, GridFunction(plan.freq_grid, mult * f_hat.values))
+            assert got.values.flags.c_contiguous
+            assert np.array_equal(got.values, want.values)
+
+
 class TestMultipliersOnOpenMesh:
     """The spectral multipliers, built from per-axis nodes, are bitwise those
     of the (*shape, n) point-array formulas, and no point array is built."""

@@ -180,6 +180,34 @@ class TestAxisShift:
         assert peak < 16 * 2**20
 
 
+class TestShiftValuesChunks:
+    """_shift_values evaluates its angle tensor in chunks of whole first-axis
+    slices, at most special.SHIFT_BUDGET points each when a slice fits."""
+
+    def test_chunked_equals_one_chunk(self, monkeypatch):
+        plan = build_shift_plan((0.5, 1.0, 1.5), 12)
+        x = np.array([0.9, 0.4, 1.2])
+        y = np.random.default_rng(52).uniform(0.0, 2.0, (5, 3))
+        one_chunk = _shift_values(gauss, x, y, plan.cos_nodes, plan.weights)
+        # 5 * 12 * 12 points per slice: chunks of 5, 5 and 2 slices
+        monkeypatch.setattr(special, "SHIFT_BUDGET", 5 * 5 * 12 * 12 + 7)
+        got = _shift_values(gauss, x, y, plan.cos_nodes, plan.weights)
+        assert got.shape == (5,)
+        assert_allclose(got, one_chunk, rtol=1e-15, atol=0)
+
+    def test_n4_adaptive_transient_memory(self):
+        # one adaptive T^y of a Gaussian at n = 4, 16 angles doubled to 32:
+        # 4.5 MiB traced; the whole 32^4-point tensor at once traced 72 MiB
+        plan = build_shift_plan((0.5, 1.0, 1.5, 0.75), 16)
+        tracemalloc.start()
+        try:
+            shift(plan, gauss, [0.9, 0.4, 1.2, 0.7], [0.6, 1.1, 0.3, 0.8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 class TestExactPowerOracle:
     """Both T^y routes against exact_power_shift at a 1e-12 relative gate."""
 

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from bhk.grids import build_tensor_grid
+from bhk.grids import build_tensor_grid, contract_axes
 from bhk.polys import EvenPoly, b_harmonic_basis, eval_poly
 from bhk.shift import b_convolve, build_shift_plan
 from bhk.special import normalized_j
@@ -229,6 +229,20 @@ class TestRoundTrip:
     def test_inverse_of_zero(self, fb_plan96):
         z = fb_plan96.freq_grid.sample(lambda p: np.zeros(p.shape[:-1]))
         assert np.all(fb_inverse(fb_plan96, z).values == 0.0)
+
+    @pytest.mark.parametrize("g", [GAMMA, (0.5, 1.0, 1.5)], ids=["n2", "n3"])
+    def test_scaled_contraction_bitwise(self, g):
+        # both directions scale the fresh contraction by c_fb in place
+        plan = build_fb_plan(build_tensor_grid(g, 8.0, 48))
+        f = plan.grid.sample(gauss)
+        fwd = fb_forward(plan, f)
+        mats = [k.T * w[None, :] for k, w in zip(plan.kernels, plan.grid.weights)]
+        assert fwd.values.flags.c_contiguous
+        assert np.array_equal(fwd.values, plan.c_fb * contract_axes(mats, f.values))
+        back = fb_inverse(plan, fwd)
+        mats = [k * w[None, :] for k, w in zip(plan.kernels, plan.freq_grid.weights)]
+        assert back.values.flags.c_contiguous
+        assert np.array_equal(back.values, plan.c_fb * contract_axes(mats, fwd.values))
 
 
 class TestScalingIdentity:

@@ -114,21 +114,9 @@ class TensorGrid:
         return _point_array(self.nodes)
 
     def sample(self, fn: Callable) -> "GridFunction":
-        """Sample a callable fn(points (..., n)) -> values on the grid.
-
-        fn is called on whole slices of the first axis, as many per call as
-        fit in special.SHIFT_BUDGET points (at least one), so the
-        (*shape, n) point array is never built.
-        """
-        out = np.empty(self.shape)
-        step = max(1, special.SHIFT_BUDGET // math.prod(self.shape[1:]))
-        for lo in range(0, self.shape[0], step):
-            pts = _point_array((self.nodes[0][lo : lo + step],) + self.nodes[1:])
-            vals = np.asarray(fn(pts), dtype=float)
-            if vals.shape != pts.shape[:-1]:
-                raise ValueError(f"fn returned shape {vals.shape} for points {pts.shape}")
-            out[lo : lo + step] = vals
-        return GridFunction(self, out)
+        """Sample a callable fn(points (..., n)) -> values on the grid, through
+        `_sample_tensor` on the per-axis nodes."""
+        return GridFunction(self, _sample_tensor(fn, self.nodes))
 
 
 def _point_array(nodes) -> np.ndarray:
@@ -139,6 +127,29 @@ def _point_array(nodes) -> np.ndarray:
     out = np.empty(tuple(len(x) for x in nodes) + (n,))
     for i, x in enumerate(nodes):
         out[..., i] = x.reshape((-1,) + (1,) * (n - 1 - i))
+    return out
+
+
+def _sample_tensor(fn: Callable, coords) -> np.ndarray:
+    """fn(points (..., n)) -> values on the tensor coords[0] x ... x
+    coords[n-1] of 1-D coordinate arrays, an array of shape
+    (len(coords[0]), ..., len(coords[n-1])).
+
+    fn is called on `_point_array`s of whole slices of the first axis, as
+    many per call as fit in special.SHIFT_BUDGET points (at least one), so
+    the full point array is never built.  The n-D evaluator of the library:
+    `TensorGrid.sample` on the grid nodes, `shift.shift` on one callable on
+    the law-of-cosines coordinates.
+    """
+    shape = tuple(len(c) for c in coords)
+    out = np.empty(shape)
+    step = max(1, special.SHIFT_BUDGET // math.prod(shape[1:]))
+    for lo in range(0, shape[0], step):
+        pts = _point_array((coords[0][lo : lo + step], *coords[1:]))
+        vals = np.asarray(fn(pts), dtype=float)
+        if vals.shape != pts.shape[:-1]:
+            raise ValueError(f"fn returned shape {vals.shape} for points {pts.shape}")
+        out[lo : lo + step] = vals
     return out
 
 

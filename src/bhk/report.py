@@ -5,11 +5,12 @@ check:
 
     {check, inputs, computed, expected, abs_err, rel_err, pass, tol, scale}
 
-rel_err is abs_err / max(|expected|, 1e-300); the pass decision uses
-abs_err <= tol * scale with scale defaulting to |expected| and set to the
-natural magnitude of the quantity for identities whose exact value is 0
-(otherwise a zero right-hand side would demand absolute perfection); tol = 0
-demands abs_err == 0 (yes/no requirements such as convergence).  Only
+The pass decision uses abs_err <= tol * scale with scale defaulting to
+|expected| and set to the natural magnitude of the quantity for identities
+whose exact value is 0 (otherwise a zero right-hand side would demand
+absolute perfection); tol = 0 demands abs_err == 0 (yes/no requirements such
+as convergence).  rel_err is abs_err / max(scale, 1e-300), the error on the
+same scale, so pass <=> rel_err <= tol.  Only
 `_info_row` rows, which check nothing, and the failing `suite-error` row that
 stands for a suite that raised (its inputs carry the exception type and
 message) skip this rule.  Rows may carry extra keys (gamma, R, lhs, rhs,
@@ -35,6 +36,7 @@ import numpy as np
 from . import corpus
 from .grids import (
     GammaIndex,
+    _point_array,
     as_gamma,
     build_sphere_rule,
     build_tensor_grid,
@@ -224,7 +226,7 @@ def _row(cfg: RunConfig, check: str, computed: float, expected: float,
         "computed": float(computed),
         "expected": float(expected),
         "abs_err": float(abs_err),
-        "rel_err": float(abs_err / max(abs(expected), 1e-300)),
+        "rel_err": float(abs_err / max(scale, 1e-300)),
         "scale": float(scale),
         "tol": float(tol),
         "pass": bool(ok),
@@ -396,8 +398,7 @@ def _freq_probe_nodes(plan, count: int = 5, reach: float = 3.2):
     for ax_nodes in plan.freq_grid.nodes:
         idx = sorted({int(np.argmin(np.abs(ax_nodes - t))) for t in targets})
         out.append(ax_nodes[idx])
-    mesh = np.meshgrid(*out, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(out))
+    return _point_array(out).reshape(-1, len(out))
 
 
 def suite_transform(cfg: RunConfig) -> List[dict]:

@@ -187,16 +187,16 @@ def priori_bound_probe(plan: FBPlan, p: float, family: Sequence) -> list:
         f_hat = fb_forward(plan, f)
         dd = fb_inverse(plan, GridFunction(plan.freq_grid, mult_mixed * f_hat.values))
         pf = fb_inverse(plan, GridFunction(plan.freq_grid, mult_elliptic * f_hat.values))
-        norm_bf = lp_norm(bf, p)
+        norm_bf, norm_dd, norm_pf = lp_norm(bf, p), lp_norm(dd, p), lp_norm(pf, p)
         rows.append(
             {
                 "check": "apriori-mixed-derivative",
                 "label": label,
                 "p": p,
                 "axes": [0, 1],
-                "lhs": lp_norm(dd, p),
+                "lhs": norm_dd,
                 "rhs": norm_bf,
-                "ratio": lp_norm(dd, p) / norm_bf,
+                "ratio": norm_dd / norm_bf,
             }
         )
         rows.append(
@@ -206,8 +206,8 @@ def priori_bound_probe(plan: FBPlan, p: float, family: Sequence) -> list:
                 "p": p,
                 "coeffs": list(a),
                 "lhs": norm_bf,
-                "rhs": lp_norm(pf, p),
-                "ratio": norm_bf / lp_norm(pf, p),
+                "rhs": norm_pf,
+                "ratio": norm_bf / norm_pf,
             }
         )
     return rows
@@ -227,16 +227,16 @@ def lp_boundedness_probe(
     for label, f in family:
         rf = riesz_spectral(kernel, f, plan)
         for p in p_values:
-            nf = lp_norm(f, p)
+            nf, nrf = lp_norm(f, p), lp_norm(rf, p)
             rows.append(
                 {
                     "check": "riesz-lp",
                     "label": label,
                     "p": float(p),
                     "k": kernel.degree,
-                    "norm_rf": lp_norm(rf, p),
+                    "norm_rf": nrf,
                     "norm_f": nf,
-                    "ratio": lp_norm(rf, p) / nf,
+                    "ratio": nrf / nf,
                     "max_multiplier": max_mult,
                 }
             )

@@ -17,19 +17,18 @@ phi(x) = prod_i phi_i(x_i) it factors, T^y phi(x) = prod_i T^{y_i} phi_i(x_i)
 (sum factorization: sum_i A_i evaluations per point instead of prod_i A_i).
 It is computed along two routes, per axis wherever the input allows:
 
-* callable (`_shift_values`): phi is evaluated on the tensor of
-  law-of-cosines points of a batch of (x, y) pairs, in chunks of whole
-  slices of the first angle axis (at most special.SHIFT_BUDGET points unless
-  one slice is larger), and the angle weights contracted.  `_axis_shift` is
-  its 1-D form for one factor phi_i, in chunks of at most
-  special.SHIFT_BUDGET points.  `shift` takes phi either
-  as one callable on points (..., n), prod_i A_i evaluations, or as n 1-D
-  factors, shifted one axis at a time by `_axis_shift` and the n values
-  multiplied.  `b_convolve` takes the n factors only and builds one kernel
-  matrix per axis (N_i^2 A_i evaluations of phi_i), applied with
-  `contract_axes`.  `riesz.riesz_spatial` shifts its n factors to every
-  polar node the same way, and `meanvalue.shifted_mean_value_check` shifts
-  an `EvenPoly` one axis and one distinct exponent at a time.
+* callable: `shift` takes phi either as one callable on points (..., n),
+  evaluated on the tensor of the per-axis law-of-cosines coordinates by
+  `grids._sample_tensor` (the sampler of `TensorGrid.sample`, in chunks of
+  whole first-axis slices) and the angle weights applied by
+  `grids.contract_axes`, prod_i A_i evaluations; or as n 1-D factors,
+  shifted one axis at a time by `_axis_shift` (in chunks of at most
+  special.SHIFT_BUDGET points) and the n values multiplied.  `b_convolve`
+  takes the n factors only and builds one kernel matrix per axis (N_i^2 A_i
+  evaluations of phi_i), applied with `contract_axes`.
+  `riesz.riesz_spatial` shifts its n factors to every polar node the same
+  way, and `meanvalue.shifted_mean_value_check` shifts an `EvenPoly` one
+  axis and one distinct exponent at a time.
 * sampled (`shift_grid`): the shifted argument on axis i depends only on
   (x_i, y_i, alpha_i), so per axis each node x_i gives one row, the
   angle-weighted sum of interpolation stencil rows with the even reflection
@@ -51,6 +50,7 @@ from .grids import (
     GammaIndex,
     GridFunction,
     GridInterpolator,
+    _sample_tensor,
     as_gamma,
     contract_axes,
     jacobi_angle_rule,
@@ -122,37 +122,6 @@ def _law_of_cosines(x, y, cos_a):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _shift_values(phi, x, y, cos_nodes, weights):
-    """Callable route: T^y phi(x) for broadcastable points x, y of shape (..., n).
-
-    Evaluates phi on the (..., A_1, ..., A_n, n) tensor of per-axis
-    law-of-cosines points in chunks along the first angle axis, each as many
-    whole slices as fit in special.SHIFT_BUDGET points (at least one), and
-    contracts the angle weights last axis first: the trailing weights per
-    chunk, the first weight last.  A tensor within the budget is one chunk.
-    Returns an array of the broadcast batch shape.
-    """
-    n = len(cos_nodes)
-    batch = np.broadcast_shapes(x.shape, y.shape)[:-1]
-    sizes = tuple(len(c) for c in cos_nodes)
-    step = max(1, special.SHIFT_BUDGET // math.prod(batch + sizes[1:]))
-    first = np.empty(batch + sizes[:1])
-    for lo in range(0, sizes[0], step):
-        chunk = (cos_nodes[0][lo : lo + step],) + tuple(cos_nodes[1:])
-        pts = np.empty(batch + tuple(len(c) for c in chunk) + (n,))
-        for i, c in enumerate(chunk):
-            pts[..., i] = _law_of_cosines(
-                x[..., i].reshape(x.shape[:-1] + (1,) * n),
-                y[..., i].reshape(y.shape[:-1] + (1,) * n),
-                c.reshape((1,) * i + (-1,) + (1,) * (n - i - 1)),
-            )
-        vals = np.asarray(phi(pts), dtype=float)
-        for w in reversed(weights[1:]):
-            vals = np.tensordot(vals, w, axes=1)
-        first[..., lo : lo + step] = vals
-    return np.tensordot(first, weights[0], axes=1)
-
-
 def _axis_shift(phi_i, x, y, cos_a, w):
     """1-D T^y phi_i(x) for broadcastable coordinate arrays x, y: the callable
     route on one axis, phi_i taking an array of coordinates.
@@ -212,8 +181,9 @@ def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float
     def value(m):
         rules = [_angle_rule(gi, m) for gi in plan.gamma]
         if phis is None:
-            return float(_shift_values(phi, x, y, [r[0] for r in rules],
-                                       [r[1] for r in rules]))
+            z = [_law_of_cosines(xi, yi, c) for xi, yi, (c, _) in zip(x, y, rules)]
+            return float(contract_axes([w[None, :] for _, w in rules],
+                                       _sample_tensor(phi, z)).reshape(()))
         return math.prod(float(_axis_shift(h, x[i : i + 1], y[i : i + 1], *r).reshape(()))
                          for i, (h, r) in enumerate(zip(phis, rules)))
 

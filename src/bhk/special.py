@@ -47,11 +47,12 @@ __all__ = [
     "poisson_representation",
 ]
 
-# values per chunk of the batched evaluations: Miller recurrence entries here
-# and 1-D law-of-cosines points of shift._axis_shift (every per-axis shift of
-# b_convolve, riesz_spatial and shifted_mean_value_check), n-D points of
-# shift._shift_values (shift on one callable) and of grids.TensorGrid.sample;
-# bounds their transient memory
+# values per chunk of the batched evaluations: Miller recurrence entries here,
+# 1-D law-of-cosines points of shift._axis_shift (every per-axis shift of
+# b_convolve, riesz_spatial and shifted_mean_value_check) and n-D points of
+# grids._sample_tensor (whole first-axis slices per chunk, at least one), the
+# sampler of TensorGrid.sample and of shift on one callable; bounds their
+# transient memory
 SHIFT_BUDGET = 2**16
 # start value f_m of the Miller pass: 2^64 above the smallest normal
 # extended-precision number, so the pass may grow through nearly the whole

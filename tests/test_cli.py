@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -126,8 +127,34 @@ class TestRunSuite:
         assert s["failed"] == 0
         for row in report["rows"]:
             assert row["rel_err"] == pytest.approx(
-                row["abs_err"] / max(abs(row["expected"]), 1e-300)
+                row["abs_err"] / max(row["scale"], 1e-300)
             )
+
+    @pytest.mark.parametrize("gamma", [None, [0.3, 0.7]], ids=["default", "g0.3-0.7"])
+    def test_rel_err_is_the_pass_rule(self, default_report, gamma):
+        # rel_err is abs_err on the pass rule's scale, so it decides pass by
+        # itself; at (0.3, 0.7) the v-consistency error is NaN and still fails
+        if gamma is None:
+            report = default_report
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                report = run_suite(RunConfig.from_dict({"gamma": gamma}), "all")
+        rows = [r for r in report["rows"] if r["check"] != "suite-error"]
+        assert [r for r in rows if (r["rel_err"] <= r["tol"]) != r["pass"]] == []
+        nan = [r["check"] for r in rows if math.isnan(r["rel_err"])]
+        assert nan == ([] if gamma is None else ["v-consistency"])
+
+    def test_lp_norm_calls_per_estimates_suite(self, monkeypatch):
+        # each probe norm is computed once: 3 per a-priori member and 2 per
+        # (member, p) of the riesz-lp table
+        riesz = importlib.import_module("bhk.riesz")
+        calls = []
+        monkeypatch.setattr(riesz, "lp_norm", lambda f, p, norm=riesz.lp_norm:
+                            calls.append(p) or norm(f, p))
+        report = run_suite(RunConfig(), "estimates")
+        assert report["summary"]["failed"] == 0
+        assert len(calls) == 21
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -637,3 +664,23 @@ class TestCallTrace:
         # the B-harmonic entries at n = 1 and the unknown function exit 2
         assert out["codes"] == [0, 0, 1, 2, 2, 2, 2, 0, 0, 0, 2, 2]
         assert not out["unreached"], "never ran:\n" + "\n".join(out["unreached"])
+
+
+class TestBenchmarkReach:
+    def test_default_report_reaches_every_traced_layer(self, monkeypatch):
+        # bench/tracer.py wraps the layers it times by name; a library change
+        # that stops reaching one fails here, not only in a traced benchmark run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        tracer_module = importlib.import_module("tracer")
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            report = run_suite(RunConfig(), "all")
+        finally:
+            tracer.uninstall()
+        assert report["summary"]["failed"] == 0
+        # from the spans: Tracer.metrics() lists every CALLS_REPORTED name,
+        # reached or not
+        seen = {span[0] for span in tracer.spans}
+        assert [name for name in tracer_module.LAYERS + tracer_module.SUITE_SPANS
+                if name not in seen] == []

@@ -17,7 +17,6 @@ from bhk.shift import (
     ShiftTruncationWarning,
     _axis_shift,
     _law_of_cosines,
-    _shift_values,
     b_convolve,
     build_shift_plan,
     shift,
@@ -181,23 +180,30 @@ class TestAxisShift:
 
 
 class TestShiftValuesChunks:
-    """_shift_values evaluates its angle tensor in chunks of whole first-axis
-    slices, at most special.SHIFT_BUDGET points each when a slice fits."""
+    """shift on one callable samples its angle tensor in chunks of whole
+    first-axis slices, at most special.SHIFT_BUDGET points each when a slice
+    fits."""
 
     def test_chunked_equals_one_chunk(self, monkeypatch):
         plan = build_shift_plan((0.5, 1.0, 1.5), 12)
-        x = np.array([0.9, 0.4, 1.2])
-        y = np.random.default_rng(52).uniform(0.0, 2.0, (5, 3))
-        one_chunk = _shift_values(gauss, x, y, plan.cos_nodes, plan.weights)
-        # 5 * 12 * 12 points per slice: chunks of 5, 5 and 2 slices
-        monkeypatch.setattr(special, "SHIFT_BUDGET", 5 * 5 * 12 * 12 + 7)
-        got = _shift_values(gauss, x, y, plan.cos_nodes, plan.weights)
-        assert got.shape == (5,)
-        assert_allclose(got, one_chunk, rtol=1e-15, atol=0)
+        x, y = [0.9, 0.4, 1.2], [0.6, 1.1, 0.3]
+        calls = []
+
+        def phi(p):
+            calls.append(p.shape[0])
+            return gauss(p)
+
+        one_chunk = shift(plan, phi, x, y, adaptive=False)
+        # 12 * 12 points per slice: chunks of 5, 5 and 2 slices
+        monkeypatch.setattr(special, "SHIFT_BUDGET", 5 * 12 * 12 + 7)
+        got = shift(plan, phi, x, y, adaptive=False)
+        assert calls == [12, 5, 5, 2]
+        assert got == one_chunk
 
     def test_n4_adaptive_transient_memory(self):
         # one adaptive T^y of a Gaussian at n = 4, 16 angles doubled to 32:
-        # 4.5 MiB traced; the whole 32^4-point tensor at once traced 72 MiB
+        # 13.0 MiB traced, the 8 MiB tensor of 32^4 values included; the
+        # whole 32^4-point array at once traced 72 MiB
         plan = build_shift_plan((0.5, 1.0, 1.5, 0.75), 16)
         tracemalloc.start()
         try:
@@ -305,15 +311,22 @@ def small():
 
 def _all_pairs_convolution(plan, f, factors):
     # direct oracle: the n-D product kernel shifted on every ordered (x, y)
-    # pair, one grid row of x at a time
-    grid = f.grid
+    # pair, one grid node x at a time against the batch of all nodes y, on
+    # the (batch, A_1, ..., A_n, n) law-of-cosines tensor built here
+    grid, n = f.grid, f.grid.n
     phi = lambda p: np.prod([h(p[..., i]) for i, h in enumerate(factors)], axis=0)
-    pts = grid.points().reshape(-1, grid.n)
+    pts = grid.points().reshape(-1, n)
     w_f = (functools.reduce(np.multiply.outer, grid.weights) * f.values).reshape(-1)
-    return np.array([
-        np.dot(w_f, _shift_values(phi, x, pts, plan.cos_nodes, plan.weights))
-        for x in pts
-    ]).reshape(grid.shape)
+    ys = pts.reshape((-1,) + (1,) * n + (n,))
+    cos = [c.reshape((-1,) + (1,) * (n - 1 - i)) for i, c in enumerate(plan.cos_nodes)]
+    w = functools.reduce(np.multiply.outer, plan.weights)
+    out = []
+    for x in pts:
+        z = np.stack(np.broadcast_arrays(*[
+            np.sqrt(np.maximum(x[i] ** 2 + ys[..., i] ** 2 - 2.0 * x[i] * ys[..., i] * c, 0.0))
+            for i, c in enumerate(cos)]), axis=-1)
+        out.append(np.dot(w_f, np.tensordot(phi(z), w, axes=n)))
+    return np.array(out).reshape(grid.shape)
 
 
 class TestBConvolve:

@@ -9,7 +9,7 @@ its Pizzetti-type expansion, high-order Riesz-Bessel transforms, and a verificat
 CLI (`bhk`) that checks the identities numerically.
 """
 
-from .special import gamma, normalized_j, poisson_representation
+from .special import gamma, normalized_j, angle_rule, poisson_representation
 from .grids import (
     GammaIndex,
     TensorGrid,
@@ -19,7 +19,6 @@ from .grids import (
     build_tensor_grid,
     integrate,
     lp_norm,
-    jacobi_angle_rule,
     build_sphere_rule,
     hemisphere_measure,
 )

@@ -1,6 +1,7 @@
 """Registered test-function corpus shared by the CLI and the verification
 suites.  Every entry is Gaussian-localized (or a polynomial times a Gaussian),
-so grid truncation error stays far below the verification tolerances."""
+so grid truncation error stays far below the verification tolerances; the
+suites also check and build their Riesz kernels from `b_harmonic`."""
 
 from __future__ import annotations
 
@@ -9,14 +10,15 @@ import numpy as np
 from .grids import as_gamma
 from .polys import EvenPoly, b_harmonic_basis, eval_poly
 
-__all__ = ["corpus_names", "corpus_function"]
+__all__ = ["corpus_names", "corpus_function", "b_harmonic"]
 
 
 def _gaussian(scale: float):
     return lambda p: np.exp(-scale * np.sum(p * p, axis=-1))
 
 
-def _harmonic(gamma, k: int) -> EvenPoly:
+def b_harmonic(gamma, k: int) -> EvenPoly:
+    """The first polynomial of b_harmonic_basis(n, k, gamma)."""
     g = as_gamma(gamma)
     if g.n < 2:
         raise ValueError(f"no B-harmonic degree-{k} polynomials exist for n = 1")
@@ -30,10 +32,10 @@ _REGISTRY = {
     "gaussian": lambda g: _gaussian(1.0),
     "gaussian-s05": lambda g: _gaussian(0.5),
     "gaussian-s2": lambda g: _gaussian(2.0),
-    "b-harmonic-k2": lambda g: (lambda p: eval_poly(_harmonic(g, 2), p)),
-    "b-harmonic-k4": lambda g: (lambda p: eval_poly(_harmonic(g, 4), p)),
+    "b-harmonic-k2": lambda g: (lambda p: eval_poly(b_harmonic(g, 2), p)),
+    "b-harmonic-k4": lambda g: (lambda p: eval_poly(b_harmonic(g, 4), p)),
     "harmonic-gaussian-k2": lambda g: (
-        lambda p: eval_poly(_harmonic(g, 2), p) * np.exp(-np.sum(p * p, axis=-1))
+        lambda p: eval_poly(b_harmonic(g, 2), p) * np.exp(-np.sum(p * p, axis=-1))
     ),
 }
 

@@ -1,6 +1,7 @@
 """Weighted measure dmu_gamma = prod x_i^{2 gamma_i} dx, tensor quadrature
-grids on the truncated positive orthant, sin^{2g-1} angle rules on [0, pi],
-and hemisphere rules on S_+^{n-1} with the prod theta_i^{2 gamma_i} weight.
+grids on the truncated positive orthant and hemisphere rules on S_+^{n-1}
+with the prod theta_i^{2 gamma_i} weight (the angle rules of T^y are
+`special.angle_rule`).
 
 All half-line integrals are truncated at x_max (verification functions are
 Gaussian-localized, so the truncation error is negligible).  Per-axis rules
@@ -34,7 +35,6 @@ __all__ = [
     "integrate",
     "lp_norm",
     "contract_axes",
-    "jacobi_angle_rule",
     "build_sphere_rule",
     "hemisphere_measure",
 ]
@@ -135,21 +135,26 @@ def _sample_tensor(fn: Callable, coords) -> np.ndarray:
     coords[n-1] of 1-D coordinate arrays, an array of shape
     (len(coords[0]), ..., len(coords[n-1])).
 
-    fn is called on `_point_array`s of whole slices of the first axis, as
-    many per call as fit in special.SHIFT_BUDGET points (at least one), so
-    the full point array is never built.  The n-D evaluator of the library:
-    `TensorGrid.sample` on the grid nodes, `shift.shift` on one callable on
-    the law-of-cosines coordinates.
+    fn is called on `_point_array`s of whole slices of axis k, as many per
+    call as fit in special.SHIFT_BUDGET points (at least one), at each index
+    of the axes before k: k is the first axis whose slices fit, 0 unless a
+    first-axis slice is larger.  The full point array is never built.  The
+    n-D evaluator of the library: `TensorGrid.sample` on the grid nodes,
+    `shift.shift` on one callable on the law-of-cosines coordinates.
     """
     shape = tuple(len(c) for c in coords)
     out = np.empty(shape)
-    step = max(1, special.SHIFT_BUDGET // math.prod(shape[1:]))
-    for lo in range(0, shape[0], step):
-        pts = _point_array((coords[0][lo : lo + step], *coords[1:]))
+    k = 0
+    while k + 1 < len(shape) and math.prod(shape[k + 1 :]) > special.SHIFT_BUDGET:
+        k += 1
+    step = max(1, special.SHIFT_BUDGET // math.prod(shape[k + 1 :]))
+    for *head, j in np.ndindex(*shape[:k], -(-shape[k] // step)):
+        block = (*(slice(i, i + 1) for i in head), slice(j * step, (j + 1) * step))
+        pts = _point_array([c[s] for c, s in zip(coords, block)] + list(coords[k + 1 :]))
         vals = np.asarray(fn(pts), dtype=float)
         if vals.shape != pts.shape[:-1]:
             raise ValueError(f"fn returned shape {vals.shape} for points {pts.shape}")
-        out[lo : lo + step] = vals
+        out[block] = vals
     return out
 
 
@@ -234,27 +239,6 @@ def contract_axes(mats, values) -> np.ndarray:
     for mat in mats:
         acc = (acc.reshape(acc.shape[0], -1).T @ mat.T).reshape(acc.shape[1:] + mat.shape[:1])
     return acc
-
-
-def jacobi_angle_rule(gamma_axis: float, points: int):
-    """Quadrature on [0, pi] against the weight sin^{2 gamma - 1}(alpha).
-
-    Gauss-Jacobi in t = cos(alpha) with weight (1 - t^2)^{gamma - 1}
-    (`special.gauss_jacobi`: Golub-Welsch nodes with one Newton step,
-    Christoffel-sum weights): exact for polynomials in cos(alpha) up to
-    degree 2*points - 1, valid for every gamma > 0 including the integrable
-    endpoint singularity at gamma < 1/2.
-    Returns (alpha_nodes_increasing, weights); sum of weights equals
-    B(gamma, 1/2) = sqrt(pi) Gamma(gamma) / Gamma(gamma + 1/2).
-    """
-    gamma_axis = float(gamma_axis)
-    if gamma_axis <= 0.0:
-        raise ValueError(f"gamma_axis must be positive, got {gamma_axis}")
-    if points < 4:
-        raise ValueError("jacobi_angle_rule requires points >= 4")
-    t, w = special.gauss_jacobi(points, gamma_axis - 1.0, gamma_axis - 1.0)
-    alpha = np.arccos(t)[::-1].copy()
-    return alpha, w[::-1].copy()
 
 
 @dataclass(frozen=True)

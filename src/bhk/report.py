@@ -35,7 +35,6 @@ import numpy as np
 
 from . import corpus
 from .grids import (
-    GammaIndex,
     _point_array,
     as_gamma,
     build_sphere_rule,
@@ -53,8 +52,9 @@ from .meanvalue import (
     shifted_mean_value_check,
     v_sequence,
 )
-from .polys import EvenPoly, _monomials, b_harmonic_basis, eval_poly
+from .polys import EvenPoly, _monomials, eval_poly
 from .riesz import (
+    _multiplier,
     build_riesz_kernel,
     lp_boundedness_probe,
     priori_bound_probe,
@@ -261,10 +261,6 @@ def _gauss(p):
     return np.exp(-np.sum(p * p, axis=-1))
 
 
-def _first_basis(g: GammaIndex, k: int) -> EvenPoly:
-    return b_harmonic_basis(g.n, k, g)[0]
-
-
 def _radius_power(n: int, k: int) -> EvenPoly:
     """|x|^{2k} = sum_{|beta| = k} k!/prod beta_i! x^{2 beta} as an EvenPoly."""
     return EvenPoly.from_terms(n, {
@@ -437,7 +433,7 @@ def suite_transform(cfg: RunConfig) -> List[dict]:
     # Theorem 2.1 for the k=2 and k=4 kernels
     if g.n >= 2:
         for k in (2, 4):
-            p_k = _first_basis(g, k)
+            p_k = corpus.b_harmonic(g, k)
             fk = grid.sample(lambda p: eval_poly(p_k, p) * _gauss(p))
             got = fb_forward_at(plan, fk, probes)
             ref = harmonic_gaussian_transform(p_k, g, probes)
@@ -459,7 +455,7 @@ def suite_transform(cfg: RunConfig) -> List[dict]:
                              "factor": spectral_convolution_factor(g)}))
     # Lemma 2.2 with a mean-zero angular part and a non-radial even phi
     if g.n >= 2:
-        p2 = _first_basis(g, 2)
+        p2 = corpus.b_harmonic(g, 2)
         rule = _sphere_rule(g.values, cfg.sphere_points)
         phi_nr = lambda p: p[..., 0] ** 2 * _gauss(p)
         res = pv_regularized_limit(lambda th: eval_poly(p2, th), phi_nr, rule,
@@ -493,8 +489,8 @@ def suite_mean_value(cfg: RunConfig) -> List[dict]:
                      hemisphere_measure(g), inputs={"gamma": list(g.values)}))
     candidates = [("constant", _radius_power(g.n, 0))]
     if g.n >= 2:
-        candidates.append(("b-harmonic-k2", _first_basis(g, 2)))
-        candidates.append(("b-harmonic-k4", _first_basis(g, 4)))
+        candidates.append(("b-harmonic-k2", corpus.b_harmonic(g, 2)))
+        candidates.append(("b-harmonic-k4", corpus.b_harmonic(g, 4)))
     for label, u in candidates:
         for R in (0.7, 1.0, 1.6):
             row = mean_value_check(u, rule, R)
@@ -504,7 +500,7 @@ def suite_mean_value(cfg: RunConfig) -> List[dict]:
                              residual=row["residual"], residual_ok=row["residual_ok"]))
     if g.n >= 2:
         plan = build_shift_plan(g, cfg.angles)
-        p2 = _first_basis(g, 2)
+        p2 = corpus.b_harmonic(g, 2)
         rng = np.random.default_rng(_SEED)
         for _ in range(5):
             y = rng.uniform(0.2, 1.5, g.n)
@@ -574,7 +570,7 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
     g = as_gamma(cfg.gamma)
     if g.n < 2:
         return [_info_row("riesz-skipped", {"reason": "no B-harmonic kernels for n=1"})]
-    p2 = _first_basis(g, 2)
+    p2 = corpus.b_harmonic(g, 2)
     kernel = build_riesz_kernel(p2, g)
     rule = _sphere_rule(g.values, cfg.sphere_points)
     mean = float(np.dot(rule.weights, eval_poly(p2, rule.nodes)))
@@ -616,8 +612,7 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
                          inputs={"points": 5}))
     # spectral worked value: multiplier times transform at a fixed point
     xi = np.ones(g.n)
-    mult_xi = ((-1.0) ** (kernel.degree // 2) * eval_poly(p2, xi)
-               / float(np.sum(xi * xi)) ** (kernel.degree / 2))
+    mult_xi = float(_multiplier(kernel, xi))
     got = mult_xi * float(fb_forward_at(plan_f, f, xi))
     expected = mult_xi * gaussian_transform(g, 1.0, xi)
     rows.append(_row(cfg, "riesz-spectral-value", got, expected,
@@ -625,10 +620,7 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
                              "closed_form": expected}))
     # degree-0 homogeneity of the multiplier along rays
     ray = np.array([0.6, 1.3][: g.n] + [0.9] * max(0, g.n - 2))
-    vals = [float(
-        (-1.0) ** (kernel.degree // 2) * eval_poly(p2, t * ray)
-        / float(np.sum((t * ray) ** 2)) ** (kernel.degree / 2))
-        for t in (0.5, 1.0, 2.0, 7.5)]
+    vals = [float(_multiplier(kernel, t * ray)) for t in (0.5, 1.0, 2.0, 7.5)]
     rows.append(_row(cfg, "riesz-homogeneity",
                      max(vals) - min(vals), 0.0, scale=max(abs(v) for v in vals)))
     rows.append(_info_row("riesz-constant",
@@ -666,7 +658,7 @@ def suite_estimates(cfg: RunConfig) -> List[dict]:
         spread = (max(ratios) - min(ratios)) / max(ratios)
         rows.append(_row(cfg, "estimates-dilation", spread, 0.0, scale=1.0,
                          inputs={"probe": check, "ratios": ratios}))
-    kernel = build_riesz_kernel(_first_basis(g, 2), g)
+    kernel = build_riesz_kernel(corpus.b_harmonic(g, 2), g)
     lp_rows = lp_boundedness_probe(kernel, (2.0, 4.0), [(l, f) for l, f, _ in family], plan)
     ratios_by_p: Dict[float, List[float]] = {}
     for r in lp_rows:

@@ -21,8 +21,9 @@ hemisphere, so subtracting f(x) leaves the integral unchanged, and
 T^{r theta} f(x) is even in each y_i, so T^{r theta} f(x) - f(x) = O(r^2):
 the subtracted integrand is O(r) at r = 0 and the principal value is an
 ordinary integral, taken on Gauss-Legendre nodes that never touch 0 (the
-classical treatment of mean-zero singular kernels).  f is a product of 1-D
-factors, so T^{r theta} f(x) is the product of the per-axis shifts
+classical treatment of mean-zero singular kernels): RADIAL_INNER and
+RADIAL_OUTER points of `special.gauss_jacobi(n, 0, 0)`.  f is a product of
+1-D factors, so T^{r theta} f(x) is the product of the per-axis shifts
 T^{r theta_i} f_i(x_i), each from the callable route of `bhk.shift`: no
 sampling, no interpolation and no clamping.
 """
@@ -38,7 +39,7 @@ import numpy as np
 from .grids import GammaIndex, GridFunction, SphereRule, as_gamma, lp_norm
 from .polys import EvenPoly, _eval_axes, _require_b_harmonic, eval_poly
 from .shift import ShiftOperatorPlan, _axis_factors, _axis_shift
-from .special import gamma as _gamma
+from .special import gamma as _gamma, gauss_jacobi
 from .transform import PV_MEAN_TOL, FBPlan, fb_constant, fb_forward, fb_inverse
 
 __all__ = [
@@ -82,14 +83,19 @@ def build_riesz_kernel(p: EvenPoly, gamma) -> RieszKernel:
     return RieszKernel(p, g, k, k + q, printed, fb_constant(g) * printed)
 
 
-def riesz_multiplier(kernel: RieszKernel, grid) -> np.ndarray:
-    """Multiplier field (-1)^{k/2} P_k(xi)/|xi|^k on a grid (0 at xi = 0)."""
-    xs = np.meshgrid(*grid.nodes, indexing="ij", sparse=True)
+def _multiplier(kernel: RieszKernel, xs) -> np.ndarray:
+    """(-1)^{k/2} P_k(xi)/|xi|^k (0 at xi = 0) on per-axis coordinates xs
+    that broadcast together: an open mesh, or the n entries of one point."""
     r2 = sum(x * x for x in xs)
     sign = -1.0 if (kernel.degree // 2) % 2 else 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = sign * _eval_axes(kernel.poly, xs) / r2 ** (0.5 * kernel.degree)
     return np.where(r2 == 0.0, 0.0, out)
+
+
+def riesz_multiplier(kernel: RieszKernel, grid) -> np.ndarray:
+    """Multiplier field (-1)^{k/2} P_k(xi)/|xi|^k on a grid (0 at xi = 0)."""
+    return _multiplier(kernel, np.meshgrid(*grid.nodes, indexing="ij", sparse=True))
 
 
 def riesz_spectral(kernel: RieszKernel, f: GridFunction, plan: FBPlan) -> GridFunction:
@@ -139,9 +145,9 @@ def riesz_spatial(
         raise ValueError(f"riesz_spatial takes f as {g.n} 1-D callables")
     r_max = x_max + float(np.linalg.norm(x))
 
-    ti_t, ti_w = np.polynomial.legendre.leggauss(RADIAL_INNER)
+    ti_t, ti_w = gauss_jacobi(RADIAL_INNER, 0.0, 0.0)
     r_in, w_in = 0.5 * (ti_t + 1.0), 0.5 * ti_w
-    to_t, to_w = np.polynomial.legendre.leggauss(RADIAL_OUTER)
+    to_t, to_w = gauss_jacobi(RADIAL_OUTER, 0.0, 0.0)
     r_out = 1.0 + 0.5 * (r_max - 1.0) * (to_t + 1.0)
     w_out = 0.5 * (r_max - 1.0) * to_w
 

@@ -5,10 +5,11 @@ law-of-cosines points
 
     (x_i, y_i)_alpha = sqrt(x_i^2 + y_i^2 - 2 x_i y_i cos(alpha_i)),
 
-against the sin^{2 gamma_i - 1} weights, normalized so that T^y 1 = 1.  It is
-the translation adapted to the Laplace-Bessel operator: T^0 is the identity,
-it is symmetric in x and y, preserves the dmu_gamma integral, and acts on the
-Fourier-Bessel kernel as multiplication by prod j_{gamma_i-1/2}(y_i t_i).
+against the sin^{2 gamma_i - 1} weights of `special.angle_rule`, normalized
+so that T^y 1 = 1.  It is the translation adapted to the Laplace-Bessel
+operator: T^0 is the identity, it is symmetric in x and y, preserves the
+dmu_gamma integral, and acts on the Fourier-Bessel kernel as multiplication
+by prod j_{gamma_i-1/2}(y_i t_i).
 
 The B-convolution is (f * phi)(x) = int f(y) T^y phi(x) dmu_gamma(y).
 
@@ -38,7 +39,6 @@ It is computed along two routes, per axis wherever the input allows:
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -53,9 +53,8 @@ from .grids import (
     _sample_tensor,
     as_gamma,
     contract_axes,
-    jacobi_angle_rule,
 )
-from .special import gamma as _gamma
+from .special import angle_rule
 
 __all__ = [
     "ShiftOperatorPlan",
@@ -78,20 +77,14 @@ class ShiftTruncationWarning(UserWarning):
     """More than 1% of shifted evaluation points fell beyond x_max."""
 
 
-@functools.lru_cache(maxsize=256)
-def _angle_rule(gamma_axis: float, points: int):
-    """(cos(alpha) nodes, weights normalized to sum 1) for sin^{2g-1} d(alpha)."""
-    alpha, w = jacobi_angle_rule(gamma_axis, points)
-    return np.cos(alpha), w / math.sqrt(math.pi) * _gamma(gamma_axis + 0.5) / _gamma(gamma_axis)
-
-
 @dataclass(frozen=True)
 class ShiftOperatorPlan:
     """Immutable per-gamma angular quadrature data for T^y.
 
-    cos_nodes/weights hold the per-axis rules with the normalizing constant
-    c_gamma = prod Gamma(g_i+1/2)/(Gamma(1/2) Gamma(g_i)) folded in, so the
-    per-axis weights each sum to 1 (T^y 1 = 1 by construction).
+    cos_nodes/weights hold the per-axis `special.angle_rule`s, which carry
+    the normalizing constant c_gamma = prod Gamma(g_i+1/2)/(Gamma(1/2)
+    Gamma(g_i)), so the per-axis weights each sum to 1 (T^y 1 = 1 by
+    construction).
     """
 
     gamma: GammaIndex
@@ -109,9 +102,7 @@ class ShiftOperatorPlan:
 
 def build_shift_plan(gamma, angles: int = 48) -> ShiftOperatorPlan:
     g = as_gamma(gamma)
-    if angles < 4:
-        raise ValueError("angles must be >= 4")
-    rules = [_angle_rule(gi, angles) for gi in g]
+    rules = [angle_rule(gi, angles) for gi in g]
     return ShiftOperatorPlan(
         g, angles, tuple(r[0] for r in rules), tuple(r[1] for r in rules)
     )
@@ -179,7 +170,7 @@ def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float
                          for i, h in enumerate(phis))
 
     def value(m):
-        rules = [_angle_rule(gi, m) for gi in plan.gamma]
+        rules = [angle_rule(gi, m) for gi in plan.gamma]
         if phis is None:
             z = [_law_of_cosines(xi, yi, c) for xi, yi, (c, _) in zip(x, y, rules)]
             return float(contract_axes([w[None, :] for _, w in rules],

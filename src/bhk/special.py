@@ -28,14 +28,16 @@ the series 1 - r^2 / (4 (nu+1)) + ... rounds to 1 and j_nu(r) is 1.0 exactly;
 the pass, whose growth (2/r)^m overflows as r -> 0, does not run there.
 
 Gauss-Jacobi rules (`gauss_jacobi`, the one quadrature rule behind every grid,
-angle and sphere rule of the package) are computed in numpy by Golub-Welsch:
-nodes are the eigenvalues of the Jacobi matrix, polished by one Newton step,
-and weights are Christoffel sums 1 / sum_k p_k^2 of the orthonormal
-polynomials, all from one pass of the three-term recurrence.
+angle, sphere and radial rule of the package, `angle_rule` included) are
+computed in numpy by Golub-Welsch: nodes are the eigenvalues of the Jacobi
+matrix, polished by one Newton step, and weights are Christoffel sums
+1 / sum_k p_k^2 of the orthonormal polynomials, all from one pass of the
+three-term recurrence.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -44,15 +46,16 @@ __all__ = [
     "gamma",
     "normalized_j",
     "gauss_jacobi",
+    "angle_rule",
     "poisson_representation",
 ]
 
 # values per chunk of the batched evaluations: Miller recurrence entries here,
 # 1-D law-of-cosines points of shift._axis_shift (every per-axis shift of
 # b_convolve, riesz_spatial and shifted_mean_value_check) and n-D points of
-# grids._sample_tensor (whole first-axis slices per chunk, at least one), the
-# sampler of TensorGrid.sample and of shift on one callable; bounds their
-# transient memory
+# grids._sample_tensor (whole slices of the first axis whose slices fit, at
+# least one per chunk), the sampler of TensorGrid.sample and of shift on one
+# callable; bounds their transient memory
 SHIFT_BUDGET = 2**16
 # start value f_m of the Miller pass: 2^64 above the smallest normal
 # extended-precision number, so the pass may grow through nearly the whole
@@ -202,27 +205,42 @@ def gauss_jacobi(n: int, a: float, b: float):
     return t, w
 
 
+@functools.lru_cache(maxsize=256)
+def angle_rule(gamma_axis: float, points: int):
+    """Gauss rule on [0, pi] against sin^{2 gamma - 1}(alpha), the angle rule
+    of T^y and `poisson_representation`: gauss_jacobi(points, gamma - 1,
+    gamma - 1) in t = cos(alpha), exact to degree 2 points - 1 in cos(alpha)
+    for every gamma > 0.  Returns (cos(alpha) nodes in increasing alpha,
+    weights), the weights divided by B(gamma, 1/2) = sqrt(pi) Gamma(gamma) /
+    Gamma(gamma + 1/2) to sum to 1; cached, so both arrays are read-only."""
+    if not gamma_axis > 0.0:
+        raise ValueError(f"gamma_axis must be positive, got {gamma_axis}")
+    if points < 4:
+        raise ValueError("angle_rule requires points >= 4")
+    t, w = gauss_jacobi(points, gamma_axis - 1.0, gamma_axis - 1.0)
+    # the symmetrized rule has t[::-1] == -t and w[::-1] == w exactly
+    cos_a, w = -t, w / math.sqrt(math.pi) * gamma(gamma_axis + 0.5) / gamma(gamma_axis)
+    cos_a.flags.writeable = w.flags.writeable = False
+    return cos_a, w
+
+
 def poisson_representation(gamma_axis: float, r, quad_points: int = 64):
     """j_{gamma-1/2}(r) through its integral representation
 
         Gamma(gamma+1/2) / (Gamma(gamma) Gamma(1/2))
             * int_0^pi e^{i r cos a} (sin a)^{2 gamma - 1} da
 
-    evaluated (real part) by Gauss-Jacobi quadrature in t = cos a, the rule
-    from `gauss_jacobi`.  That rule shares no code with the Miller pass of
-    normalized_j, so this stays an independent cross-check of it.
-    Scalar or ndarray r.
+    evaluated (real part) on `angle_rule`, whose weights carry the constant.
+    That rule shares no code with the Miller pass of normalized_j, so this
+    stays an independent cross-check of it.  Scalar or ndarray r; gamma_axis
+    is checked by `angle_rule`.
     """
-    gamma_axis = float(gamma_axis)
-    if gamma_axis <= 0.0:
-        raise ValueError("poisson_representation requires gamma_axis > 0")
     if quad_points < 8:
         raise ValueError("poisson_representation requires quad_points >= 8")
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("poisson_representation requires r >= 0")
-    t, w = gauss_jacobi(quad_points, gamma_axis - 1.0, gamma_axis - 1.0)
-    const = math.gamma(gamma_axis + 0.5) / (math.gamma(gamma_axis) * math.sqrt(math.pi))
+    cos_a, w = angle_rule(gamma_axis, quad_points)
     # numpy's pairwise sum per point: array and scalar calls agree bitwise
-    out = const * np.sum(np.cos(np.multiply.outer(arr, t)) * w, axis=-1)
+    out = np.sum(np.cos(np.multiply.outer(arr, cos_a)) * w, axis=-1)
     return out if np.ndim(r) else float(out)

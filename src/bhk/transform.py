@@ -49,7 +49,7 @@ from .grids import (
     contract_axes,
 )
 from .polys import EvenPoly, _require_b_harmonic, eval_poly
-from .special import gamma as _gamma, normalized_j
+from .special import gamma as _gamma, gauss_jacobi, normalized_j
 
 __all__ = [
     "FBPlan",
@@ -302,8 +302,9 @@ def pv_regularized_limit(
     lhs(eps) lowers the kernel exponent by eps over the whole orthant;
     rhs(eps) truncates the unmodified kernel to |x| > eps.  In polar form both
     reduce to radial integrals of Phi(r) = int_{S_+} f(theta) phi(r theta)
-    dsigma(theta), which vanishes at r = 0 because f has zero weighted mean
-    (checked, rel. PV_MEAN_TOL).  Each side is extrapolated to eps = 0 by
+    dsigma(theta), taken on the PV_RADIAL_POINTS-point Gauss-Legendre rule
+    `special.gauss_jacobi(n, 0, 0)`; Phi vanishes at r = 0 because f has zero
+    weighted mean (checked, rel. PV_MEAN_TOL).  Each side is extrapolated to eps = 0 by
     Neville's scheme over every tabulated eps (`_extrapolate`): in eps for the
     exponent-lowered side, which is O(eps)-regular, and in eps^2 for the
     truncated side, which misses int_0^eps r^{-1} Phi = O(eps^2); the limits
@@ -324,7 +325,7 @@ def pv_regularized_limit(
         ph = np.asarray(phi(pts), dtype=float)
         return ph @ fw
 
-    t, w = np.polynomial.legendre.leggauss(PV_RADIAL_POINTS)
+    t, w = gauss_jacobi(PV_RADIAL_POINTS, 0.0, 0.0)
     r0 = 0.5 * r_max * (t + 1.0)
     wr0 = 0.5 * r_max * w
     prof0 = radial_profile(r0)  # these nodes do not depend on eps

@@ -371,6 +371,19 @@ class TestCliRun:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_default_report_without_leggauss(self, tmp_path, monkeypatch):
+        # every radial rule comes from special.gauss_jacobi, so blocking
+        # numpy's Gauss-Legendre rule changes no byte of the report
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["run", "--suite", "all", "--out", str(a)]) == 0
+
+        def blocked(*args):
+            raise RuntimeError("numpy.polynomial.legendre.leggauss is blocked")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", blocked)
+        assert main(["run", "--suite", "all", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_malformed_config_exit_2_no_report(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -16,9 +17,9 @@ from bhk.grids import (
     contract_axes,
     hemisphere_measure,
     integrate,
-    jacobi_angle_rule,
     lp_norm,
 )
+from bhk.special import angle_rule
 
 from conftest import GAMMA, gauss
 
@@ -94,6 +95,28 @@ class TestTensorGrid:
         with pytest.raises(ValueError, match="shape"):
             grid.sample(lambda p: np.ones(p.shape))
 
+    @pytest.mark.parametrize("budget,sizes", [(100, [8 * 12, 4 * 12] * 12),
+                                              (10, [10, 2] * 144)],
+                             ids=["budget100", "budget10"])
+    def test_sample_splits_slices_over_budget(self, budget, sizes, monkeypatch):
+        # a 12 x 12 first-axis slice is over the budget: the calls take whole
+        # slices of the first axis whose trailing block fits (8 and 4 rows
+        # of the second axis at 100 points, 10 and 2 points of the third at
+        # 10), at most `budget` points each, and the values are bitwise
+        # those of one call on all points
+        grid = build_tensor_grid((0.5, 1.0, 1.5), 4.0, 12)
+        seen = []
+
+        def fn(p):
+            seen.append(p.size // 3)
+            return gauss(p)
+
+        want = gauss(grid.points())
+        monkeypatch.setattr(importlib.import_module("bhk.special"), "SHIFT_BUDGET", budget)
+        got = grid.sample(fn).values
+        assert seen == sizes and max(seen) <= budget
+        assert np.array_equal(got, want)
+
     def test_sample_transient_memory(self):
         # n = 4, 48 points: 48.9 MiB traced with the 40.5 MiB result; on the
         # whole (*shape, n) point array it traced 364.5 MiB
@@ -165,33 +188,39 @@ class TestLpNorm:
 
 
 class TestJacobiAngleRule:
+    """`special.angle_rule`, the Gauss-Jacobi rule in cos(alpha) against
+    sin^{2 gamma - 1}(alpha), normalized to sum 1."""
+
     def test_weight_sums(self):
-        _, w = jacobi_angle_rule(0.5, 16)
-        assert_allclose(np.sum(w), math.pi, rtol=1e-13)
-        _, w = jacobi_angle_rule(1.0, 16)
-        assert_allclose(np.sum(w), 2.0, rtol=1e-13)
+        _, w = angle_rule(0.5, 16)
+        assert_allclose(np.sum(w), 1.0, rtol=1e-13)
+        _, w = angle_rule(1.0, 16)
+        assert_allclose(np.sum(w), 1.0, rtol=1e-13)
         for g in (0.3, 0.5, 1.0, 2.7):
-            _, w = jacobi_angle_rule(g, 24)
-            ref = math.sqrt(math.pi) * math.gamma(g) / math.gamma(g + 0.5)
-            assert_allclose(np.sum(w), ref, rtol=1e-12)
+            _, w = angle_rule(g, 24)
+            assert_allclose(np.sum(w), 1.0, rtol=1e-12)
 
     def test_odd_moment_vanishes(self):
-        a, w = jacobi_angle_rule(1.5, 16)
-        assert abs(np.dot(w, np.cos(a))) < 1e-14
+        c, w = angle_rule(1.5, 16)
+        assert abs(np.dot(w, c)) < 1e-14
 
     def test_symmetry_about_half_pi(self):
-        a, w = jacobi_angle_rule(0.75, 20)
-        assert_allclose(w, w[::-1], rtol=1e-12)
-        assert_allclose(a + a[::-1], math.pi, rtol=1e-12)
+        # nodes in increasing alpha, mirrored about alpha = pi/2 exactly
+        c, w = angle_rule(0.75, 20)
+        assert np.all(np.diff(c) < 0)
+        assert np.array_equal(c + c[::-1], np.zeros(20))
+        assert np.array_equal(w, w[::-1])
 
     def test_polynomial_exactness(self):
-        # degree 2m-1 in cos(alpha) against sin^{2g-1}
+        # degree 2m-1 in cos(alpha) against sin^{2g-1}; the weights times
+        # B(g, 1/2) are the raw rule's
         g, m = 1.25, 8
-        a, w = jacobi_angle_rule(g, m)
+        c, w = angle_rule(g, m)
+        beta = math.sqrt(math.pi) * math.gamma(g) / math.gamma(g + 0.5)
         from scipy.integrate import quad
 
         for deg in (2, 5, 2 * m - 1):
-            got = float(np.dot(w, np.cos(a) ** deg))
+            got = float(np.dot(w, c**deg)) * beta
             ref, _ = quad(
                 lambda t: math.cos(t) ** deg * math.sin(t) ** (2 * g - 1), 0, math.pi
             )
@@ -199,9 +228,9 @@ class TestJacobiAngleRule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            jacobi_angle_rule(-1.0, 16)
+            angle_rule(-1.0, 16)
         with pytest.raises(ValueError):
-            jacobi_angle_rule(1.0, 2)
+            angle_rule(1.0, 2)
 
 
 class TestSphereRule:
@@ -329,10 +358,9 @@ class TestGridInterpolator:
         # here densely as the oracle; normalized weights give T^y 1 = 1
         grid = build_tensor_grid(GAMMA, 4.0, 16)
         interp = GridInterpolator(grid, width=6)
-        alpha, w = jacobi_angle_rule(GAMMA[1], 8)
-        w = w / np.sum(w)
+        c, w = angle_rule(GAMMA[1], 8)
         x, y = np.random.default_rng(3).uniform(0.1, 2.0, (2, 5, 1))
-        z = np.sqrt(x * x + y * y - 2.0 * x * y * np.cos(alpha))  # (5, 8)
+        z = np.sqrt(x * x + y * y - 2.0 * x * y * c)  # (5, 8)
         got = interp.dense_axis_matrix(1, z, w)
         idx, lw = interp.axis_stencil(1, z)
         single = np.zeros(z.shape + (len(interp.ext_nodes[1]),))

@@ -44,13 +44,16 @@ class TestPlan:
 
     def test_c_gamma_against_raw_rule_sums(self, shift_plan):
         # c_gamma = prod Gamma(g+1/2)/(Gamma(1/2) Gamma(g)) times the raw
-        # sin^{2g-1} weight sums is the plan invariant
-        from bhk.grids import jacobi_angle_rule
+        # sin^{2g-1} weight sums (Gauss-Jacobi in cos(alpha)) is the plan
+        # invariant; the plan holds angle_rule's rules, which carry c_gamma
+        from bhk.special import angle_rule, gauss_jacobi
 
         total = 1.0
-        for g in GAMMA:
+        for g, c, w in zip(GAMMA, shift_plan.cos_nodes, shift_plan.weights):
+            c_ref, w_ref = angle_rule(g, 48)
+            assert np.array_equal(c, c_ref) and np.array_equal(w, w_ref)
             total *= math.gamma(g + 0.5) / (math.sqrt(math.pi) * math.gamma(g))
-            total *= np.sum(jacobi_angle_rule(g, 48)[1])
+            total *= np.sum(gauss_jacobi(48, g - 1.0, g - 1.0)[1])
         assert_allclose(total, 1.0, rtol=1e-12)
 
     def test_validation(self):

@@ -331,10 +331,10 @@ class GridInterpolator:
 
     Per axis: a `width`-point Lagrange stencil on the grid nodes, extended by
     even reflection through 0 (consistent with even regular solutions) and
-    clamped to [0, x_max].  shift_grid uses width=10, whose O(h^10) error is
-    what its 1e-8 integral-preservation budget needs at default grid
-    resolutions.  Arguments beyond x_max are clamped and counted so callers
-    can flag truncation bias.
+    clamped to [0, x_max].  shift_grid's width, 10 where the grid holds it,
+    has the O(h^10) error its 1e-8 integral-preservation budget needs at
+    default grid resolutions.  Arguments beyond x_max are clamped and counted
+    so callers can flag truncation bias.
 
     The Lagrange denominators prod_{b != a} (x_{s+a} - x_{s+b}) depend only
     on the stencil start s, so each axis keeps one (starts, width) table of

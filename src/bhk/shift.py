@@ -195,13 +195,13 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     """T^y f sampled at every grid node (sampled route).
 
     Off-node arguments are evaluated by tensor-product local Lagrange
-    interpolation (SHIFT_GRID_STENCIL points per axis) with even reflection
-    at 0 and clamping at x_max.  Per axis, row p of a (nodes, extended
-    nodes) matrix is sum_alpha w(alpha) L((x_p, y)_alpha), L the stencil
-    row.  Extended column k < r, r the number of reflected nodes, holds the
-    mirror image of node r - 1 - k, so it is added to that node's column
-    and dropped; `contract_axes` applies the folded (nodes, nodes) matrices
-    to the samples themselves, so the cost is
+    interpolation (SHIFT_GRID_STENCIL points per axis, fewer on a smaller
+    grid) with even reflection at 0 and clamping at x_max.  Per axis, row p of
+    a (nodes, extended nodes) matrix is sum_alpha w(alpha) L((x_p, y)_alpha),
+    L the stencil row.  Extended column k < r, r the number of reflected
+    nodes, holds the mirror image of node r - 1 - k, so it is added to that
+    node's column and dropped; `contract_axes` applies the folded
+    (nodes, nodes) matrices to the samples themselves, so the cost is
     O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
     ShiftTruncationWarning when > 1% of evaluation points are clamped.
     """
@@ -213,7 +213,7 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
         raise ValueError("plan and grid gamma indices differ")
     if np.all(y == 0.0):
         return GridFunction(grid, f.values.copy())
-    interp = GridInterpolator(grid, width=SHIFT_GRID_STENCIL)
+    interp = GridInterpolator(grid, width=min(SHIFT_GRID_STENCIL, min(grid.shape) // 2 * 2))
     mats = []
     for ax, (x, c, w) in enumerate(zip(grid.nodes, plan.cos_nodes, plan.weights)):
         ext = interp.dense_axis_matrix(ax, _law_of_cosines(x[:, None], y[ax], c), w)

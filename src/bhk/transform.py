@@ -20,12 +20,11 @@ with the *same* constant on the inverse, which makes F an involution
     (the constant-free identity holds only when S = 1, e.g. all g_i = 1/2).
 
 The kernel is a product of 1-D kernels: fb_forward/fb_inverse apply one
-weighted kernel matrix per axis through `grids.contract_axes`, O(n N^{n+1}):
-each axis is one GEMM on transposed views that contracts the leading axis and
-rotates the new one to the end, so no transposed copy is made and the result
-is C-contiguous; c_fb then scales that fresh array in place.  fb_forward_at
-applies one kernel row per axis and distinct coordinate, folded in one axis
-at a time (sum factorization, O(P N^n) for P points).  The frequency
+weighted kernel matrix per axis through `grids.contract_axes`, O(n N^{n+1}),
+and c_fb scales the fresh result in place.  fb_forward_at runs the forward
+contraction on the tensor of its points' U_i distinct coordinates per axis,
+O(N^n U_1 + N^{n-1} U_1 U_2 + ...): P scattered points can make that tensor
+P^n entries, open meshes such as the report's probes only P.  The frequency
 grid keeps the spatial point count but extends x_max slightly so the inverse
 quadrature captures the transform's tail; round-trip accuracy on the unit
 Gaussian is verified at plan construction.
@@ -133,11 +132,7 @@ def _require_grid(got: TensorGrid, want: TensorGrid, what: str) -> None:
 
 def fb_forward(plan: FBPlan, f: GridFunction) -> GridFunction:
     """Forward transform of a spatial GridFunction onto the frequency grid."""
-    _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
-    mats = [k.T * w[None, :] for k, w in zip(plan.kernels, plan.grid.weights)]
-    out = contract_axes(mats, f.values)
-    out *= plan.c_fb
-    return GridFunction(plan.freq_grid, out)
+    return GridFunction(plan.freq_grid, _forward_axes(plan, f, plan.freq_grid.nodes))
 
 
 def fb_inverse(plan: FBPlan, g: GridFunction) -> GridFunction:
@@ -154,42 +149,47 @@ def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:
 
     Same quadrature as fb_forward, so values off the frequency grid
     (worked-example points, scaled grids) come from the identical
-    discretization.  Each axis builds one weighted kernel row per distinct
-    coordinate of the points (`_kernel_rows`): a coordinate that is a node of
-    the plan's frequency grid reads its column of plan.kernels, and the
-    others take one normalized_j call per axis.  The contraction is
-    sum-factorized: f.values @ row_n.T folds the last axis into every point
-    at once, then each remaining axis is folded pointwise, last to first.
-    For P points on an N^n grid that is O(P N^n) multiply-adds, nearly all
-    of them in the first (BLAS) matmul.
+    discretization: fb_forward's contraction on the tensor U_1 x ... x U_n
+    of the points' distinct coordinates per axis, from which the points are
+    read, O(N^n U_1 + N^{n-1} U_1 U_2 + ...).  On an open mesh (the report's
+    probes) that tensor is the points themselves; P scattered points can
+    make it P^n entries.
+    """
+    pts = np.asarray(points, dtype=float)
+    coords, inv = zip(*map(_distinct, pts.reshape(-1, plan.gamma.n).T))
+    return _forward_axes(plan, f, coords)[inv].reshape(pts.shape[:-1])
+
+
+def _distinct(y: np.ndarray):
+    """Distinct entries of y in order of first occurrence (a prefix of the
+    points keeps its tensor positions, and BLAS's rounding at n = 1), and
+    each entry's index among them."""
+    _, first, inv = np.unique(y, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return y[first[order]], np.argsort(order)[inv]
+
+
+def _forward_axes(plan: FBPlan, f: GridFunction, coords) -> np.ndarray:
+    """F[f] on the tensor of the distinct per-axis frequencies coords: rows
+    j_{g-1/2}(x_a y_p) w_a through `contract_axes`, then c_fb in place.
+
+    A y_p that is a frequency node y_b reads column b of plan.kernels[ax],
+    which holds j(x_a y_b): x * y commutes and normalized_j evaluates each
+    argument on its own, so the column is bitwise the fresh row.  Rows are
+    laid out as those columns (the layout decides BLAS's rounding at n = 1).
     """
     _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
-    pts = np.asarray(points, dtype=float)
-    flat = pts.reshape(-1, plan.gamma.n)
-    rows = [_kernel_rows(plan, ax, flat[:, ax]) for ax in range(plan.gamma.n)]
-    acc = f.values @ rows[-1].T  # (N_1, ..., N_{n-1}, P)
-    for row in reversed(rows[:-1]):
-        acc = np.einsum("...ap,pa->...p", acc, row)
-    return plan.c_fb * acc.reshape(pts.shape[:-1])
-
-
-def _kernel_rows(plan: FBPlan, ax: int, y: np.ndarray) -> np.ndarray:
-    """row[p, a] = j_{g-1/2}(x_a y_p) w_a on axis ax, one row per entry of y.
-
-    Each distinct y_p is evaluated once.  One that is a frequency node y_b
-    reads column b of plan.kernels[ax], which holds j(x_a y_b): x * y
-    commutes and normalized_j evaluates each argument on its own, so the
-    column is bitwise the fresh row.
-    """
-    ys, inv = np.unique(y, return_inverse=True)
-    freq = plan.freq_grid.nodes[ax]
-    col = np.minimum(np.searchsorted(freq, ys), freq.size - 1)
-    on = freq[col] == ys
-    rows = np.empty((ys.size, plan.grid.shape[ax]))
-    rows[on] = plan.kernels[ax][:, col[on]].T
-    if not on.all():
-        rows[~on] = normalized_j(plan.gamma[ax] - 0.5, np.outer(ys[~on], plan.grid.nodes[ax]))
-    return (rows * plan.grid.weights[ax])[inv]
+    rows = []
+    for ax, (ys, freq) in enumerate(zip(coords, plan.freq_grid.nodes)):
+        col = np.minimum(np.searchsorted(freq, ys), freq.size - 1)
+        on = freq[col] == ys
+        row = np.take(plan.kernels[ax], col, axis=1).T
+        if not on.all():
+            row[~on] = normalized_j(plan.gamma[ax] - 0.5, np.outer(ys[~on], plan.grid.nodes[ax]))
+        rows.append(row * plan.grid.weights[ax])
+    out = contract_axes(rows, f.values)
+    out *= plan.c_fb
+    return out
 
 
 def gaussian_transform(gamma, alpha: float, y) -> float | np.ndarray:

@@ -156,6 +156,15 @@ class TestRunSuite:
         assert report["summary"]["failed"] == 0
         assert len(calls) == 21
 
+    @pytest.mark.parametrize("points", [8, 9])
+    def test_shift_suite_on_the_smallest_grids(self, points):
+        # RunConfig accepts 8 points; shift_grid's stencil narrows to the
+        # grid, so every shift row is written and none is a suite-error
+        report = run_suite(RunConfig.from_dict({"grid": {"points": points}}), "shift")
+        assert [r["check"] for r in report["rows"]] == [
+            "shift-identity", "shift-normalization", "shift-square",
+            "shift-symmetry", "shift-preservation", "shift-product-formula"]
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite(RunConfig(), "nope")

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,15 +126,47 @@ class TestForwardAtSumFactorized:
             assert_allclose(got, ref, rtol=1e-14, atol=1e-14 * np.max(np.abs(ref)))
 
 
+class TestForwardAtOpenMesh:
+    """fb_forward_at on the report's kind of probes, an open mesh of 5
+    frequencies per axis, contracts their 5^n tensor: no (N^{n-1}, P)
+    intermediate of the points against the grid."""
+
+    def test_peak_memory_n4(self):
+        g = (0.5, 1.0, 1.5, 0.75)
+        # build_fb_plan's self-test refuses so coarse a 4-D grid
+        grid = build_tensor_grid(g, 8.0, 24)
+        freq = build_tensor_grid(g, 10.0, 24)
+        kernels = tuple(normalized_j(gi - 0.5, np.outer(x, y))
+                        for gi, x, y in zip(g, grid.nodes, freq.nodes))
+        plan = FBPlan(grid.gamma, grid, freq, fb_constant(g), kernels)
+        f = grid.sample(lambda p: np.exp(-np.sum(p * p, axis=-1)))
+        idx = np.ix_(*[np.arange(3, 18, 3)] * 4)
+        probes = freq.points()[idx].reshape(-1, 4)
+        tracemalloc.start()
+        try:
+            got = fb_forward_at(plan, f, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a fold of the last axis against all 625 points holds 24^3 x 625
+        # values (69 MiB); the 5^4 tensor's contraction traces under 1 MiB
+        assert peak <= 8 * 2**20
+        want = fb_forward(plan, f).values[idx].reshape(-1)
+        assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
 def fresh_forward_at(plan, f, points):
-    """Oracle: fb_forward_at's fold with every kernel row evaluated anew."""
+    """Oracle: fb_forward_at's contraction with every kernel row evaluated
+    anew.  Per axis, the distinct coordinates in order of first occurrence
+    and one fresh row matrix, laid out as plan.kernels' transposed columns;
+    contract_axes on their tensor, and the points read from it."""
     flat = np.asarray(points, dtype=float).reshape(-1, plan.gamma.n)
-    rows = [normalized_j(plan.gamma[ax] - 0.5, np.outer(flat[:, ax], plan.grid.nodes[ax]))
-            * plan.grid.weights[ax] for ax in range(plan.gamma.n)]
-    acc = f.values @ rows[-1].T
-    for row in reversed(rows[:-1]):
-        acc = np.einsum("...ap,pa->...p", acc, row)
-    return plan.c_fb * acc
+    coords = [list(dict.fromkeys(flat[:, ax].tolist())) for ax in range(plan.gamma.n)]
+    rows = [normalized_j(plan.gamma[ax] - 0.5, np.outer(plan.grid.nodes[ax], ys)).T
+            * plan.grid.weights[ax] for ax, ys in enumerate(coords)]
+    out = plan.c_fb * contract_axes(rows, f.values)
+    return out[tuple(np.array([ys.index(y) for y in flat[:, ax].tolist()])
+                     for ax, ys in enumerate(coords))]
 
 
 class TestForwardAtKernelRows:

@@ -15,15 +15,9 @@ import json
 import sys
 
 
-def _load_config(path):
-    from .report import RunConfig
-
-    if path is None:
-        return RunConfig()
-    return RunConfig.from_json(path)
-
-
 def main(argv=None) -> int:
+    from .report import SUITES, RunConfig, emit_grid, run_suite, write_report
+
     parser = argparse.ArgumentParser(
         prog="bhk",
         description="Verification CLI for Laplace-Bessel harmonic analysis "
@@ -32,9 +26,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a verification suite")
-    p_run.add_argument("--suite", required=True,
-                       help="special | shift | transform | mean-value | "
-                            "pizzetti | riesz | estimates | all")
+    p_run.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p_run.add_argument("--config", help="JSON config path (defaults used if omitted)")
     p_run.add_argument("--out", help="report path (default: config 'output' field)")
 
@@ -51,17 +43,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        config = _load_config(args.config)
+        config = RunConfig() if args.config is None else RunConfig.from_json(args.config)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"bhk: config error: {exc}", file=sys.stderr)
         return 2
 
-    from .report import SUITES, emit_grid, run_suite, write_report
-
     if args.command == "run":
-        if args.suite not in set(SUITES) | {"all"}:
-            print(f"bhk: unknown suite {args.suite!r}", file=sys.stderr)
-            return 2
         report = run_suite(config, args.suite)
         out = args.out or config.output
         write_report(report, out)

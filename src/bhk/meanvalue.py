@@ -60,6 +60,21 @@ def sphere_mean(u, rule: SphereRule, R: float) -> float:
     return float(np.dot(rule.weights, vals))
 
 
+def _mean_row(check: str, rule: SphereRule, R: float, values, u_at: float,
+              **extra) -> dict:
+    """Row comparing the weighted sphere mean of values(R theta), a callable
+    on the rule's scaled nodes, against m(S_+) u_at; ValueError unless R > 0."""
+    if R <= 0:
+        raise ValueError("R must be positive")
+    g = rule.gamma
+    vals = values(R * rule.nodes)
+    lhs = float(np.dot(rule.weights, vals))
+    rhs = hemisphere_measure(g) * u_at
+    scale = hemisphere_measure(g) * max(1e-300, float(np.max(np.abs(vals))), abs(u_at))
+    return {"check": check, "gamma": list(g.values), "R": float(R), **extra,
+            "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs), "scale": scale}
+
+
 def mean_value_check(u: EvenPoly, rule: SphereRule, R: float) -> dict:
     """Compare the weighted sphere mean of an EvenPoly u (ValueError for
     anything else) against m(S_+) u(0).
@@ -70,31 +85,16 @@ def mean_value_check(u: EvenPoly, rule: SphereRule, R: float) -> dict:
     """
     if not isinstance(u, EvenPoly):
         raise ValueError("mean_value_check takes u as an EvenPoly")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    g = rule.gamma
-    bu = apply_bessel(u, g)
-    u0 = float(eval_poly(u, np.zeros(g.n)))
-    vals = eval_poly(u, R * rule.nodes)
-    lhs = float(np.dot(rule.weights, vals))
-    rhs = hemisphere_measure(g) * u0
-    scale = hemisphere_measure(g) * max(1e-300, float(np.max(np.abs(vals))), abs(u0))
-    return {
-        "check": "mvt",
-        "gamma": list(g.values),
-        "R": float(R),
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_err": abs(lhs - rhs),
-        "scale": scale,
-        "residual": float(max((abs(c) for _, c in bu.coeffs), default=0)),
-        "residual_ok": bu.is_zero,
-    }
+    bu = apply_bessel(u, rule.gamma)
+    u0 = float(eval_poly(u, np.zeros(rule.gamma.n)))
+    return _mean_row("mvt", rule, R, lambda x: eval_poly(u, x), u0,
+                     residual=float(max((abs(c) for _, c in bu.coeffs), default=0)),
+                     residual_ok=bu.is_zero)
 
 
 def shifted_mean_value_check(u: EvenPoly, rule: SphereRule, R: float, plan, y) -> dict:
     """Shifted mean value: sphere mean of x -> T^y u(x) against m(S_+) u(y)
-    for an EvenPoly u (ValueError for anything else).
+    for an EvenPoly u (ValueError for anything else, and unless R > 0).
 
     T^y u at the nodes R theta comes from the callable route with the plan's
     angle rules (those of shift(..., adaptive=False)), one axis at a time:
@@ -111,30 +111,19 @@ def shifted_mean_value_check(u: EvenPoly, rule: SphereRule, R: float, plan, y) -
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != g.n:
         raise ValueError(f"y must have {g.n} components")
-    x = R * rule.nodes
-    if np.all(y == 0.0):
-        vals = eval_poly(u, x)
-    else:
+
+    def shifted(x):
+        if np.all(y == 0.0):
+            return eval_poly(u, x)
         powers = []
         for xi, yi, c, w, exps in zip(x.T, y, plan.cos_nodes, plan.weights,
                                       _axis_exponents(u)):
             powers.append({a: _axis_shift(lambda z, a=a: z**a, xi, yi, c, w)
                            for a in exps})
-        vals = _sum_terms(u, powers, x.shape[:1])
-    lhs = float(np.dot(rule.weights, vals))
+        return _sum_terms(u, powers, x.shape[:1])
+
     uy = float(eval_poly(u, y.reshape(1, -1)).reshape(()))
-    rhs = hemisphere_measure(g) * uy
-    scale = hemisphere_measure(g) * max(1e-300, float(np.max(np.abs(vals))), abs(uy))
-    return {
-        "check": "mvt-shifted",
-        "gamma": list(g.values),
-        "R": float(R),
-        "y": [float(v) for v in y],
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_err": abs(lhs - rhs),
-        "scale": scale,
-    }
+    return _mean_row("mvt-shifted", rule, R, shifted, uy, y=[float(v) for v in y])
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import corpus
 from .grids import (
+    GammaIndex,
     _point_array,
     as_gamma,
     build_sphere_rule,
@@ -261,6 +262,14 @@ def _gauss(p):
     return np.exp(-np.sum(p * p, axis=-1))
 
 
+def _b_gauss(g: GammaIndex, s: float):
+    """B e^{-s|x|^2} = (4 s^2 |x|^2 - 2 s (n + 2|g|)) e^{-s|x|^2}, as a callable."""
+    def bf(p):
+        r2 = np.sum(p * p, axis=-1)
+        return (4 * s * s * r2 - 2 * s * (g.n + 2 * g.abs)) * np.exp(-s * r2)
+    return bf
+
+
 def _radius_power(n: int, k: int) -> EvenPoly:
     """|x|^{2k} = sum_{|beta| = k} k!/prod beta_i! x^{2 beta} as an EvenPoly."""
     return EvenPoly.from_terms(n, {
@@ -423,10 +432,7 @@ def suite_transform(cfg: RunConfig) -> List[dict]:
         rhs = a ** (-g.n - 2.0 * g.abs) * fb_forward_at(plan, f_base, probes / a)
         rel = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
         rows.append(_row(cfg, "fb-scaling", rel, 0.0, scale=1.0, inputs={"alpha": a}))
-    bf = grid.sample(
-        lambda p: (4.0 * np.sum(p * p, axis=-1) - 2.0 * g.n - 4.0 * g.abs) * _gauss(p)
-    )
-    lhs = fb_forward_at(plan, bf, probes)
+    lhs = fb_forward_at(plan, grid.sample(_b_gauss(g, 1.0)), probes)
     rhs = -np.sum(probes * probes, axis=-1) * fb_forward_at(plan, f, probes)
     rows.append(_row(cfg, "fb-eigenrelation",
                      float(np.max(np.abs(lhs - rhs) / np.abs(rhs))), 0.0, scale=1.0))
@@ -640,11 +646,7 @@ def suite_estimates(cfg: RunConfig) -> List[dict]:
 
     def member(s):
         fs = grid.sample(lambda p: np.exp(-s * np.sum(p * p, axis=-1)))
-        bfs = grid.sample(
-            lambda p: (4 * s * s * np.sum(p * p, axis=-1) - 2 * s * (g.n + 2 * g.abs))
-            * np.exp(-s * np.sum(p * p, axis=-1))
-        )
-        return (f"gaussian-s{s}", fs, bfs)
+        return (f"gaussian-s{s}", fs, grid.sample(_b_gauss(g, s)))
 
     family = [member(s) for s in (0.5, 1.0, 2.0)]
     probe_rows = priori_bound_probe(plan, 2.0, family)

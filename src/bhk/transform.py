@@ -19,10 +19,11 @@ with the *same* constant on the inverse, which makes F an involution
         S = prod_i 2^{g_i-1/2} Gamma(g_i+1/2) = 1/c_fb
     (the constant-free identity holds only when S = 1, e.g. all g_i = 1/2).
 
-The kernel is a product of 1-D kernels: fb_forward/fb_inverse apply one
-weighted kernel matrix per axis through `grids.contract_axes`, O(n N^{n+1}),
-and c_fb scales the fresh result in place.  fb_forward_at runs the forward
-contraction on the tensor of its points' U_i distinct coordinates per axis,
+The kernel is a product of 1-D kernels: the plan holds, per axis, the
+weighted matrix each direction applies, built once; fb_forward/fb_inverse
+are one `grids.contract_axes` call on them, O(n N^{n+1}), and c_fb scales
+the fresh result in place.  fb_forward_at runs the forward contraction on
+the tensor of its points' U_i distinct coordinates per axis,
 O(N^n U_1 + N^{n-1} U_1 U_2 + ...): P scattered points can make that tensor
 P^n entries, open meshes such as the report's probes only P.  The frequency
 grid keeps the spatial point count but extends x_max slightly so the inverse
@@ -85,33 +86,51 @@ def spectral_convolution_factor(gamma) -> float:
 
 @dataclass(frozen=True)
 class FBPlan:
-    """Precomputed kernel matrices for the transform pair on a grid.
+    """The matrices of the transform pair on a grid and its frequency grid.
 
-    kernels[i][a, b] = j_{g_i-1/2}(x_a y_b) on (spatial node a, frequency
-    node b); both directions contract against their side's measure weights
-    and multiply by c_fb.
+    With x, w_x the spatial nodes and weights of axis i, y, w_y the
+    frequency ones and K = j_{g_i-1/2}(x y^T):
+
+        forward[i] = K^T w_x   (forward[i][b, a] = K[a, b] w_x[a]),
+        inverse[i] = K w_y     (inverse[i][a, b] = K[a, b] w_y[b]);
+
+    each direction applies its matrices through `grids.contract_axes` and
+    multiplies by c_fb.  forward[i] is the transposed view of a C-ordered
+    array, inverse[i] C-ordered: the layout decides BLAS's rounding at n = 1.
+    All are read-only, since the report's suites share one plan.
+    FBPlan.from_grids builds them.
     """
 
     gamma: GammaIndex
     grid: TensorGrid
     freq_grid: TensorGrid
     c_fb: float
-    kernels: tuple
+    forward: tuple
+    inverse: tuple
+
+    @classmethod
+    def from_grids(cls, grid: TensorGrid, freq_grid: TensorGrid) -> "FBPlan":
+        """The plan on (grid, freq_grid), without build_fb_plan's self-test."""
+        g = grid.gamma
+        forward, inverse = [], []
+        for gi, x, wx, y, wy in zip(g, grid.nodes, grid.weights,
+                                    freq_grid.nodes, freq_grid.weights):
+            k = normalized_j(gi - 0.5, x[:, None] * y[None, :])
+            forward.append((k * wx[:, None]).T)
+            inverse.append(k * wy[None, :])
+        for m in forward + inverse:
+            m.flags.writeable = False
+        return cls(g, grid, freq_grid, fb_constant(g), tuple(forward), tuple(inverse))
 
 
 def build_fb_plan(grid: TensorGrid) -> FBPlan:
-    """Kernel matrices of the transform pair; ValueError if the round trip
-    fails SELF_TEST_TOL (grid too coarse for the kernel)."""
+    """The transform pair's plan on grid; ValueError if the round trip fails
+    SELF_TEST_TOL (grid too coarse for the kernel)."""
     g = grid.gamma
     # the inverse must reach the transform's tail: e^{-|y|^2/4} times the
     # measure needs |y| ~ 10 before it clears the 1e-6 self-test budget
     freq_grid = build_tensor_grid(g, max(grid.x_max + FREQ_MARGIN, 10.0), grid.shape[0])
-    kernels = []
-    for i in range(g.n):
-        nu = g[i] - 0.5
-        args = grid.nodes[i][:, None] * freq_grid.nodes[i][None, :]
-        kernels.append(normalized_j(nu, args))
-    plan = FBPlan(g, grid, freq_grid, fb_constant(g), tuple(kernels))
+    plan = FBPlan.from_grids(grid, freq_grid)
     f = grid.sample(lambda p: np.exp(-np.sum(p * p, axis=-1)))
     back = fb_inverse(plan, fb_forward(plan, f))
     err = float(np.max(np.abs(back.values - f.values)))
@@ -130,18 +149,23 @@ def _require_grid(got: TensorGrid, want: TensorGrid, what: str) -> None:
         raise ValueError(f"grid mismatch: {what}")
 
 
+def _contract(plan: FBPlan, mats, values) -> np.ndarray:
+    """c_fb * contract_axes(mats, values), scaled in place."""
+    out = contract_axes(mats, values)
+    out *= plan.c_fb
+    return out
+
+
 def fb_forward(plan: FBPlan, f: GridFunction) -> GridFunction:
     """Forward transform of a spatial GridFunction onto the frequency grid."""
-    return GridFunction(plan.freq_grid, _forward_axes(plan, f, plan.freq_grid.nodes))
+    _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
+    return GridFunction(plan.freq_grid, _contract(plan, plan.forward, f.values))
 
 
 def fb_inverse(plan: FBPlan, g: GridFunction) -> GridFunction:
     """Inverse transform of a frequency GridFunction back to the spatial grid."""
     _require_grid(g.grid, plan.freq_grid, "g is not on the plan's frequency grid")
-    mats = [k * w[None, :] for k, w in zip(plan.kernels, plan.freq_grid.weights)]
-    out = contract_axes(mats, g.values)
-    out *= plan.c_fb
-    return GridFunction(plan.grid, out)
+    return GridFunction(plan.grid, _contract(plan, plan.inverse, g.values))
 
 
 def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:
@@ -154,10 +178,26 @@ def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:
     read, O(N^n U_1 + N^{n-1} U_1 U_2 + ...).  On an open mesh (the report's
     probes) that tensor is the points themselves; P scattered points can
     make it P^n entries.
+
+    A coordinate that is a frequency node y_b takes row b of plan.forward:
+    x * y commutes and normalized_j evaluates each argument on its own, so
+    it is bitwise the fresh row j(y_b x) w_x, which only the other
+    coordinates get.  The rows keep plan.forward's layout (it decides BLAS's
+    rounding at n = 1).
     """
+    _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
     pts = np.asarray(points, dtype=float)
     coords, inv = zip(*map(_distinct, pts.reshape(-1, plan.gamma.n).T))
-    return _forward_axes(plan, f, coords)[inv].reshape(pts.shape[:-1])
+    rows = []
+    for ax, (ys, freq) in enumerate(zip(coords, plan.freq_grid.nodes)):
+        col = np.minimum(np.searchsorted(freq, ys), freq.size - 1)
+        on = freq[col] == ys
+        row = np.take(plan.forward[ax].T, col, axis=1).T
+        if not on.all():
+            row[~on] = (normalized_j(plan.gamma[ax] - 0.5, np.outer(ys[~on], plan.grid.nodes[ax]))
+                        * plan.grid.weights[ax])
+        rows.append(row)
+    return _contract(plan, rows, f.values)[inv].reshape(pts.shape[:-1])
 
 
 def _distinct(y: np.ndarray):
@@ -167,29 +207,6 @@ def _distinct(y: np.ndarray):
     _, first, inv = np.unique(y, return_index=True, return_inverse=True)
     order = np.argsort(first)
     return y[first[order]], np.argsort(order)[inv]
-
-
-def _forward_axes(plan: FBPlan, f: GridFunction, coords) -> np.ndarray:
-    """F[f] on the tensor of the distinct per-axis frequencies coords: rows
-    j_{g-1/2}(x_a y_p) w_a through `contract_axes`, then c_fb in place.
-
-    A y_p that is a frequency node y_b reads column b of plan.kernels[ax],
-    which holds j(x_a y_b): x * y commutes and normalized_j evaluates each
-    argument on its own, so the column is bitwise the fresh row.  Rows are
-    laid out as those columns (the layout decides BLAS's rounding at n = 1).
-    """
-    _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
-    rows = []
-    for ax, (ys, freq) in enumerate(zip(coords, plan.freq_grid.nodes)):
-        col = np.minimum(np.searchsorted(freq, ys), freq.size - 1)
-        on = freq[col] == ys
-        row = np.take(plan.kernels[ax], col, axis=1).T
-        if not on.all():
-            row[~on] = normalized_j(plan.gamma[ax] - 0.5, np.outer(ys[~on], plan.grid.nodes[ax]))
-        rows.append(row * plan.grid.weights[ax])
-    out = contract_axes(rows, f.values)
-    out *= plan.c_fb
-    return out
 
 
 def gaussian_transform(gamma, alpha: float, y) -> float | np.ndarray:

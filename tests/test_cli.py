@@ -271,7 +271,7 @@ class TestRunSuite:
         assert len(plan_builds) == 2
 
     def test_normalized_j_calls_per_report(self, monkeypatch):
-        # frequency-node probes read plan.kernels; every other argument set
+        # frequency-node probes read plan.forward; every other argument set
         # is evaluated once (patched through importlib: bhk re-exports names
         # that shadow its submodules); the special suite's poisson row at
         # the config's gamma_2 = 1.5 is one call on 81 arguments

@@ -124,6 +124,18 @@ class TestMeanValueCheck:
         with pytest.raises(ValueError):
             shifted_mean_value_check(p2, sphere96, 1.0, shift_plan, [0.4, 0.9, 1.2])
 
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_radius_validated(self, sphere96, shift_plan, R):
+        # at R = 0 every node is the origin, where lhs = m(S_+) u(0) = rhs
+        # holds trivially for y = 0
+        p2 = b_harmonic_basis(2, 2, GAMMA)[0]
+        with pytest.raises(ValueError, match="R must be positive"):
+            mean_value_check(p2, sphere96, R)
+        with pytest.raises(ValueError, match="R must be positive"):
+            shifted_mean_value_check(p2, sphere96, R, shift_plan, [0.0, 0.0])
+        with pytest.raises(ValueError, match="R must be positive"):
+            shifted_mean_value_check(p2, sphere96, R, shift_plan, [0.4, 0.9])
+
     def test_shifted_poly_dimension_validated(self, sphere96, shift_plan):
         with pytest.raises(ValueError):
             shifted_mean_value_check(b_harmonic_basis(3, 2, (0.5, 1.5, 1.0))[0],

@@ -14,7 +14,6 @@ from bhk.special import normalized_j
 from bhk.transform import (
     FBPlan,
     build_fb_plan,
-    fb_constant,
     fb_forward,
     fb_forward_at,
     fb_inverse,
@@ -46,6 +45,24 @@ class TestPlan:
         grid = build_tensor_grid(GAMMA, 8.0, 12)  # cannot resolve the kernel
         with pytest.raises(ValueError, match="self-test"):
             build_fb_plan(grid)
+
+    @pytest.mark.parametrize("g", [(1.5,), GAMMA, (0.5, 1.0, 1.5)])
+    def test_plan_holds_what_it_applies(self, g):
+        # per axis, the weighted kernel matrix each direction applies, read-only,
+        # forward laid out as the transposed view of a C-ordered array
+        plan = build_fb_plan(build_tensor_grid(g, 8.0, 48))
+        for gi, x, wx, y, wy, fwd, inv in zip(g, plan.grid.nodes, plan.grid.weights,
+                                              plan.freq_grid.nodes, plan.freq_grid.weights,
+                                              plan.forward, plan.inverse):
+            k = normalized_j(gi - 0.5, np.outer(x, y))
+            assert np.array_equal(fwd, k.T * wx) and fwd.flags.f_contiguous
+            assert np.array_equal(inv, k * wy) and inv.flags.c_contiguous
+            for m in (fwd, inv):
+                with pytest.raises(ValueError, match="read-only"):
+                    m[0, 0] = 0.0
+        f = plan.grid.sample(gauss)
+        assert np.array_equal(fb_forward(plan, f).values,
+                              plan.c_fb * contract_axes(plan.forward, f.values))
 
     def test_grid_mismatch_raises(self, fb_plan96):
         other = build_tensor_grid(GAMMA, 8.0, 32)
@@ -109,11 +126,8 @@ class TestForwardAtSumFactorized:
         if n < 4:
             plan = build_fb_plan(build_tensor_grid(g, 8.0, 48))
         else:  # build_fb_plan's self-test refuses so coarse a 4-D grid
-            grid = build_tensor_grid(g, 8.0, 10)
-            freq = build_tensor_grid(g, 10.0, 10)
-            kernels = tuple(normalized_j(gi - 0.5, np.outer(x, y))
-                            for gi, x, y in zip(g, grid.nodes, freq.nodes))
-            plan = FBPlan(grid.gamma, grid, freq, fb_constant(g), kernels)
+            plan = FBPlan.from_grids(build_tensor_grid(g, 8.0, 10),
+                                     build_tensor_grid(g, 10.0, 10))
         widths = 0.6 + 0.1 * np.arange(n)
         f = plan.grid.sample(lambda p: (1.0 + p[..., 0]) * np.exp(-np.sum(widths * p * p, axis=-1)))
         rng = np.random.default_rng(n)
@@ -136,9 +150,7 @@ class TestForwardAtOpenMesh:
         # build_fb_plan's self-test refuses so coarse a 4-D grid
         grid = build_tensor_grid(g, 8.0, 24)
         freq = build_tensor_grid(g, 10.0, 24)
-        kernels = tuple(normalized_j(gi - 0.5, np.outer(x, y))
-                        for gi, x, y in zip(g, grid.nodes, freq.nodes))
-        plan = FBPlan(grid.gamma, grid, freq, fb_constant(g), kernels)
+        plan = FBPlan.from_grids(grid, freq)
         f = grid.sample(lambda p: np.exp(-np.sum(p * p, axis=-1)))
         idx = np.ix_(*[np.arange(3, 18, 3)] * 4)
         probes = freq.points()[idx].reshape(-1, 4)
@@ -158,7 +170,7 @@ class TestForwardAtOpenMesh:
 def fresh_forward_at(plan, f, points):
     """Oracle: fb_forward_at's contraction with every kernel row evaluated
     anew.  Per axis, the distinct coordinates in order of first occurrence
-    and one fresh row matrix, laid out as plan.kernels' transposed columns;
+    and one fresh row matrix, laid out as plan.forward's rows;
     contract_axes on their tensor, and the points read from it."""
     flat = np.asarray(points, dtype=float).reshape(-1, plan.gamma.n)
     coords = [list(dict.fromkeys(flat[:, ax].tolist())) for ax in range(plan.gamma.n)]
@@ -171,7 +183,7 @@ def fresh_forward_at(plan, f, points):
 
 class TestForwardAtKernelRows:
     """fb_forward_at evaluates each distinct coordinate once and reads
-    frequency-node coordinates from plan.kernels, bitwise as fresh rows."""
+    frequency-node coordinates from plan.forward, bitwise as fresh rows."""
 
     @pytest.fixture
     def nj_args(self, monkeypatch):
@@ -189,7 +201,7 @@ class TestForwardAtKernelRows:
         f = plan.grid.sample(lambda p: (1.0 + p[..., 0]) * np.exp(-np.sum(p * p, axis=-1)))
         idx = np.random.default_rng(n).integers(0, 48, (30, n))  # repeats per axis
         pts = np.stack([plan.freq_grid.nodes[i][idx[:, i]] for i in range(n)], axis=-1)
-        nj_args.clear()  # the plan's own kernels
+        nj_args.clear()  # the plan's own matrices
         got = fb_forward_at(plan, f, pts)
         assert nj_args == []
         assert np.array_equal(got, fresh_forward_at(plan, f, pts))
@@ -269,13 +281,11 @@ class TestRoundTrip:
         plan = build_fb_plan(build_tensor_grid(g, 8.0, 48))
         f = plan.grid.sample(gauss)
         fwd = fb_forward(plan, f)
-        mats = [k.T * w[None, :] for k, w in zip(plan.kernels, plan.grid.weights)]
         assert fwd.values.flags.c_contiguous
-        assert np.array_equal(fwd.values, plan.c_fb * contract_axes(mats, f.values))
+        assert np.array_equal(fwd.values, plan.c_fb * contract_axes(plan.forward, f.values))
         back = fb_inverse(plan, fwd)
-        mats = [k * w[None, :] for k, w in zip(plan.kernels, plan.freq_grid.weights)]
         assert back.values.flags.c_contiguous
-        assert np.array_equal(back.values, plan.c_fb * contract_axes(mats, fwd.values))
+        assert np.array_equal(back.values, plan.c_fb * contract_axes(plan.inverse, fwd.values))
 
 
 class TestScalingIdentity:

@@ -41,7 +41,6 @@ from .transform import (
     harmonic_gaussian_transform,
     spectral_convolution_factor,
     pv_regularized_limit,
-    pv_kernel_transform,
 )
 from .meanvalue import (
     PizzettiCoefficients,
@@ -55,6 +54,7 @@ from .meanvalue import (
 from .riesz import (
     RieszKernel,
     build_riesz_kernel,
+    pv_kernel_transform,
     riesz_multiplier,
     riesz_spatial,
     riesz_spectral,

@@ -218,10 +218,10 @@ def integrate(f: GridFunction) -> float:
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
-    """L_{p,gamma} norm (int |f|^p dmu_gamma)^(1/p), p >= 1."""
+    """L_{p,gamma} norm (int |f|^p dmu_gamma)^(1/p), p finite and >= 1."""
     p = float(p)
-    if p < 1.0:
-        raise ValueError(f"lp_norm requires p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"lp_norm requires finite p >= 1, got {p}")
     return integrate(GridFunction(f.grid, np.abs(f.values) ** p)) ** (1.0 / p)
 
 

@@ -58,6 +58,7 @@ from .riesz import (
     _multiplier,
     build_riesz_kernel,
     lp_boundedness_probe,
+    pv_kernel_transform,
     priori_bound_probe,
     riesz_spatial,
     riesz_spectral,
@@ -72,7 +73,6 @@ from .transform import (
     fb_inverse,
     gaussian_transform,
     harmonic_gaussian_transform,
-    pv_kernel_transform,
     pv_regularized_limit,
     spectral_convolution_factor,
 )
@@ -130,6 +130,14 @@ def _whole(value, key: str) -> int:
     return int(value)
 
 
+def _number(value, key: str) -> float:
+    """A config number: an int or a float.  Strings and booleans are refused
+    rather than converted ("15" would read as 15.0, true as 1.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed verification configuration (single JSON file, no env vars)."""
@@ -178,15 +186,14 @@ class RunConfig:
         d = cls()
         return cls(
             n=_whole(obj.get("n", d.n), "n"),
-            gamma=tuple(float(v) for v in obj.get("gamma", d.gamma)),
-            x_max=float(grid.get("x_max", d.x_max)),
+            gamma=tuple(_number(v, "gamma") for v in obj.get("gamma", d.gamma)),
+            x_max=_number(grid.get("x_max", d.x_max), "x_max"),
             points=_whole(grid.get("points", d.points), "points"),
             angles=_whole(obj.get("angles", d.angles), "angles"),
             sphere_points=_whole(obj.get("sphere_points", d.sphere_points), "sphere_points"),
-            eps_seq=tuple(float(e) for e in obj.get("eps_seq", d.eps_seq)),
-            tolerances=tuple(sorted(
-                (str(k), float(v)) for k, v in obj.get("tolerances", {}).items()
-            )),
+            eps_seq=tuple(_number(e, "eps_seq") for e in obj.get("eps_seq", d.eps_seq)),
+            tolerances=tuple(sorted((str(k), _number(v, f"tolerance {k}"))
+                                    for k, v in obj.get("tolerances", {}).items())),
             output=str(obj.get("output", d.output)),
         )
 

@@ -12,7 +12,12 @@ acting on the Fourier-Bessel side as multiplication by
 kernel constant is c_k = c_fb * c_k_printed with c_k_printed =
 2^{(n+2|gamma|)/2} Gamma((n+k+2|gamma|)/2)/Gamma(k/2): the extra c_fb is the
 same convolution-theorem constant verified in the transform module, fixed so
-the spatial and spectral routes agree; reports carry both values.
+the spatial and spectral routes agree; reports carry both values.  The
+closed-form transform of the principal-value kernel P_k(y)/|y|^{k+n+2|gamma|}
+is `pv_kernel_transform`, the multiplier over c_k_printed, so c_k_printed is
+by construction the ratio of the multiplier to that transform.  Every
+spectral multiplier m (the Riesz one and the a-priori probes') is applied as
+fb_inverse(m * fb_forward f) by `_apply_multiplier`.
 
 Spatial quadrature splits the radial integral at |y| = 1: on (0, 1] the
 integrand is P_k(theta) [T^{r theta} f(x) - f(x)] / r, on (1, r_max] it is
@@ -46,6 +51,7 @@ __all__ = [
     "RieszKernel",
     "RieszSpatialResult",
     "build_riesz_kernel",
+    "pv_kernel_transform",
     "riesz_multiplier",
     "riesz_spatial",
     "riesz_spectral",
@@ -65,7 +71,6 @@ class RieszKernel:
     poly: EvenPoly
     gamma: GammaIndex
     degree: int
-    exponent: float
     c_k_printed: float
     c_k: float
 
@@ -80,7 +85,7 @@ def build_riesz_kernel(p: EvenPoly, gamma) -> RieszKernel:
     _require_b_harmonic(p, g)
     q = g.n + 2.0 * g.abs
     printed = 2.0 ** (0.5 * q) * _gamma(0.5 * (q + k)) / _gamma(0.5 * k)
-    return RieszKernel(p, g, k, k + q, printed, fb_constant(g) * printed)
+    return RieszKernel(p, g, k, printed, fb_constant(g) * printed)
 
 
 def _multiplier(kernel: RieszKernel, xs) -> np.ndarray:
@@ -98,13 +103,30 @@ def riesz_multiplier(kernel: RieszKernel, grid) -> np.ndarray:
     return _multiplier(kernel, np.meshgrid(*grid.nodes, indexing="ij", sparse=True))
 
 
+def pv_kernel_transform(p: EvenPoly, gamma, y) -> float:
+    """Closed-form transform of the principal-value kernel P_k(x)/|x|^{k+n+2|g|},
+    the multiplier over c_k_printed:
+
+    F[pv K](y) = 2^{-(n+2|g|)/2} (-1)^{k/2} Gamma(k/2)/Gamma((k+n+2|g|)/2)
+                 * P_k(y)/|y|^k, homogeneous of degree 0; |y|^2 = 0 is singular.
+    """
+    kernel = build_riesz_kernel(p, gamma)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if float(np.sum(y * y)) == 0.0:
+        raise ValueError("pv kernel transform is singular at y = 0")
+    return float(_multiplier(kernel, y)) / kernel.c_k_printed
+
+
+def _apply_multiplier(plan: FBPlan, mult: np.ndarray, f: GridFunction) -> GridFunction:
+    """fb_inverse(mult * fb_forward(f)), mult scaling the fresh transform in place."""
+    f_hat = fb_forward(plan, f)
+    f_hat.values *= mult
+    return fb_inverse(plan, f_hat)
+
+
 def riesz_spectral(kernel: RieszKernel, f: GridFunction, plan: FBPlan) -> GridFunction:
     """Multiplier route: fb_inverse of (-1)^{k/2} P_k(xi)/|xi|^k * fb_forward(f)."""
-    if kernel.degree % 2:
-        raise ValueError("spectral route requires even k")
-    g_hat = fb_forward(plan, f)
-    g_hat.values *= riesz_multiplier(kernel, plan.freq_grid)
-    return fb_inverse(plan, g_hat)
+    return _apply_multiplier(plan, riesz_multiplier(kernel, plan.freq_grid), f)
 
 
 @dataclass(frozen=True)
@@ -190,32 +212,15 @@ def priori_bound_probe(plan: FBPlan, p: float, family: Sequence) -> list:
     mult_elliptic = -sum(a[j] * xs[j] ** 2 for j in range(g.n))
     rows = []
     for label, f, bf in family:
-        f_hat = fb_forward(plan, f)
-        dd = fb_inverse(plan, GridFunction(plan.freq_grid, mult_mixed * f_hat.values))
-        pf = fb_inverse(plan, GridFunction(plan.freq_grid, mult_elliptic * f_hat.values))
+        dd = _apply_multiplier(plan, mult_mixed, f)
+        pf = _apply_multiplier(plan, mult_elliptic, f)
         norm_bf, norm_dd, norm_pf = lp_norm(bf, p), lp_norm(dd, p), lp_norm(pf, p)
-        rows.append(
-            {
-                "check": "apriori-mixed-derivative",
-                "label": label,
-                "p": p,
-                "axes": [0, 1],
-                "lhs": norm_dd,
-                "rhs": norm_bf,
-                "ratio": norm_dd / norm_bf,
-            }
-        )
-        rows.append(
-            {
-                "check": "apriori-elliptic",
-                "label": label,
-                "p": p,
-                "coeffs": list(a),
-                "lhs": norm_bf,
-                "rhs": norm_pf,
-                "ratio": norm_bf / norm_pf,
-            }
-        )
+        rows += [
+            {"check": "apriori-mixed-derivative", "label": label, "p": p,
+             "lhs": norm_dd, "rhs": norm_bf, "ratio": norm_dd / norm_bf},
+            {"check": "apriori-elliptic", "label": label, "p": p,
+             "lhs": norm_bf, "rhs": norm_pf, "ratio": norm_bf / norm_pf},
+        ]
     return rows
 
 
@@ -231,19 +236,8 @@ def lp_boundedness_probe(
     max_mult = float(np.max(np.abs(mult)))
     rows = []
     for label, f in family:
-        rf = riesz_spectral(kernel, f, plan)
-        for p in p_values:
-            nf, nrf = lp_norm(f, p), lp_norm(rf, p)
-            rows.append(
-                {
-                    "check": "riesz-lp",
-                    "label": label,
-                    "p": float(p),
-                    "k": kernel.degree,
-                    "norm_rf": nrf,
-                    "norm_f": nf,
-                    "ratio": nrf / nf,
-                    "max_multiplier": max_mult,
-                }
-            )
+        rf = _apply_multiplier(plan, mult, f)
+        rows += [{"check": "riesz-lp", "label": label, "p": float(p),
+                  "ratio": lp_norm(rf, p) / lp_norm(f, p), "max_multiplier": max_mult}
+                 for p in p_values]
     return rows

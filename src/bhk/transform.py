@@ -12,9 +12,9 @@ with the *same* constant on the inverse, which makes F an involution
   * Gaussian pair: F[e^{-a|x|^2}](y) = (2a)^{-(|g|+n/2)} e^{-|y|^2/(4a)};
   * B-harmonic Gaussian: F[P_k e^{-|x|^2}](y)
         = 2^{-(|g|+k+n/2)} (-1)^{k/2} P_k(y) e^{-|y|^2/4}  (k even);
-  * principal-value kernel: F[pv P_k(x)/|x|^{k+n+2|g|}](y)
-        = 2^{-(n+2|g|)/2} (-1)^{k/2} Gamma(k/2)/Gamma((k+n+2|g|)/2)
-          * P_k(y)/|y|^k;
+  * principal-value kernel: F[pv P_k(x)/|x|^{k+n+2|g|}](y) is the Riesz
+    multiplier (-1)^{k/2} P_k(y)/|y|^k over c_k_printed
+    (`bhk.riesz.pv_kernel_transform`);
   * convolution: F(f * phi) = S * F f * F phi with
         S = prod_i 2^{g_i-1/2} Gamma(g_i+1/2) = 1/c_fb
     (the constant-free identity holds only when S = 1, e.g. all g_i = 1/2).
@@ -33,7 +33,6 @@ Gaussian is verified at plan construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,7 +61,6 @@ __all__ = [
     "spectral_convolution_factor",
     "PVLimitResult",
     "pv_regularized_limit",
-    "pv_kernel_transform",
 ]
 
 FREQ_MARGIN = 2.0  # the frequency grid reaches max(x_max + FREQ_MARGIN, 10)
@@ -241,33 +239,6 @@ def harmonic_gaussian_transform(p: EvenPoly, gamma, y) -> float | np.ndarray:
         * np.exp(-r2 / 4.0)
     )
     return float(out) if np.ndim(out) == 0 else out
-
-
-def pv_kernel_transform(p: EvenPoly, gamma, y) -> float:
-    """Closed-form transform of the principal-value kernel P_k(x)/|x|^{k+n+2|g|}.
-
-    F[pv K](y) = 2^{-(n+2|g|)/2} (-1)^{k/2} Gamma(k/2)/Gamma((k+n+2|g|)/2)
-                 * P_k(y)/|y|^k, homogeneous of degree 0; y = 0 is singular.
-    """
-    g = as_gamma(gamma)
-    k = p.degree
-    if k % 2 or k < 2:
-        raise ValueError("pv_kernel_transform requires even degree k >= 2")
-    _require_b_harmonic(p, g)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    r = math.sqrt(float(np.sum(y * y)))
-    if r == 0.0:
-        raise ValueError("pv kernel transform is singular at y = 0")
-    sign = -1.0 if (k // 2) % 2 else 1.0
-    q = g.n + 2.0 * g.abs
-    return (
-        2.0 ** (-0.5 * q)
-        * sign
-        * _gamma(0.5 * k)
-        / _gamma(0.5 * (k + q))
-        * eval_poly(p, y)
-        / r**k
-    )
 
 
 @dataclass(frozen=True)

@@ -461,6 +461,21 @@ class TestCliRun:
         assert not out.exists()
         assert "whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patch", [
+        {"gamma": "15"}, {"gamma": [True, 1.5]}, {"grid": {"x_max": True, "points": 48}},
+        {"eps_seq": [0.4, "0.2"]}, {"tolerances": {"mvt": "1e-8"}},
+        {"tolerances": {"mvt": True}},
+    ])
+    def test_non_number_exit_2_no_report(self, tmp_path, capsys, patch):
+        # "15" must not read as gamma (1, 5), nor true as 1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, **patch}))
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "special", "--config", str(bad),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "must be a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("x_max", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_x_max_exit_2_no_report(self, tmp_path, capsys, x_max):
         bad = tmp_path / "bad.json"

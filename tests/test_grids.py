@@ -186,6 +186,13 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(grid.sample(gauss), 0.5)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_p_rejected(self, p):
+        # lp_norm(f, inf) read 1.0 for any f, lp_norm(f, nan) nan
+        grid = build_tensor_grid((0.5,), 1.0, 32)
+        with pytest.raises(ValueError, match="finite p"):
+            lp_norm(grid.sample(gauss), p)
+
 
 class TestJacobiAngleRule:
     """`special.angle_rule`, the Gauss-Jacobi rule in cos(alpha) against

@@ -16,9 +16,11 @@ from bhk.grids import (
 )
 from bhk.polys import EvenPoly, b_harmonic_basis, eval_poly
 from bhk.riesz import (
+    _multiplier,
     build_riesz_kernel,
     lp_boundedness_probe,
     priori_bound_probe,
+    pv_kernel_transform,
     riesz_multiplier,
     riesz_spatial,
     riesz_spectral,
@@ -48,7 +50,7 @@ class TestKernel:
         assert_allclose(kernel.c_k_printed, 48.0, rtol=1e-14)
         # fitted: c_fb * printed = 48/2 = 24 (matches the spectral route)
         assert_allclose(kernel.c_k, 24.0, rtol=1e-14)
-        assert kernel.exponent == 2 + 2 + 2 * 2.0
+        assert kernel.degree == 2
 
     def test_rejects_bad_numerators(self):
         with pytest.raises(ValueError, match="B-harmonic"):
@@ -63,6 +65,32 @@ class TestKernel:
         mean = float(sphere96.weights @ vals)
         scale = float(sphere96.weights @ np.abs(vals))
         assert abs(mean) < 1e-10 * scale
+
+
+class TestPvKernelTransform:
+    """The p.v. kernel's transform is the Riesz multiplier over c_k_printed,
+    from the one kernel that build_riesz_kernel assembles."""
+
+    def test_one_public_name(self):
+        bhk = importlib.import_module("bhk")
+        assert bhk.pv_kernel_transform is pv_kernel_transform
+        assert not hasattr(importlib.import_module("bhk.transform"), "pv_kernel_transform")
+
+    @pytest.mark.parametrize("gamma", [GAMMA, (0.5, 1.0, 1.5)], ids=["n2", "n3"])
+    def test_multiplier_over_printed_constant(self, gamma):
+        p = P2_SPEC if gamma == GAMMA else b_harmonic_basis(3, 2, gamma)[0]
+        kern = build_riesz_kernel(p, gamma)
+        for y in ([1.0, 0.5, 0.25], [0.3, 2.0, 1.1], [1.0, 0.0, 0.0]):
+            y = np.array(y[: len(gamma)])
+            want = float(_multiplier(kern, y)) / kern.c_k_printed
+            assert pv_kernel_transform(p, gamma, y) == want
+
+    def test_underflowing_origin_refused(self, kernel):
+        # |y|^2 underflows to 0, where _multiplier alone reads 0
+        y = np.array([1e-200, 0.0])
+        assert float(_multiplier(kernel, y)) == 0.0
+        with pytest.raises(ValueError, match="singular"):
+            pv_kernel_transform(P2_SPEC, GAMMA, y)
 
 
 class TestMultiplier:
@@ -387,3 +415,10 @@ class TestProbes:
         for p in (2.0, 4.0):
             ratios = [r["ratio"] for r in rows if r["p"] == p]
             assert (max(ratios) - min(ratios)) / max(ratios) < 0.05
+
+    def test_lp_ratios_are_the_spectral_route(self, kernel, fb_plan96, family):
+        members = [(l, f) for l, f, _ in family]
+        rows = lp_boundedness_probe(kernel, (2.0, 4.0), members, fb_plan96)
+        want = [lp_norm(riesz_spectral(kernel, f, fb_plan96), p) / lp_norm(f, p)
+                for _, f in members for p in (2.0, 4.0)]
+        assert [r["ratio"] for r in rows] == want

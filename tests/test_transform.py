@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from bhk.grids import build_tensor_grid, contract_axes
 from bhk.polys import EvenPoly, b_harmonic_basis, eval_poly
+from bhk.riesz import pv_kernel_transform
 from bhk.shift import b_convolve, build_shift_plan
 from bhk.special import normalized_j
 from bhk.transform import (
@@ -19,7 +20,6 @@ from bhk.transform import (
     fb_inverse,
     gaussian_transform,
     harmonic_gaussian_transform,
-    pv_kernel_transform,
     pv_regularized_limit,
     spectral_convolution_factor,
 )

@@ -16,6 +16,12 @@ stands for a suite that raised (its inputs carry the exception type and
 message) skip this rule.  Rows may carry extra keys (gamma, R, lhs, rhs,
 point, k, ...) for specific checks.
 
+The shift, mean-value and riesz suites check at seeded points: each suite
+seeds its own standard-library `random.Random(_SEED)` and draws coordinates
+through `_uniform`.  The generator's `random()` stream is the same on every
+platform and Python version, and numpy.random, whose import alone adds about
+6.5 MB to a report's peak RSS, is never loaded.
+
 Reports serialize deterministically (sorted keys, repr-exact floats, no
 timestamps), so consecutive runs with one config are byte-identical.
 """
@@ -26,6 +32,7 @@ import functools
 import json
 import math
 import numbers
+import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,6 +87,13 @@ from .transform import (
 __all__ = ["RunConfig", "SUITES", "DEFAULT_TOLERANCES", "run_suite", "emit_grid", "REPORT_SCHEMA"]
 
 _SEED = 0x5EED
+
+
+def _uniform(rng: random.Random, lo: float, hi: float, size: int) -> np.ndarray:
+    """size check-point coordinates lo + (hi - lo) * rng.random(), drawn in
+    order from a suite's own random.Random(_SEED)."""
+    return np.array([rng.uniform(lo, hi) for _ in range(size)])
+
 
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "special-gamma": 1e-13,
@@ -138,6 +152,14 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
+def _text(value, key: str) -> str:
+    """A config string.  Anything else is refused rather than converted
+    (true would name the report "True")."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed verification configuration (single JSON file, no env vars)."""
@@ -194,7 +216,7 @@ class RunConfig:
             eps_seq=tuple(_number(e, "eps_seq") for e in obj.get("eps_seq", d.eps_seq)),
             tolerances=tuple(sorted((str(k), _number(v, f"tolerance {k}"))
                                     for k, v in obj.get("tolerances", {}).items())),
-            output=str(obj.get("output", d.output)),
+            output=_text(obj.get("output", d.output), "output"),
         )
 
     @classmethod
@@ -328,14 +350,14 @@ def suite_shift(cfg: RunConfig) -> List[dict]:
     rows = []
     g = as_gamma(cfg.gamma)
     plan = build_shift_plan(g, cfg.angles)
-    rng = np.random.default_rng(_SEED)
-    x0 = rng.uniform(0.3, 2.0, g.n)
+    rng = random.Random(_SEED)
+    x0 = _uniform(rng, 0.3, 2.0, g.n)
     rows.append(_row(cfg, "shift-identity",
                      shift(plan, _gauss, x0, np.zeros(g.n)) - float(_gauss(x0[None, :])[0]),
                      0.0, scale=1.0, inputs={"x": list(x0)}))
     one = lambda p: np.ones(p.shape[:-1])
     worst = max(
-        abs(shift(plan, one, rng.uniform(0.1, 3.0, g.n), rng.uniform(0.1, 3.0, g.n),
+        abs(shift(plan, one, _uniform(rng, 0.1, 3.0, g.n), _uniform(rng, 0.1, 3.0, g.n),
                   adaptive=False) - 1.0)
         for _ in range(20)
     )
@@ -344,12 +366,12 @@ def suite_shift(cfg: RunConfig) -> List[dict]:
     sq = lambda p: p[..., 0] ** 2
     worst = 0.0
     for _ in range(25):
-        x, y = rng.uniform(0.1, 3.0, 2)
+        x, y = _uniform(rng, 0.1, 3.0, 2)
         got = shift(plan1, sq, [x], [y])
         worst = max(worst, abs(got - (x * x + y * y)) / (x * x + y * y))
     rows.append(_row(cfg, "shift-square", worst, 0.0, scale=1.0,
                      inputs={"gamma_axis": g[0], "pairs": 25}))
-    xa, ya = rng.uniform(0.2, 2.0, g.n), rng.uniform(0.2, 2.0, g.n)
+    xa, ya = _uniform(rng, 0.2, 2.0, g.n), _uniform(rng, 0.2, 2.0, g.n)
     rows.append(_row(cfg, "shift-symmetry",
                      shift(plan, _gauss, xa, ya) - shift(plan, _gauss, ya, xa),
                      0.0, scale=1.0))
@@ -361,8 +383,8 @@ def suite_shift(cfg: RunConfig) -> List[dict]:
         sf = shift_grid(plan, f, y_shift)
     rows.append(_row(cfg, "shift-preservation", integrate(sf), integrate(f),
                      inputs={"y": list(y_shift)}))
-    t = rng.uniform(0.5, 2.0, g.n)
-    x, y = rng.uniform(0.3, 1.8, g.n), rng.uniform(0.3, 1.8, g.n)
+    t = _uniform(rng, 0.5, 2.0, g.n)
+    x, y = _uniform(rng, 0.3, 1.8, g.n), _uniform(rng, 0.3, 1.8, g.n)
 
     # the kernel prod_i j_{g_i-1/2}(t_i x_i) as its n 1-D factors (per-axis route)
     factors = [lambda z, i=i: normalized_j(g[i] - 0.5, z * t[i]) for i in range(g.n)]
@@ -514,9 +536,9 @@ def suite_mean_value(cfg: RunConfig) -> List[dict]:
     if g.n >= 2:
         plan = build_shift_plan(g, cfg.angles)
         p2 = corpus.b_harmonic(g, 2)
-        rng = np.random.default_rng(_SEED)
+        rng = random.Random(_SEED)
         for _ in range(5):
-            y = rng.uniform(0.2, 1.5, g.n)
+            y = _uniform(rng, 0.2, 1.5, g.n)
             row = shifted_mean_value_check(p2, rule, 1.0, plan, y)
             rows.append(_row(cfg, "mvt-shifted", row["lhs"], row["rhs"],
                              scale=row["scale"], inputs={"y": list(map(float, y))},
@@ -604,10 +626,12 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
             f"no grid node in [0.5, 1.8] on axes {empty}: "
             "riesz-multiplier and riesz-converged not run")))
     else:
-        rng = np.random.default_rng(_SEED)
+        rng = random.Random(_SEED)
         converged = 0
         for _ in range(5):
-            idx = tuple(int(rng.choice(i)) for i in inner)
+            # one node per axis, uniformly among that axis's inner nodes
+            idx = tuple(int(i[int(u * i.size)])
+                        for i, u in zip(inner, _uniform(rng, 0.0, 1.0, g.n)))
             x = np.array([nodes[k] for nodes, k in zip(grid.nodes, idx)])
             res = riesz_spatial(kernel, factors, x, plan_s, srule, cfg.x_max)
             spec_val = float(rf.values[idx])

@@ -28,10 +28,10 @@ the series 1 - r^2 / (4 (nu+1)) + ... rounds to 1 and j_nu(r) is 1.0 exactly;
 the pass, whose growth (2/r)^m overflows as r -> 0, does not run there.
 
 Gauss-Jacobi rules (`gauss_jacobi`, the one quadrature rule behind every grid,
-angle, sphere and radial rule of the package, `angle_rule` included) are
-computed in numpy by Golub-Welsch: nodes are the eigenvalues of the Jacobi
-matrix, polished by one Newton step, and weights are Christoffel sums
-1 / sum_k p_k^2 of the orthonormal polynomials, all from one pass of the
+angle, sphere and radial rule of the package, `angle_rule` and `legendre_rule`
+included) are computed in numpy by Golub-Welsch: nodes are the eigenvalues of
+the Jacobi matrix, polished by one Newton step, and weights are Christoffel
+sums 1 / sum_k p_k^2 of the orthonormal polynomials, all from one pass of the
 three-term recurrence.
 """
 
@@ -47,6 +47,7 @@ __all__ = [
     "normalized_j",
     "gauss_jacobi",
     "angle_rule",
+    "legendre_rule",
     "poisson_representation",
 ]
 
@@ -222,6 +223,17 @@ def angle_rule(gamma_axis: float, points: int):
     cos_a, w = -t, w / math.sqrt(math.pi) * gamma(gamma_axis + 0.5) / gamma(gamma_axis)
     cos_a.flags.writeable = w.flags.writeable = False
     return cos_a, w
+
+
+@functools.lru_cache(maxsize=256)
+def legendre_rule(points: int):
+    """Gauss-Legendre rule on [-1, 1], gauss_jacobi(points, 0, 0): the radial
+    rule of `riesz.riesz_spatial` and `transform.pv_regularized_limit`.
+    Returns (nodes increasing, weights); cached, so both arrays are
+    read-only."""
+    t, w = gauss_jacobi(points, 0.0, 0.0)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def poisson_representation(gamma_axis: float, r, quad_points: int = 64):

@@ -48,7 +48,7 @@ from .grids import (
     contract_axes,
 )
 from .polys import EvenPoly, _require_b_harmonic, eval_poly
-from .special import gamma as _gamma, gauss_jacobi, normalized_j
+from .special import gamma as _gamma, legendre_rule, normalized_j
 
 __all__ = [
     "FBPlan",
@@ -291,7 +291,7 @@ def pv_regularized_limit(
     rhs(eps) truncates the unmodified kernel to |x| > eps.  In polar form both
     reduce to radial integrals of Phi(r) = int_{S_+} f(theta) phi(r theta)
     dsigma(theta), taken on the PV_RADIAL_POINTS-point Gauss-Legendre rule
-    `special.gauss_jacobi(n, 0, 0)`; Phi vanishes at r = 0 because f has zero
+    `special.legendre_rule`; Phi vanishes at r = 0 because f has zero
     weighted mean (checked, rel. PV_MEAN_TOL).  Each side is extrapolated to eps = 0 by
     Neville's scheme over every tabulated eps (`_extrapolate`): in eps for the
     exponent-lowered side, which is O(eps)-regular, and in eps^2 for the
@@ -313,7 +313,7 @@ def pv_regularized_limit(
         ph = np.asarray(phi(pts), dtype=float)
         return ph @ fw
 
-    t, w = gauss_jacobi(PV_RADIAL_POINTS, 0.0, 0.0)
+    t, w = legendre_rule(PV_RADIAL_POINTS)
     r0 = 0.5 * r_max * (t + 1.0)
     wr0 = 0.5 * r_max * w
     prof0 = radial_profile(r0)  # these nodes do not depend on eps

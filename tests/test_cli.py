@@ -476,6 +476,16 @@ class TestCliRun:
         assert not out.exists()
         assert "must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output", [True, 7, None, ["r.json"]])
+    def test_non_string_output_exit_2_no_report(self, tmp_path, capsys, monkeypatch, output):
+        # true must not write the report to a file named "True"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "output": output}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--suite", "special", "--config", str(bad)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+        assert "output must be a string" in capsys.readouterr().err
+
     @pytest.mark.parametrize("x_max", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_x_max_exit_2_no_report(self, tmp_path, capsys, x_max):
         bad = tmp_path / "bad.json"
@@ -601,7 +611,9 @@ class TestEmit:
 
 class TestNoScipyOnReportPath:
     """The report path imports neither scipy (a test and benchmark dependency
-    only) nor jsonschema (run_suite validates with report._validate)."""
+    only) nor jsonschema (run_suite validates with report._validate), nor
+    numpy.random (the check points come from the standard library's
+    random.Random)."""
 
     def _modules_after(self, code, tmp_path):
         src = str(Path(bhk.__file__).resolve().parent.parent)
@@ -609,7 +621,8 @@ class TestNoScipyOnReportPath:
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         probe = (f"import sys\n{code}\n"
                  "print(sorted(m for m in sys.modules\n"
-                 "             if m.partition('.')[0] in ('scipy', 'jsonschema')))")
+                 "             if m.partition('.')[0] in ('scipy', 'jsonschema')\n"
+                 "             or (m + '.').startswith('numpy.random.')))")
         done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
@@ -620,7 +633,8 @@ class TestNoScipyOnReportPath:
 
     def test_src_imports_stdlib_numpy_bhk_only(self):
         # numpy is the one runtime dependency: no module may import, even
-        # lazily, anything outside the standard library, numpy and bhk
+        # lazily, anything outside the standard library, numpy and bhk, nor
+        # name numpy.random in any form
         allowed = set(sys.stdlib_module_names) | {"numpy", "bhk"}
         bad = []
         for path in sorted(Path(bhk.__file__).resolve().parent.glob("*.py")):
@@ -628,11 +642,15 @@ class TestNoScipyOnReportPath:
                 if isinstance(node, ast.Import):
                     names = [a.name for a in node.names]
                 elif isinstance(node, ast.ImportFrom) and not node.level:
-                    names = [node.module]
+                    names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                elif (isinstance(node, ast.Attribute) and node.attr == "random"
+                      and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                    names = ["numpy.random"]
                 else:
                     continue
                 bad += [f"{path.name}:{node.lineno} {name}" for name in names
-                        if name.partition(".")[0] not in allowed]
+                        if name.partition(".")[0] not in allowed
+                        or (name + ".").startswith("numpy.random.")]
         assert bad == []
 
     def test_cli_report_all_suites(self, tmp_path):

@@ -13,6 +13,7 @@ from bhk.shift import MAX_ANGLES
 from bhk.special import (
     gamma,
     gauss_jacobi,
+    legendre_rule,
     normalized_j,
     poisson_representation,
 )
@@ -386,6 +387,18 @@ class TestGaussJacobi:
         # Legendre weights read 3.1e-15, 4.9e-15 and 1.5e-13 (numpy's leggauss
         # 1.2e-13, 1.3e-12 and 4.2e-11)
         assert np.max(np.abs(w / w_ref - 1.0)) <= (2e-13 if a == b == 0.0 else 1e-12)
+
+    @pytest.mark.parametrize("n", (24, 48, 240))
+    def test_legendre_rule_is_cached_and_read_only(self, n):
+        # riesz_spatial and pv_regularized_limit share these arrays between
+        # calls, so no caller may write into them
+        t, w = legendre_rule(n)
+        t_ref, w_ref = gauss_jacobi(n, 0.0, 0.0)
+        assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
+        assert legendre_rule(n)[0] is t
+        for arr in (t, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
     @pytest.mark.parametrize("a,b", _GJ_EXPONENTS[:3])  # the gamma = 0.05 pairs
     def test_end_nodes_at_max_angles(self, a, b):

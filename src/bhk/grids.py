@@ -279,31 +279,21 @@ def build_sphere_rule(gamma, points: int) -> SphereRule:
         return SphereRule(g, np.array([[1.0]]), np.array([1.0]))
     if points < 4:
         raise ValueError("build_sphere_rule requires points >= 4")
-    cos_list, sin_list, w_list = [], [], []
+    # tensor product over the n-1 angles, angle j broadcast along axis j
+    shape = (points,) * (g.n - 1)
+    nodes = np.empty(shape + (g.n,))
+    sin_running, weights = 1.0, 1.0
     tail = list(np.cumsum(g.values[::-1])[::-1])  # tail[j] = sum_{i >= j} gamma_i
     for j in range(g.n - 1):
         a = g.values[j] - 0.5                      # exponent of u
         b = tail[j + 1] + 0.5 * (g.n - j - 1) - 1.0  # exponent of 1 - u
         t, w = special.gauss_jacobi(points, b, a)
-        u = 0.5 * (1.0 + t)
-        cos_list.append(np.sqrt(u))
-        sin_list.append(np.sqrt(1.0 - u))
-        w_list.append(w * 2.0 ** (-(a + b + 2.0)))
-    # tensor product over the n-1 angles
-    mesh = np.meshgrid(*[np.arange(points)] * (g.n - 1), indexing="ij")
-    idx = [m.reshape(-1) for m in mesh]
-    m_pts = idx[0].size
-    nodes = np.empty((m_pts, g.n))
-    sin_running = np.ones(m_pts)
-    weights = np.ones(m_pts)
-    for j in range(g.n - 1):
-        cj = cos_list[j][idx[j]]
-        sj = sin_list[j][idx[j]]
-        nodes[:, j] = sin_running * cj
-        sin_running = sin_running * sj
-        weights *= w_list[j][idx[j]]
-    nodes[:, g.n - 1] = sin_running
-    return SphereRule(g, nodes, weights)
+        u = 0.5 * (1.0 + t).reshape((-1,) + (1,) * (g.n - 2 - j))
+        nodes[..., j] = sin_running * np.sqrt(u)
+        sin_running = sin_running * np.sqrt(1.0 - u)
+        weights = weights * (w * 2.0 ** (-(a + b + 2.0))).reshape(u.shape)
+    nodes[..., g.n - 1] = sin_running
+    return SphereRule(g, nodes.reshape(-1, g.n), weights.reshape(-1))
 
 
 def _products_but_one(d) -> np.ndarray:
@@ -336,13 +326,14 @@ class GridInterpolator:
     default grid resolutions.  Arguments beyond x_max are clamped and counted
     so callers can flag truncation bias.
 
-    The Lagrange denominators prod_{b != a} (x_{s+a} - x_{s+b}) depend only
-    on the stencil start s, so each axis keeps one (starts, width) table of
-    them; a query then costs O(width): its numerators come from running
-    products (`_products_but_one`) and are divided by the table row.  A
-    query on a node gets weight exactly 1 there and exactly 0 elsewhere
-    (the barycentric form of Berrut & Trefethen, SIAM Review 46(3), 2004,
-    without its rescaling).
+    Each axis keeps one table stencils[axis] = (coords, cols, den) indexed by
+    stencil start s, one start per node: the stencil's signed coordinates
+    (-x_k where it mirrors node k), its node columns k and its Lagrange
+    denominators prod_{b != a} (coords[s, a] - coords[s, b]).  A query costs
+    O(width): numerators from running products (`_products_but_one`) divided
+    by the table row.  A query on a node gets weight exactly 1 there and
+    exactly 0 elsewhere (the barycentric form of Berrut & Trefethen, SIAM
+    Review 46(3), 2004, without its rescaling).
     """
 
     def __init__(self, grid: TensorGrid, width: int = 4):
@@ -352,39 +343,36 @@ class GridInterpolator:
             raise ValueError("stencil width exceeds grid size")
         self.width = width
         self.grid = grid
-        mirror = width - 1
-        self.ext_nodes = []
-        self.denominators = []
-        window = np.arange(width)
+        self.stencils = []
         for x in grid.nodes:
-            xs = np.concatenate([-x[mirror - 1 :: -1], x])
-            xn = xs[np.arange(len(xs) - width + 1)[:, None] + window]
-            den = _products_but_one(xn[:, :, None] - xn[:, None, :])
-            self.ext_nodes.append(xs)
-            self.denominators.append(np.diagonal(den, axis1=1, axis2=2).copy())
+            # k = s + a - (width - 1): node k, or at k < 0 the mirror of node -1 - k
+            k = np.arange(len(x))[:, None] + np.arange(1 - width, 1)
+            cols = np.where(k < 0, -1 - k, k)
+            coords = np.where(k < 0, -x[cols], x[cols])
+            den = _products_but_one(coords[:, :, None] - coords[:, None, :])
+            self.stencils.append((coords, cols, np.diagonal(den, axis1=1, axis2=2).copy()))
         self.clipped = 0
         self.queried = 0
 
     def axis_stencil(self, axis: int, z):
-        """Per-axis stencil (indices into the extended axis, Lagrange weights).
+        """Per-axis stencil (node columns, Lagrange weights).
 
         z is clamped to [0, x_max]; returns (idx (...,width), w (...,width)).
+        A stencil near 0 can hold a node twice, once mirrored.
         """
-        w_pts = self.width
         z = np.asarray(z, dtype=float)
         self.queried += z.size
         self.clipped += int(np.count_nonzero(z > self.grid.x_max))
         z = np.clip(z, 0.0, self.grid.x_max)
-        xs = self.ext_nodes[axis]
-        i = np.searchsorted(xs, z) - 1
-        s = np.clip(i - (w_pts // 2 - 1), 0, len(xs) - w_pts)
-        idx = s[..., None] + np.arange(w_pts)
-        w = _products_but_one(z[..., None] - xs[idx])
-        w /= self.denominators[axis][s]
-        return idx, w
+        coords, cols, den = self.stencils[axis]
+        s = np.minimum(np.searchsorted(self.grid.nodes[axis], z) + self.width // 2 - 1,
+                       len(cols) - 1)
+        w = _products_but_one(z[..., None] - coords[s])
+        w /= den[s]
+        return cols[s], w
 
     def dense_axis_matrix(self, axis: int, z, weights) -> np.ndarray:
-        """Dense (rows, n_extended_nodes) matrix of weighted stencil rows on one axis.
+        """Dense (rows, nodes) matrix of weighted stencil rows on one axis.
 
         z has shape (rows, k) and weights shape (k,); row r is
         sum_a weights[a] * L(z[r, a]), L the stencil row of axis_stencil.  The
@@ -393,7 +381,7 @@ class GridInterpolator:
         """
         z = np.asarray(z, dtype=float)
         idx, w = self.axis_stencil(axis, z)
-        size = len(self.ext_nodes[axis])
+        size = self.grid.shape[axis]
         idx += size * np.arange(z.shape[0])[:, None, None]
         w *= np.asarray(weights, dtype=float)[:, None]
         out = np.bincount(idx.reshape(-1), w.reshape(-1), minlength=z.shape[0] * size)

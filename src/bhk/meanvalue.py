@@ -283,10 +283,9 @@ def v_sequence(gamma, R: float, eta_max: int) -> List[VRadial]:
     for _ in range(eta_max + 1):
         anti_s = _antiderivative({(p + q + 1, l): c for (p, l), c in terms.items()})
         anti_t = _antiderivative({(p + 1, l): c for (p, l), c in terms.items()})
-        moment = m_s * float(_eval_terms(anti_s, r_end))
-        seq.append(VRadial(terms, moment))
-        # v_{eta+1}(r) = (1/q) [ r^-q int_r^R rho^{q+1} v - int_r^R rho v ]
         s_at_r = float(_eval_terms(anti_s, r_end))
+        seq.append(VRadial(terms, m_s * s_at_r))
+        # v_{eta+1}(r) = (1/q) [ r^-q int_r^R rho^{q+1} v - int_r^R rho v ]
         t_at_r = float(_eval_terms(anti_t, r_end))
         nxt: _Terms = {}
         _add_term(nxt, -q, 0, s_at_r / qf)

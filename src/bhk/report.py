@@ -287,8 +287,7 @@ def _error_row(exc: Exception) -> dict:
     return out
 
 
-def _gauss(p):
-    return np.exp(-np.sum(p * p, axis=-1))
+_gauss = corpus._gaussian(1.0)
 
 
 def _b_gauss(g: GammaIndex, s: float):
@@ -442,19 +441,20 @@ def suite_transform(cfg: RunConfig) -> List[dict]:
     grid = plan.grid
     probes = _freq_probe_nodes(plan)
     for a in (0.5, 1.0, 2.0):
-        fa = grid.sample(lambda p: np.exp(-a * np.sum(p * p, axis=-1)))
+        fa = grid.sample(corpus._gaussian(a))
         got = fb_forward_at(plan, fa, probes)
         ref = gaussian_transform(g, a, probes)
         rel = float(np.max(np.abs(got - ref) / np.abs(ref)))
         rows.append(_row(cfg, "fb-gaussian", rel, 0.0, scale=1.0,
                          inputs={"alpha": a, "probe_points": len(probes)}))
     f = grid.sample(_gauss)
-    back = fb_inverse(plan, fb_forward(plan, f))
+    f_hat = fb_forward(plan, f)
+    back = fb_inverse(plan, f_hat)
     rows.append(_row(cfg, "fb-roundtrip", float(np.max(np.abs(back.values - f.values))),
                      0.0, scale=1.0))
     # scaling identity: base Gaussian narrow enough that f(alpha x) stays
     # resolved by the truncated grid for both alpha values
-    f_base = grid.sample(lambda p: np.exp(-2.0 * np.sum(p * p, axis=-1)))
+    f_base = grid.sample(corpus._gaussian(2.0))
     for a in (0.5, 2.0):
         fa = grid.sample(lambda p: np.exp(-2.0 * np.sum((a * p) ** 2, axis=-1)))
         lhs = fb_forward_at(plan, fa, probes)
@@ -480,9 +480,9 @@ def suite_transform(cfg: RunConfig) -> List[dict]:
     splan = build_shift_plan(g, cfg.angles)
     conv = b_convolve(splan, f, [lambda z: np.exp(-1.5 * z * z)] * g.n)
     lhs = fb_forward(plan, conv).values
-    phi = grid.sample(lambda p: np.exp(-1.5 * np.sum(p * p, axis=-1)))
+    phi = grid.sample(corpus._gaussian(1.5))
     rhs = (spectral_convolution_factor(g)
-           * fb_forward(plan, f).values
+           * f_hat.values
            * fb_forward(plan, phi).values)
     rel = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
     rows.append(_row(cfg, "fb-convolution", rel, 0.0, scale=1.0,
@@ -676,8 +676,8 @@ def suite_estimates(cfg: RunConfig) -> List[dict]:
     grid = plan.grid
 
     def member(s):
-        fs = grid.sample(lambda p: np.exp(-s * np.sum(p * p, axis=-1)))
-        return (f"gaussian-s{s}", fs, grid.sample(_b_gauss(g, s)))
+        return (f"gaussian-s{s}", grid.sample(corpus._gaussian(s)),
+                grid.sample(_b_gauss(g, s)))
 
     family = [member(s) for s in (0.5, 1.0, 2.0)]
     probe_rows = priori_bound_probe(plan, 2.0, family)

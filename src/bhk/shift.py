@@ -32,9 +32,9 @@ It is computed along two routes, per axis wherever the input allows:
   axis and one distinct exponent at a time.
 * sampled (`shift_grid`): the shifted argument on axis i depends only on
   (x_i, y_i, alpha_i), so per axis each node x_i gives one row, the
-  angle-weighted sum of interpolation stencil rows with the even reflection
-  at 0 folded back onto the nodes, and `grids.contract_axes` applies these
-  rows to the grid samples.
+  angle-weighted sum of interpolation stencil rows on the node columns
+  (the even reflection at 0 read off the nodes it mirrors), and
+  `grids.contract_axes` applies these rows to the grid samples.
 """
 
 from __future__ import annotations
@@ -197,12 +197,10 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     Off-node arguments are evaluated by tensor-product local Lagrange
     interpolation (SHIFT_GRID_STENCIL points per axis, fewer on a smaller
     grid) with even reflection at 0 and clamping at x_max.  Per axis, row p of
-    a (nodes, extended nodes) matrix is sum_alpha w(alpha) L((x_p, y)_alpha),
-    L the stencil row.  Extended column k < r, r the number of reflected
-    nodes, holds the mirror image of node r - 1 - k, so it is added to that
-    node's column and dropped; `contract_axes` applies the folded
-    (nodes, nodes) matrices to the samples themselves, so the cost is
-    O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
+    a (nodes, nodes) matrix is sum_alpha w(alpha) L((x_p, y)_alpha), L the
+    stencil row on node columns (a mirrored node's weight lands on the node
+    it mirrors), and `contract_axes` applies these matrices to the samples,
+    so the cost is O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
     ShiftTruncationWarning when > 1% of evaluation points are clamped.
     """
     grid = f.grid
@@ -214,13 +212,8 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     if np.all(y == 0.0):
         return GridFunction(grid, f.values.copy())
     interp = GridInterpolator(grid, width=min(SHIFT_GRID_STENCIL, min(grid.shape) // 2 * 2))
-    mats = []
-    for ax, (x, c, w) in enumerate(zip(grid.nodes, plan.cos_nodes, plan.weights)):
-        ext = interp.dense_axis_matrix(ax, _law_of_cosines(x[:, None], y[ax], c), w)
-        r = ext.shape[1] - len(x)
-        mat = ext[:, r:].copy()
-        mat[:, :r] += ext[:, r - 1 :: -1]
-        mats.append(mat)
+    mats = [interp.dense_axis_matrix(ax, _law_of_cosines(x[:, None], y[ax], c), w)
+            for ax, (x, c, w) in enumerate(zip(grid.nodes, plan.cos_nodes, plan.weights))]
     acc = contract_axes(mats, f.values)
     if interp.clip_fraction > 0.01:
         warnings.warn(

@@ -1,6 +1,7 @@
 import ast
 import copy
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -722,6 +723,30 @@ class TestCallTrace:
 
 
 class TestBenchmarkReach:
+    def test_tracer_names_resolve_in_bhk(self, monkeypatch):
+        # every name bench/tracer.py wraps must exist in bhk, so dropping one
+        # fails here; the file is loaded by path and no bytecode is written
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        targets = [(importlib.import_module(f"bhk.{m}"), name)
+                   for m, name in tracer_module.FUNCTIONS]
+        for m, cls_name, methods in tracer_module.METHODS:
+            cls = getattr(importlib.import_module(f"bhk.{m}"), cls_name)
+            targets += [(cls, meth) for meth in methods]
+        originals = [vars(owner)[name] for owner, name in targets]
+        assert all(map(callable, originals))
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            assert all(vars(owner)[name].__wrapped__ is fn
+                       for (owner, name), fn in zip(targets, originals))
+        finally:
+            tracer.uninstall()
+        assert [vars(owner)[name] for owner, name in targets] == originals
+
     def test_default_report_reaches_every_traced_layer(self, monkeypatch):
         # bench/tracer.py wraps the layers it times by name; a library change
         # that stops reaching one fails here, not only in a traced benchmark run

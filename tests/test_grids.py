@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import tracemalloc
 
@@ -254,6 +255,19 @@ class TestSphereRule:
             rule = build_sphere_rule(gam, 24)
             assert_allclose(rule.weights.sum(), hemisphere_measure(gam), rtol=1e-12)
 
+    @pytest.mark.parametrize("points", [8, 16])
+    @pytest.mark.parametrize("gam", [(0.05, 5.0), (5.0, 0.5, 0.05), (0.05, 1.5, 5.0, 0.3)])
+    def test_weighted_monomial_moments(self, gam, points):
+        # sum w theta^{2 beta} = int theta^{2 (gamma + beta)} dS = m_{gamma + beta}(S_+),
+        # exact for |beta| <= 4 (per angle a polynomial of degree <= 4 in u)
+        rule = build_sphere_rule(gam, points)
+        for beta in itertools.product(range(5), repeat=len(gam)):
+            if sum(beta) <= 4:
+                monomial = np.prod(rule.nodes ** (2 * np.array(beta)), axis=1)
+                got = np.sum(rule.weights * monomial)
+                want = hemisphere_measure(np.add(gam, beta))
+                assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=str(beta))
+
     def test_nodes_on_hemisphere(self):
         rule = build_sphere_rule((0.5, 1.0, 1.5), 12)
         assert np.all(rule.nodes >= 0)
@@ -322,7 +336,33 @@ class TestCsv:
         assert x1b == x1 and x2b == grid.nodes[1][1]
 
 
+def _table_stencil(interp, axis, z):
+    """Signed coordinates and node columns of each clamped query's stencil,
+    read off the table at the start whose centre pair brackets z,
+    coords[s, width/2 - 1] < z <= coords[s, width/2] (the last start beyond)."""
+    coords, cols, _ = interp.stencils[axis]
+    s = np.minimum(np.searchsorted(coords[:, interp.width // 2], z), len(coords) - 1)
+    return coords[s], cols[s]
+
+
 class TestGridInterpolator:
+    @pytest.mark.parametrize("width", [4, 8, 10])
+    def test_table_windows_the_reflected_axis(self, width):
+        # oracle: width - 1 nodes mirrored through 0, then the nodes; start s
+        # is the window at position s, and each denominator a product formula
+        grid = build_tensor_grid((0.3, 2.7), 4.0, 24)
+        interp = GridInterpolator(grid, width=width)
+        for x, (coords, cols, den) in zip(grid.nodes, interp.stencils):
+            xs = np.concatenate([-x[width - 2 :: -1], x])
+            assert np.array_equal(coords, xs[np.arange(len(x))[:, None] + np.arange(width)])
+            assert np.array_equal(np.abs(coords), x[cols])
+            want = np.ones_like(den)
+            for a in range(width):
+                for b in range(width):
+                    if a != b:
+                        want[:, a] *= coords[:, a] - coords[:, b]
+            assert_allclose(den, want, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("width", [4, 8, 10])
     def test_stencil_against_product_formula(self, width):
         # oracle: prod_{b != a} (z - x_b) / (x_a - x_b), width^2 factors per query
@@ -330,8 +370,9 @@ class TestGridInterpolator:
         interp = GridInterpolator(grid, width=width)
         z = np.random.default_rng(width).uniform(0.0, 4.5, (40, 6))
         idx, w = interp.axis_stencil(1, z)
-        xn = interp.ext_nodes[1][idx]
         zc = np.clip(z, 0.0, 4.0)
+        xn, cols = _table_stencil(interp, 1, zc)
+        assert np.array_equal(idx, cols)
         want = np.ones_like(w)
         for a in range(width):
             for b in range(width):
@@ -345,33 +386,41 @@ class TestGridInterpolator:
         interp = GridInterpolator(grid, width=width)
         for ax in range(2):
             idx, w = interp.axis_stencil(ax, grid.nodes[ax])
-            on_node = interp.ext_nodes[ax][idx] == grid.nodes[ax][:, None]
-            assert np.array_equal(w, on_node.astype(float))
+            xn, cols = _table_stencil(interp, ax, grid.nodes[ax])
+            assert np.array_equal(idx, cols)
+            assert np.array_equal(w, (xn == grid.nodes[ax][:, None]).astype(float))
 
     @pytest.mark.parametrize("width", [4, 8, 10])
     def test_stencil_reproduces_polynomials(self, width):
+        # any polynomial of degree width - 1 in the signed coordinate
         grid = build_tensor_grid(GAMMA, 4.0, 24)
         interp = GridInterpolator(grid, width=width)
         z = np.random.default_rng(width).uniform(0.0, 4.0, 200)
-        coef = np.random.default_rng(width + 1).standard_normal(width)  # degree width - 1
+        coef = np.random.default_rng(width + 1).standard_normal(width)
         idx, w = interp.axis_stencil(0, z)
-        at_nodes = np.polyval(coef, interp.ext_nodes[0][idx])
+        xn, cols = _table_stencil(interp, 0, z)
+        assert np.array_equal(idx, cols)
+        at_nodes = np.polyval(coef, xn)
         got = np.sum(w * at_nodes, axis=-1)
         assert_allclose(got, np.polyval(coef, z), rtol=0,
                         atol=1e-13 * np.max(np.abs(at_nodes)))
 
     def test_weighted_axis_matrix(self):
         # rows are angle-weighted sums of single-point stencil rows, built
-        # here densely as the oracle; normalized weights give T^y 1 = 1
+        # here densely as the oracle (a mirrored node adds into its node);
+        # normalized weights give T^y 1 = 1
         grid = build_tensor_grid(GAMMA, 4.0, 16)
         interp = GridInterpolator(grid, width=6)
         c, w = angle_rule(GAMMA[1], 8)
         x, y = np.random.default_rng(3).uniform(0.1, 2.0, (2, 5, 1))
         z = np.sqrt(x * x + y * y - 2.0 * x * y * c)  # (5, 8)
         got = interp.dense_axis_matrix(1, z, w)
+        assert got.shape == (5, grid.shape[1])
         idx, lw = interp.axis_stencil(1, z)
-        single = np.zeros(z.shape + (len(interp.ext_nodes[1]),))
-        np.put_along_axis(single, idx, lw, axis=-1)
+        assert np.any(idx[..., :-1] == idx[..., 1:])  # some stencil holds a node twice
+        single = np.zeros(z.shape + (grid.shape[1],))
+        rows, angles = np.indices(z.shape)
+        np.add.at(single, (rows[..., None], angles[..., None], idx), lw)
         assert_allclose(got, np.tensordot(w, single, axes=([0], [1])), rtol=0,
                         atol=1e-15)
         assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-13)

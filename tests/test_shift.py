@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bhk import special
-from bhk.grids import GridInterpolator, build_tensor_grid, contract_axes, integrate
+from bhk.grids import build_tensor_grid, contract_axes, integrate
 from bhk.shift import (
     SHIFT_GRID_STENCIL,
     ShiftTruncationWarning,
@@ -252,21 +252,31 @@ class TestExactPowerOracle:
 
 class TestShiftGrid:
     @pytest.mark.parametrize("g", [(0.05, 5.0), (5.0, 5.0)])
-    def test_folded_rows_against_extended_samples(self, g):
-        # oracle: the unfolded rows on the evenly reflected samples
+    def test_node_rows_against_reflected_samples(self, g):
+        # oracle: per axis, product-formula Lagrange rows on the evenly
+        # reflected axis (width - 1 mirrored nodes, then the nodes), applied
+        # to the samples reflected the same way
         plan, grid = build_shift_plan(g, 48), build_tensor_grid(g, 8.0, 96)
         f = grid.sample(gauss)
         y = (1.1, 0.7)
-        interp = GridInterpolator(grid, width=SHIFT_GRID_STENCIL)
-        mats = [interp.dense_axis_matrix(ax, _law_of_cosines(x[:, None], yi, c), w)
-                for ax, (x, yi, c, w) in enumerate(zip(grid.nodes, y, plan.cos_nodes,
-                                                       plan.weights))]
-        # extended node k < r of an axis is the mirror of node r - 1 - k
-        ext = f.values
-        for ax, mat in enumerate(mats):
-            r = mat.shape[1] - grid.shape[ax]
-            ext = np.concatenate([np.flip(np.take(ext, np.arange(r), axis=ax), axis=ax),
-                                  ext], axis=ax)
+        width = SHIFT_GRID_STENCIL
+        mats, ext = [], f.values
+        for ax, (x, yi, c, w) in enumerate(zip(grid.nodes, y, plan.cos_nodes,
+                                               plan.weights)):
+            xs = np.concatenate([-x[width - 2 :: -1], x])
+            z = np.clip(_law_of_cosines(x[:, None], yi, c), 0.0, grid.x_max)
+            s = np.clip(np.searchsorted(xs, z) - width // 2, 0, len(xs) - width)
+            pos = s[..., None] + np.arange(width)
+            xn, lag = xs[pos], np.ones(pos.shape)
+            for a in range(width):
+                for b in range(width):
+                    if a != b:
+                        lag[..., a] *= (z - xn[..., b]) / (xn[..., a] - xn[..., b])
+            mat = np.zeros((len(x), len(xs)))
+            np.add.at(mat, (np.arange(len(x))[:, None, None], pos), lag * w[:, None])
+            mats.append(mat)
+            mirrored = np.flip(np.take(ext, np.arange(width - 1), axis=ax), axis=ax)
+            ext = np.concatenate([mirrored, ext], axis=ax)
         want = contract_axes(mats, ext)
         got = shift_grid(plan, f, y).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

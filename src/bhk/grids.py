@@ -17,7 +17,7 @@ fixed axis order, keeping results bit-stable run to run.  Separable operators
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -93,13 +93,16 @@ class TensorGrid:
     nodes[i] are strictly increasing positive per-axis nodes; weights[i] are
     the per-axis quadrature weights with the measure factor x^{2 gamma_i}
     already included, so a plain tensor contraction integrates against
-    dmu_gamma.
+    dmu_gamma.  The grid also holds the read-only stencil tables of
+    `GridInterpolator`, one set per stencil width, built on first use
+    (`stencil_tables`).
     """
 
     gamma: GammaIndex
     x_max: float
     nodes: tuple
     weights: tuple
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -115,8 +118,18 @@ class TensorGrid:
 
     def sample(self, fn: Callable) -> "GridFunction":
         """Sample a callable fn(points (..., n)) -> values on the grid, through
-        `_sample_tensor` on the per-axis nodes."""
+        `_sample_tensor` on the per-axis nodes.  A grid of at most
+        special.SHIFT_BUDGET nodes is one call of fn, and the GridFunction
+        holds fn's own array (as float) rather than a copy."""
         return GridFunction(self, _sample_tensor(fn, self.nodes))
+
+    def stencil_tables(self, width: int) -> tuple:
+        """The per-axis (coords, cols, den) tables of `GridInterpolator` at this
+        stencil width, built on the first call and held (read-only)."""
+        tables = self._tables.get(width)
+        if tables is None:
+            tables = self._tables[width] = tuple(_stencil_table(x, width) for x in self.nodes)
+        return tables
 
 
 def _point_array(nodes) -> np.ndarray:
@@ -135,14 +148,19 @@ def _sample_tensor(fn: Callable, coords) -> np.ndarray:
     coords[n-1] of 1-D coordinate arrays, an array of shape
     (len(coords[0]), ..., len(coords[n-1])).
 
-    fn is called on `_point_array`s of whole slices of axis k, as many per
-    call as fit in special.SHIFT_BUDGET points (at least one), at each index
-    of the axes before k: k is the first axis whose slices fit, 0 unless a
-    first-axis slice is larger.  The full point array is never built.  The
-    n-D evaluator of the library: `TensorGrid.sample` on the grid nodes,
+    A tensor of at most special.SHIFT_BUDGET points is one call of fn on its
+    `_point_array`, and the result is fn's own array (as float), not a copy.
+    A larger one is never built whole: fn is called on `_point_array`s of
+    whole slices of axis k, as many per call as fit in SHIFT_BUDGET points (at
+    least one), at each index of the axes before k: k is the first axis whose
+    slices fit, 0 unless a first-axis slice is larger.  Either way fn must
+    return the shape of the points without their last axis.  The n-D
+    evaluator of the library: `TensorGrid.sample` on the grid nodes,
     `shift.shift` on one callable on the law-of-cosines coordinates.
     """
     shape = tuple(len(c) for c in coords)
+    if math.prod(shape) <= special.SHIFT_BUDGET:
+        return _checked_values(fn, _point_array(coords))
     out = np.empty(shape)
     k = 0
     while k + 1 < len(shape) and math.prod(shape[k + 1 :]) > special.SHIFT_BUDGET:
@@ -151,11 +169,16 @@ def _sample_tensor(fn: Callable, coords) -> np.ndarray:
     for *head, j in np.ndindex(*shape[:k], -(-shape[k] // step)):
         block = (*(slice(i, i + 1) for i in head), slice(j * step, (j + 1) * step))
         pts = _point_array([c[s] for c, s in zip(coords, block)] + list(coords[k + 1 :]))
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.shape != pts.shape[:-1]:
-            raise ValueError(f"fn returned shape {vals.shape} for points {pts.shape}")
-        out[block] = vals
+        out[block] = _checked_values(fn, pts)
     return out
+
+
+def _checked_values(fn: Callable, pts) -> np.ndarray:
+    """fn(pts) as a float array, checked to have the shape pts.shape[:-1]."""
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape != pts.shape[:-1]:
+        raise ValueError(f"fn returned shape {vals.shape} for points {pts.shape}")
+    return vals
 
 
 @dataclass
@@ -297,22 +320,37 @@ def build_sphere_rule(gamma, points: int) -> SphereRule:
 
 
 def _products_but_one(d) -> np.ndarray:
-    """prod_{b != a} d[..., b] for every a, shape of d.
+    """prod_{b != a} d[b, ...] for every a, shape of d.
 
-    One forward and one backward running product over the last axis, O(width)
-    work per stencil.  With d[..., b] = z - x_b these are the Lagrange
-    numerators at z; with z = x_a the same operations in the same order give
-    the denominator of node a.
+    One forward and one backward running product over the first axis,
+    O(width) work per stencil, each step on whole contiguous rows.  With
+    d[b, ...] = z - x_b these are the Lagrange numerators at z; with z = x_a
+    the same operations in the same order give the denominator of node a.
     """
     out = np.empty(d.shape)
-    out[..., 0] = 1.0
-    for a in range(1, d.shape[-1]):
-        np.multiply(out[..., a - 1], d[..., a - 1], out=out[..., a])
-    right = np.ones(d.shape[:-1])
-    for a in range(d.shape[-1] - 1, -1, -1):
-        out[..., a] *= right
-        right *= d[..., a]
+    out[0] = 1.0
+    for a in range(1, len(d)):
+        np.multiply(out[a - 1], d[a - 1], out=out[a])
+    right = np.ones(d.shape[1:])
+    for a in range(len(d) - 1, -1, -1):
+        out[a] *= right
+        right *= d[a]
     return out
+
+
+def _stencil_table(x, width: int) -> tuple:
+    """One axis's (coords, cols, den) table of `GridInterpolator`, indexed
+    [s, a]: each is the transpose of a read-only C-contiguous (width, nodes)
+    array, so `axis_stencil` gathers whole rows."""
+    # k = s + a - (width - 1): node k, or at k < 0 the mirror of node -1 - k
+    k = np.arange(1 - width, 1)[:, None] + np.arange(len(x))
+    cols = np.where(k < 0, -1 - k, k)
+    coords = np.where(k < 0, -x[cols], x[cols])
+    den = np.diagonal(_products_but_one(coords[None, :, :] - coords[:, None, :]))
+    den = np.ascontiguousarray(den.T)
+    for arr in (coords, cols, den):
+        arr.flags.writeable = False
+    return coords.T, cols.T, den.T
 
 
 class GridInterpolator:
@@ -324,12 +362,16 @@ class GridInterpolator:
     clamped to [0, x_max].  shift_grid's width, 10 where the grid holds it,
     has the O(h^10) error its 1e-8 integral-preservation budget needs at
     default grid resolutions.  Arguments beyond x_max are clamped and counted
-    so callers can flag truncation bias.
+    (per interpolator, so per shift_grid call) so callers can flag truncation
+    bias.
 
-    Each axis keeps one table stencils[axis] = (coords, cols, den) indexed by
+    Each axis has one table stencils[axis] = (coords, cols, den) indexed by
     stencil start s, one start per node: the stencil's signed coordinates
     (-x_k where it mirrors node k), its node columns k and its Lagrange
-    denominators prod_{b != a} (coords[s, a] - coords[s, b]).  A query costs
+    denominators prod_{b != a} (coords[s, a] - coords[s, b]).  The tables
+    depend on the grid's nodes and the width alone, so the grid holds them
+    (`TensorGrid.stencil_tables`): they are built by the first interpolator
+    of a width on a grid and read by every later one.  A query costs
     O(width): numerators from running products (`_products_but_one`) divided
     by the table row.  A query on a node gets weight exactly 1 there and
     exactly 0 elsewhere (the barycentric form of Berrut & Trefethen, SIAM
@@ -343,22 +385,16 @@ class GridInterpolator:
             raise ValueError("stencil width exceeds grid size")
         self.width = width
         self.grid = grid
-        self.stencils = []
-        for x in grid.nodes:
-            # k = s + a - (width - 1): node k, or at k < 0 the mirror of node -1 - k
-            k = np.arange(len(x))[:, None] + np.arange(1 - width, 1)
-            cols = np.where(k < 0, -1 - k, k)
-            coords = np.where(k < 0, -x[cols], x[cols])
-            den = _products_but_one(coords[:, :, None] - coords[:, None, :])
-            self.stencils.append((coords, cols, np.diagonal(den, axis1=1, axis2=2).copy()))
+        self.stencils = grid.stencil_tables(width)
         self.clipped = 0
         self.queried = 0
 
     def axis_stencil(self, axis: int, z):
         """Per-axis stencil (node columns, Lagrange weights).
 
-        z is clamped to [0, x_max]; returns (idx (...,width), w (...,width)).
-        A stencil near 0 can hold a node twice, once mirrored.
+        z is clamped to [0, x_max]; returns (idx (...,width), w (...,width)),
+        w a view of the (width, ...) array its running products fill.  A
+        stencil near 0 can hold a node twice, once mirrored.
         """
         z = np.asarray(z, dtype=float)
         self.queried += z.size
@@ -367,9 +403,10 @@ class GridInterpolator:
         coords, cols, den = self.stencils[axis]
         s = np.minimum(np.searchsorted(self.grid.nodes[axis], z) + self.width // 2 - 1,
                        len(cols) - 1)
-        w = _products_but_one(z[..., None] - coords[s])
-        w /= den[s]
-        return cols[s], w
+        # numerators and denominators gathered as contiguous (width, ...) rows
+        w = _products_but_one(z - np.take(coords.T, s, axis=1))
+        w /= np.take(den.T, s, axis=1)
+        return np.take(cols, s, axis=0), np.moveaxis(w, 0, -1)
 
     def dense_axis_matrix(self, axis: int, z, weights) -> np.ndarray:
         """Dense (rows, nodes) matrix of weighted stencil rows on one axis.
@@ -377,13 +414,15 @@ class GridInterpolator:
         z has shape (rows, k) and weights shape (k,); row r is
         sum_a weights[a] * L(z[r, a]), L the stencil row of axis_stencil.  The
         rows are built by scatter-add, so the (rows * k, nodes) matrix of
-        single-point rows never exists; the stencil arrays are reused in place.
+        single-point rows never exists; the node columns are offset in place,
+        and the weighted stencils are written in the (rows, k, width) order
+        bincount reads.
         """
         z = np.asarray(z, dtype=float)
         idx, w = self.axis_stencil(axis, z)
         size = self.grid.shape[axis]
         idx += size * np.arange(z.shape[0])[:, None, None]
-        w *= np.asarray(weights, dtype=float)[:, None]
+        w = np.multiply(w, np.asarray(weights, dtype=float)[:, None], order="C")
         out = np.bincount(idx.reshape(-1), w.reshape(-1), minlength=z.shape[0] * size)
         return out.reshape(z.shape[0], size)
 

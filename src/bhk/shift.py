@@ -25,8 +25,9 @@ It is computed along two routes, per axis wherever the input allows:
   `grids.contract_axes`, prod_i A_i evaluations; or as n 1-D factors,
   shifted one axis at a time by `_axis_shift` (in chunks of at most
   special.SHIFT_BUDGET points) and the n values multiplied.  `b_convolve`
-  takes the n factors only and builds one kernel matrix per axis (N_i^2 A_i
-  evaluations of phi_i), applied with `contract_axes`.
+  takes the n factors only and builds one kernel matrix per axis (A_i
+  evaluations of phi_i per unordered node pair), applied with
+  `contract_axes`.
   `riesz.riesz_spatial` shifts its n factors to every polar node the same
   way, and `meanvalue.shifted_mean_value_check` shifts an `EvenPoly` one
   axis and one distinct exponent at a time.
@@ -119,7 +120,11 @@ def _axis_shift(phi_i, x, y, cos_a, w):
 
     phi_i is evaluated on the law-of-cosines points of the flattened
     broadcast batch, at most special.SHIFT_BUDGET points at once, and the
-    angle weights contracted; returns an array of the broadcast shape.
+    angle weights contracted row by row with einsum; returns an array of the
+    broadcast shape.  A BLAS matrix-vector product rounds a row by its
+    position in the batch, einsum does not: for phi_i that evaluates each
+    point on its own, an entry's value does not depend on the rest of the
+    batch or on the chunk size, and equal (x, y) pairs get equal values.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     xs, ys = np.broadcast_to(x, shape).flat, np.broadcast_to(y, shape).flat
@@ -129,7 +134,7 @@ def _axis_shift(phi_i, x, y, cos_a, w):
     for lo in range(0, flat.size, step):
         z = _law_of_cosines(xs[lo : lo + step][:, None], ys[lo : lo + step][:, None],
                             cos_a)
-        flat[lo : lo + step] = phi_i(z) @ w
+        flat[lo : lo + step] = np.einsum("ij,j->i", phi_i(z), w)
     return out
 
 
@@ -200,8 +205,11 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     a (nodes, nodes) matrix is sum_alpha w(alpha) L((x_p, y)_alpha), L the
     stencil row on node columns (a mirrored node's weight lands on the node
     it mirrors), and `contract_axes` applies these matrices to the samples,
-    so the cost is O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Emits
-    ShiftTruncationWarning when > 1% of evaluation points are clamped.
+    so the cost is O(sum_i N_i * A_i * width + N^n * sum_i N_i).  Each call
+    makes its own `GridInterpolator`, which reads the stencil tables the
+    grid holds (built by the grid's first shift_grid call) and counts this
+    call's clamped points alone: ShiftTruncationWarning is emitted when > 1%
+    of this call's evaluation points are clamped.
     """
     grid = f.grid
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -234,8 +242,13 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     The y-integral uses the grid quadrature; T^y phi comes from the callable
     route, which evaluates the phi_i themselves (no sampling or
     interpolation).  Per axis, K_i[x, y] = w_i(y) T^{y} phi_i(x) on the
-    axis's nodes, N_i^2 A_i evaluations of phi_i, and f * phi =
-    contract_axes([K_1, ..., K_n], f), O(sum_i N_i^2 A_i + N^n sum_i N_i).
+    axis's nodes, and f * phi = contract_axes([K_1, ..., K_n], f),
+    O(sum_i N_i^2 A_i + N^n sum_i N_i).  T^y phi_i(x) = T^x phi_i(y), the
+    law-of-cosines points are bitwise symmetric in x and y (2 x y is
+    2 (x y) exactly) and `_axis_shift` gives equal points equal values, so
+    each unordered node pair is shifted once and mirrored, N_i (N_i + 1) / 2
+    A_i evaluations of phi_i per axis, bitwise the kernel of all ordered
+    pairs.
     """
     grid = f.grid
     if grid.gamma.values != plan.gamma.values:
@@ -243,7 +256,12 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     phis = _axis_factors(phi, grid.n)
     if phis is None:
         raise ValueError(f"b_convolve takes phi as {grid.n} 1-D callables")
-    mats = [_axis_shift(phi_i, x[:, None], x[None, :], c, w) * wx
-            for phi_i, x, c, w, wx in zip(phis, grid.nodes, plan.cos_nodes,
-                                          plan.weights, grid.weights)]
+    mats = []
+    for phi_i, x, c, w, wx in zip(phis, grid.nodes, plan.cos_nodes, plan.weights,
+                                  grid.weights):
+        a, b = np.triu_indices(len(x))
+        mat = np.empty((len(x), len(x)))
+        mat[a, b] = mat[b, a] = _axis_shift(phi_i, x[a], x[b], c, w)
+        mat *= wx
+        mats.append(mat)
     return GridFunction(grid, contract_axes(mats, f.values))

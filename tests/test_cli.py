@@ -275,7 +275,8 @@ class TestRunSuite:
         # frequency-node probes read plan.forward; every other argument set
         # is evaluated once (patched through importlib: bhk re-exports names
         # that shadow its submodules); the special suite's poisson row at
-        # the config's gamma_2 = 1.5 is one call on 81 arguments
+        # the config's gamma_2 = 1.5 is one call on 81 arguments, and each
+        # special-ode order one call on its three stacked grids
         calls = []
         for name in ("bhk.transform", "bhk.report"):
             mod = importlib.import_module(name)
@@ -283,7 +284,7 @@ class TestRunSuite:
                                 calls.append(np.size(r)) or nj(nu, r))
         report = run_suite(RunConfig(), "all")
         assert report["summary"]["failed"] == 0
-        assert (len(calls), sum(calls)) == (34, 26682)
+        assert (len(calls), sum(calls)) == (28, 26682)
 
     def test_one_rule_per_report_and_none_written(self, monkeypatch):
         # suites share the cached grid and sphere rules, so none may write

@@ -13,6 +13,7 @@ from bhk.grids import (
     GridFunction,
     GridInterpolator,
     TensorGrid,
+    _sample_tensor,
     build_sphere_rule,
     build_tensor_grid,
     contract_axes,
@@ -95,6 +96,29 @@ class TestTensorGrid:
         assert np.array_equal(f.values, fn(grid.points()))
         with pytest.raises(ValueError, match="shape"):
             grid.sample(lambda p: np.ones(p.shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_chunk_sample_holds_fn_values(self, n, monkeypatch):
+        # a grid within SHIFT_BUDGET is one call, and the sample holds the
+        # array fn returned; over the budget the chunked path gives the same
+        # values bitwise; either path refuses a wrong value shape
+        grid = build_tensor_grid((0.05, 1.0, 5.0)[:n], 4.0, 11)
+        returned = []
+
+        def fn(p):
+            returned.append(np.exp(-np.sum(p * p, axis=-1)) * p[..., 0])
+            return returned[-1]
+
+        whole = grid.sample(fn)
+        assert len(returned) == 1 and whole.values is returned[0]
+        wrong = lambda p: np.ones(p.shape)
+        with pytest.raises(ValueError, match="fn returned shape"):
+            _sample_tensor(wrong, grid.nodes)
+        monkeypatch.setattr(special, "SHIFT_BUDGET", 2 * 11 ** (n - 1))
+        assert np.array_equal(grid.sample(fn).values, whole.values)
+        assert len(returned) == 1 + 6
+        with pytest.raises(ValueError, match="fn returned shape"):
+            _sample_tensor(wrong, grid.nodes)
 
     @pytest.mark.parametrize("budget,sizes", [(100, [8 * 12, 4 * 12] * 12),
                                               (10, [10, 2] * 144)],
@@ -362,6 +386,21 @@ class TestGridInterpolator:
                     if a != b:
                         want[:, a] *= coords[:, a] - coords[:, b]
             assert_allclose(den, want, rtol=1e-14, atol=0)
+
+    def test_tables_held_per_width(self):
+        # interpolators of several widths on one grid: each width's tables
+        # are built once, read-only, and equal to those of a fresh grid copy
+        grid = build_tensor_grid((0.3, 2.7), 4.0, 24)
+        for width in (4, 10, 4, 8, 10):
+            interp = GridInterpolator(grid, width=width)
+            assert interp.stencils is grid.stencil_tables(width)
+            fresh = TensorGrid(grid.gamma, grid.x_max, grid.nodes, grid.weights)
+            for table, want in zip(interp.stencils, fresh.stencil_tables(width)):
+                for arr, ref in zip(table, want):
+                    assert arr.shape == (24, width) and np.array_equal(arr, ref)
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0, 0] = 0
+        assert sorted(grid._tables) == [4, 8, 10]
 
     @pytest.mark.parametrize("width", [4, 8, 10])
     def test_stencil_against_product_formula(self, width):

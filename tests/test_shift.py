@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bhk import special
-from bhk.grids import build_tensor_grid, contract_axes, integrate
+from bhk.grids import TensorGrid, build_tensor_grid, contract_axes, integrate
 from bhk.shift import (
     SHIFT_GRID_STENCIL,
     ShiftTruncationWarning,
@@ -310,6 +310,36 @@ class TestShiftGrid:
         with pytest.warns(ShiftTruncationWarning):
             shift_grid(shift_plan, f, [6.0, 6.0])
 
+    def test_truncation_warning_is_per_call(self, shift_plan):
+        # the grid holds the stencil tables, not the clamp counts: a call
+        # that clamps nothing after one that clamps 7% does not warn
+        grid = build_tensor_grid(GAMMA, 8.0, 48)
+        f = grid.sample(gauss)
+        small = [1e-3, 1e-3]
+        assert all(x[-1] + 1e-3 < grid.x_max for x in grid.nodes)  # no clamp
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            shift_grid(shift_plan, f, [6.0, 6.0])
+            shift_grid(shift_plan, f, small)
+        assert [w.category for w in seen] == [ShiftTruncationWarning]
+
+    @pytest.mark.parametrize("g, points, angles", [
+        ((0.05, 5.0), 48, 48), ((5.0, 0.7, 0.05), 24, 16)], ids=["n2", "n3"])
+    def test_successive_calls_against_fresh_tables(self, g, points, angles):
+        # every call on one grid reads the tables its first call built; each
+        # result is bitwise that of a call on a copy of the grid whose
+        # tables are computed afresh
+        plan, grid = build_shift_plan(g, angles), build_tensor_grid(g, 8.0, points)
+        f = grid.sample(lambda p: gauss(p) * (1.0 + p[..., 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShiftTruncationWarning)
+            for y in ([1.1, 0.7, 0.3][: len(g)], [2.9, 0.2, 1.6][: len(g)]):
+                got = shift_grid(plan, f, y).values
+                fresh = TensorGrid(grid.gamma, grid.x_max, grid.nodes, grid.weights)
+                want = shift_grid(plan, fresh.sample(lambda p: f.values), y).values
+                assert np.array_equal(got, want)
+        assert list(grid._tables) == [SHIFT_GRID_STENCIL]
+
     def test_gamma_mismatch(self, shift_plan):
         grid = build_tensor_grid((1.0, 1.0), 8.0, 16)
         with pytest.raises(ValueError):
@@ -401,6 +431,29 @@ class TestBConvolve:
         f = grid.sample(gauss)
         assert_allclose(b_convolve(plan, f, factors).values,
                         _all_pairs_convolution(plan, f, factors), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("g, points, angles", [
+        ((0.05,), 96, 48),
+        ((5.0, 0.05), 24, 16),
+        ((0.05, 1.3, 5.0), 12, 7),
+        (tuple(np.random.default_rng(34).uniform(0.05, 5.0, 3)), 10, 6),
+    ], ids=["n1", "n2", "n3", "n3-seeded"])
+    def test_pair_kernels_bitwise_dense(self, g, points, angles):
+        # each per-axis kernel, shifted once per unordered pair and mirrored,
+        # is bitwise the dense kernel of _axis_shift on all ordered pairs
+        # (T^{x_b} phi_i(x_a) for x = x[:, None], y = x[None, :]), so the
+        # convolution is bitwise contract_axes of the dense kernels; at n = 1
+        # the 4656 pairs take several SHIFT_BUDGET chunks
+        grid = build_tensor_grid(g, 3.0, points)
+        plan = build_shift_plan(g, angles)
+        factors = [lambda z, i=i: normalized_j(g[i] - 0.5, 1.3 * z) if i % 2 else
+                   np.exp(-(0.7 + i) * z * z) for i in range(len(g))]
+        dense = [_axis_shift(h, x[:, None], x[None, :], c, w)
+                 for h, x, c, w in zip(factors, grid.nodes, plan.cos_nodes, plan.weights)]
+        assert all(np.array_equal(k, k.T) for k in dense)
+        f = grid.sample(gauss)
+        want = contract_axes([k * wx for k, wx in zip(dense, grid.weights)], f.values)
+        assert np.array_equal(b_convolve(plan, f, factors).values, want)
 
     @pytest.mark.parametrize("phi", [[gauss], [gauss, gauss, gauss], [gauss, 1.0], gauss],
                              ids=["short", "long", "non-callable", "one-callable"])

@@ -17,7 +17,10 @@ closed-form transform of the principal-value kernel P_k(y)/|y|^{k+n+2|gamma|}
 is `pv_kernel_transform`, the multiplier over c_k_printed, so c_k_printed is
 by construction the ratio of the multiplier to that transform.  Every
 spectral multiplier m (the Riesz one and the a-priori probes') is applied as
-fb_inverse(m * fb_forward f) by `_apply_multiplier`.
+fb_inverse(m * fb_forward f) by `_apply_multiplier`.  The Riesz multiplier
+field depends only on the kernel and the frequency grid, so the kernel holds
+it: one slot, the (grid, field) pair of the last grid asked for, the field
+read-only (`riesz_multiplier`).
 
 Spatial quadrature splits the radial integral at |y| = 1: on (0, 1] the
 integrand is P_k(theta) [T^{r theta} f(x) - f(x)] / r, on (1, r_max] it is
@@ -36,7 +39,7 @@ sampling, no interpolation and no clamping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -66,13 +69,15 @@ RADIAL_OUTER = 48
 
 @dataclass(frozen=True)
 class RieszKernel:
-    """Kernel data P_k(y)/|y|^{k+n+2|gamma|} with its normalizing constants."""
+    """Kernel data P_k(y)/|y|^{k+n+2|gamma|} with its normalizing constants,
+    and the (grid, field) slot of `riesz_multiplier` (not compared or hashed)."""
 
     poly: EvenPoly
     gamma: GammaIndex
     degree: int
     c_k_printed: float
     c_k: float
+    _held: tuple = field(default=(None, None), init=False, compare=False, repr=False)
 
 
 def build_riesz_kernel(p: EvenPoly, gamma) -> RieszKernel:
@@ -99,8 +104,21 @@ def _multiplier(kernel: RieszKernel, xs) -> np.ndarray:
 
 
 def riesz_multiplier(kernel: RieszKernel, grid) -> np.ndarray:
-    """Multiplier field (-1)^{k/2} P_k(xi)/|xi|^k on a grid (0 at xi = 0)."""
-    return _multiplier(kernel, np.meshgrid(*grid.nodes, indexing="ij", sparse=True))
+    """Multiplier field (-1)^{k/2} P_k(xi)/|xi|^k on a grid (0 at xi = 0).
+
+    The kernel holds one field, read-only, with the grid it was built on:
+    a call on that same grid object returns it, a call on any other grid
+    builds the field on the grid's open mesh and replaces the held pair.
+    kernel and grid must share one gamma (ValueError otherwise).
+    """
+    if kernel.gamma.values != grid.gamma.values:
+        raise ValueError("kernel and grid gamma indices differ")
+    held_grid, mult = kernel._held
+    if held_grid is not grid:
+        mult = _multiplier(kernel, np.meshgrid(*grid.nodes, indexing="ij", sparse=True))
+        mult.flags.writeable = False
+        object.__setattr__(kernel, "_held", (grid, mult))
+    return mult
 
 
 def pv_kernel_transform(p: EvenPoly, gamma, y) -> float:

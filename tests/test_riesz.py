@@ -205,6 +205,86 @@ class TestMultipliersOnOpenMesh:
         priori_bound_probe(plan, 2.0, [("gauss", f, f)])
 
 
+def _counted_builds(monkeypatch):
+    """Count the multiplier fields `riesz_multiplier` builds."""
+    riesz_mod = importlib.import_module("bhk.riesz")
+    builds = []
+    build = riesz_mod._multiplier
+    monkeypatch.setattr(riesz_mod, "_multiplier",
+                        lambda kernel, xs: (builds.append(kernel), build(kernel, xs))[1])
+    return builds
+
+
+class TestHeldMultiplier:
+    """The kernel holds its multiplier field for the last grid object asked
+    for: one slot, read-only, outside equality and hashing."""
+
+    @staticmethod
+    def _fresh(kernel, grid):
+        return _multiplier(kernel, np.meshgrid(*grid.nodes, indexing="ij", sparse=True))
+
+    def test_held_field_read_only_and_fresh(self, open_mesh_case):
+        plan, kernels, _ = open_mesh_case
+        grid = plan.freq_grid
+        for kernel in kernels:
+            kernel = build_riesz_kernel(kernel.poly, kernel.gamma)
+            m = riesz_multiplier(kernel, grid)
+            assert not m.flags.writeable
+            assert np.array_equal(m, self._fresh(kernel, grid))
+            assert riesz_multiplier(kernel, grid) is m
+
+    def test_alternating_grids(self, open_mesh_case):
+        # same shape, other field: the slot is keyed by the grid object.  The
+        # field is homogeneous of degree 0, so grid_b stretches one axis only
+        plan, kernels, _ = open_mesh_case
+        g = plan.gamma
+        grid_a = plan.freq_grid
+        grid_b = TensorGrid(g, grid_a.x_max, (2.0 * grid_a.nodes[0],) + grid_a.nodes[1:],
+                            grid_a.weights)
+        kernel = build_riesz_kernel(kernels[0].poly, g)
+        assert not np.array_equal(self._fresh(kernel, grid_a), self._fresh(kernel, grid_b))
+        for grid in (grid_a, grid_b, grid_a):
+            assert np.array_equal(riesz_multiplier(kernel, grid), self._fresh(kernel, grid))
+
+    def test_equality_ignores_slot(self, open_mesh_case):
+        plan, kernels, _ = open_mesh_case
+        a, b = (build_riesz_kernel(kernels[0].poly, plan.gamma) for _ in range(2))
+        riesz_multiplier(a, plan.freq_grid)
+        assert a == b and hash(a) == hash(b)
+        riesz_multiplier(b, build_tensor_grid(plan.gamma.values, 6.0, 16))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_replace_starts_empty(self, open_mesh_case):
+        # dataclasses.replace builds a new kernel: it does not inherit the
+        # field of the kernel it was made from
+        plan, kernels, _ = open_mesh_case
+        grid = plan.freq_grid
+        k2 = build_riesz_kernel(kernels[0].poly, plan.gamma)
+        riesz_multiplier(k2, grid)
+        k4 = dataclasses.replace(k2, poly=kernels[1].poly, degree=4)
+        assert np.array_equal(riesz_multiplier(k4, grid), self._fresh(kernels[1], grid))
+
+    def test_spectral_builds_once(self, open_mesh_case, monkeypatch):
+        plan, kernels, f = open_mesh_case
+        kernel = build_riesz_kernel(kernels[0].poly, plan.gamma)
+        builds = _counted_builds(monkeypatch)
+        first, *rest = (riesz_spectral(kernel, f, plan) for _ in range(3))
+        assert all(np.array_equal(r.values, first.values) for r in rest)
+        assert len(builds) == 1
+
+    def test_gamma_mismatch(self, kernel, monkeypatch):
+        # a (0.5, 1.5) kernel on a (1, 1) plan: refused, and no field is built
+        plan = build_fb_plan(build_tensor_grid((1.0, 1.0), 8.0, 48))
+        f = plan.grid.sample(gauss)
+        builds = _counted_builds(monkeypatch)
+        for call in (lambda: riesz_multiplier(kernel, plan.freq_grid),
+                     lambda: riesz_spectral(kernel, f, plan),
+                     lambda: lp_boundedness_probe(kernel, (2.0,), [("gauss", f)], plan)):
+            with pytest.raises(ValueError, match="kernel and grid gamma"):
+                call()
+        assert builds == []
+
+
 class TestSpectralValue:
     def test_worked_example(self, kernel, fb_plan96, grid96):
         f = grid96.sample(gauss)

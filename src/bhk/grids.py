@@ -113,12 +113,15 @@ class TensorGrid:
         return tuple(len(x) for x in self.nodes)
 
     def points(self) -> np.ndarray:
-        """All tensor nodes as an array of shape (*shape, n)."""
+        """All tensor nodes as an array of shape (*shape, n), axis-major
+        (`_point_array`): points()[..., i] is a contiguous plane, and
+        np.moveaxis(points(), -1, 0) is a C-contiguous (n, *shape) array."""
         return _point_array(self.nodes)
 
     def sample(self, fn: Callable) -> "GridFunction":
         """Sample a callable fn(points (..., n)) -> values on the grid, through
-        `_sample_tensor` on the per-axis nodes.  A grid of at most
+        `_sample_tensor` on the per-axis nodes (fn gets axis-major points, as
+        `points` returns them).  A grid of at most
         special.SHIFT_BUDGET nodes is one call of fn, and the GridFunction
         holds fn's own array (as float) rather than a copy."""
         return GridFunction(self, _sample_tensor(fn, self.nodes))
@@ -134,13 +137,17 @@ class TensorGrid:
 
 def _point_array(nodes) -> np.ndarray:
     """The tensor of nodes[0] x ... x nodes[n-1] as an array of shape
-    (len(nodes[0]), ..., len(nodes[n-1]), n), filled one axis at a time by
-    broadcasting (no per-axis mesh copies)."""
+    (len(nodes[0]), ..., len(nodes[n-1]), n), axis-major: the moveaxis view
+    of one C-ordered (n, *shape) buffer, so each coordinate p[..., i] is a
+    contiguous plane.  Each plane is filled by broadcasting (no per-axis mesh
+    copies).  Reductions over the last axis then run as whole-plane
+    operations: np.sum(p * p, axis=-1) adds the planes in axis order, which
+    for n < 8 is bitwise numpy's sum over an interleaved copy."""
     n = len(nodes)
-    out = np.empty(tuple(len(x) for x in nodes) + (n,))
+    buf = np.empty((n,) + tuple(len(x) for x in nodes))
     for i, x in enumerate(nodes):
-        out[..., i] = x.reshape((-1,) + (1,) * (n - 1 - i))
-    return out
+        buf[i] = x.reshape((-1,) + (1,) * (n - 1 - i))
+    return np.moveaxis(buf, 0, -1)
 
 
 def _sample_tensor(fn: Callable, coords) -> np.ndarray:
@@ -148,8 +155,10 @@ def _sample_tensor(fn: Callable, coords) -> np.ndarray:
     coords[n-1] of 1-D coordinate arrays, an array of shape
     (len(coords[0]), ..., len(coords[n-1])).
 
-    A tensor of at most special.SHIFT_BUDGET points is one call of fn on its
-    `_point_array`, and the result is fn's own array (as float), not a copy.
+    Every call of fn gets an axis-major `_point_array`, each coordinate
+    p[..., i] a contiguous plane.  A tensor of at most special.SHIFT_BUDGET
+    points is one call of fn on its `_point_array`, and the result is fn's
+    own array (as float), not a copy.
     A larger one is never built whole: fn is called on `_point_array`s of
     whole slices of axis k, as many per call as fit in SHIFT_BUDGET points (at
     least one), at each index of the axes before k: k is the first axis whose

@@ -21,7 +21,8 @@ It is computed along two routes, per axis wherever the input allows:
 * callable: `shift` takes phi either as one callable on points (..., n),
   evaluated on the tensor of the per-axis law-of-cosines coordinates by
   `grids._sample_tensor` (the sampler of `TensorGrid.sample`, in chunks of
-  whole first-axis slices) and the angle weights applied by
+  whole first-axis slices; as there, the points are axis-major, each
+  coordinate p[..., i] a contiguous plane) and the angle weights applied by
   `grids.contract_axes`, prod_i A_i evaluations; or as n 1-D factors,
   shifted one axis at a time by `_axis_shift` (in chunks of at most
   special.SHIFT_BUDGET points) and the n values multiplied.  `b_convolve`
@@ -156,7 +157,8 @@ def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float
     (..., n), or a sequence of n 1-D callables phi_i, each taking an array of
     coordinates, for the product prod_i phi_i(x_i); that one is shifted one
     axis at a time (sum_i A_i evaluations instead of prod_i A_i) and the n
-    values multiplied in axis order.  y = 0 short-circuits to phi(x) exactly
+    values multiplied in axis order.  A non-finite x or y raises ValueError
+    before any evaluation.  y = 0 short-circuits to phi(x) exactly
     (initial condition of the shift).  With adaptive=True the angular rule,
     the same m points on every axis, is doubled until successive values
     differ by less than SHIFT_TOL relative (capped at MAX_ANGLES points per
@@ -167,6 +169,8 @@ def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float
     n = plan.gamma.n
     if x.size != n or y.size != n:
         raise ValueError(f"points must have {n} components")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("shift requires finite x and y")
     phis = _axis_factors(phi, n)
     if np.all(y == 0.0):
         if phis is None:
@@ -209,12 +213,15 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     makes its own `GridInterpolator`, which reads the stencil tables the
     grid holds (built by the grid's first shift_grid call) and counts this
     call's clamped points alone: ShiftTruncationWarning is emitted when > 1%
-    of this call's evaluation points are clamped.
+    of this call's evaluation points are clamped.  A non-finite y raises
+    ValueError before any evaluation.
     """
     grid = f.grid
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != grid.n:
         raise ValueError(f"y must have {grid.n} components")
+    if not np.isfinite(y).all():
+        raise ValueError("shift_grid requires a finite y")
     if grid.gamma.values != plan.gamma.values:
         raise ValueError("plan and grid gamma indices differ")
     if np.all(y == 0.0):

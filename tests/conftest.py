@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from bhk.corpus import b_harmonic
 from bhk.grids import build_sphere_rule, build_tensor_grid
+from bhk.polys import eval_poly
+from bhk.report import _b_gauss, _gauss
 from bhk.shift import ShiftTruncationWarning, build_shift_plan
 from bhk.transform import build_fb_plan
 
@@ -19,6 +22,25 @@ settings.load_profile("bhk")
 
 def gauss(p):
     return np.exp(-np.sum(p * p, axis=-1))
+
+
+def layout_callables(g):
+    """The report's n-D test callables, each checked against itself on a
+    C-ordered copy of its points: the Gaussian, B e^{-|x|^2} and, for n >= 2,
+    P_2 times the Gaussian, P_2 the first B-harmonic polynomial of degree 2."""
+    fns = {"gauss": _gauss, "b_gauss": _b_gauss(g, 1.0)}
+    if g.n >= 2:
+        p2 = b_harmonic(g, 2)
+        fns["p2_gauss"] = lambda p: eval_poly(p2, p) * _gauss(p)
+    return fns
+
+
+def planar(fn, seen):
+    """fn, recording in seen whether each call's points are axis-major."""
+    def recorded(p):
+        seen.append(np.moveaxis(p, -1, 0).flags.c_contiguous)
+        return fn(p)
+    return recorded
 
 
 def bessel_laplacian_fd(u, gamma, x, h: float = 1e-4) -> float:

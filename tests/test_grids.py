@@ -23,7 +23,7 @@ from bhk.grids import (
 )
 from bhk.special import angle_rule
 
-from conftest import GAMMA, gauss
+from conftest import GAMMA, gauss, layout_callables, planar
 
 
 class TestGammaIndex:
@@ -69,8 +69,9 @@ class TestTensorGrid:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_points_against_meshgrid(self, n):
-        # bitwise the stacked meshgrid, with no per-axis mesh copies: the
-        # traced peak stays within 10% of the result itself
+        # bitwise the stacked meshgrid, axis-major (one contiguous plane per
+        # coordinate), with no per-axis mesh copies: the traced peak stays
+        # within 10% of the result itself
         # about 1-5 MB of points, so small allocations do not count
         size = (2**17, 400, 60, 20)[n - 1]
         nodes = tuple(np.linspace(0.1 * (i + 1), 4.0, size) for i in range(n))
@@ -83,7 +84,20 @@ class TestTensorGrid:
             tracemalloc.stop()
         want = np.stack(np.meshgrid(*grid.nodes, indexing="ij"), axis=-1)
         assert pts.shape == want.shape and np.array_equal(pts, want)
+        assert np.moveaxis(pts, -1, 0).flags.c_contiguous
         assert peak <= 1.1 * pts.nbytes
+
+    @pytest.mark.parametrize("n,points", [(1, 96), (2, 96), (3, 16), (3, 48), (4, 12)])
+    def test_sample_bitwise_on_c_ordered_copy(self, n, points):
+        # fn gets axis-major points and returns bitwise what it returns on a
+        # C-ordered copy; n = 3 at 48 points and n = 4 at 12 are chunked
+        grid = build_tensor_grid((0.5, 1.0, 1.5, 0.75)[:n], 8.0, points)
+        assert (math.prod(grid.shape) > special.SHIFT_BUDGET) == ((n, points) in ((3, 48), (4, 12)))
+        seen = []
+        for fn in layout_callables(grid.gamma).values():
+            want = grid.sample(lambda p: fn(np.ascontiguousarray(p))).values
+            assert np.array_equal(grid.sample(planar(fn, seen)).values, want)
+        assert seen and all(seen)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sample_chunks_equal_points(self, n, monkeypatch):

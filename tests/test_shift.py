@@ -24,7 +24,7 @@ from bhk.shift import (
 )
 from bhk.special import normalized_j
 
-from conftest import GAMMA, exact_power_shift, gauss
+from conftest import GAMMA, exact_power_shift, gauss, layout_callables, planar
 
 
 def one(p):
@@ -113,6 +113,42 @@ class TestShift:
     def test_dimension_mismatch(self, shift_plan):
         with pytest.raises(ValueError):
             shift(shift_plan, gauss, [1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["x", "y"])
+    def test_non_finite_refused(self, shift_plan, arg, bad):
+        # refused before any evaluation, on both routes, with no warning: a
+        # NaN y doubled the angles up to MAX_ANGLES and returned nan, an inf
+        # y warned in _law_of_cosines
+        calls = []
+
+        def phi(p):
+            calls.append(p.shape)
+            return gauss(p)
+
+        args = {"x": [1.0, 0.5], "y": [0.3, 0.8]}
+        args[arg] = [args[arg][0], bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (phi, [lambda z: phi(z[..., None])] * 2):
+                with pytest.raises(ValueError, match="finite"):
+                    shift(shift_plan, fn, args["x"], args["y"])
+        assert calls == []
+
+    @pytest.mark.parametrize("n,angles,adaptive", [(1, 16, True), (2, 16, True),
+                                                   (3, 8, True), (3, 32, False),
+                                                   (4, 8, False)])
+    def test_bitwise_on_c_ordered_copy(self, n, angles, adaptive):
+        # the callable gets axis-major points; the 32^3 angle tensor at n = 3
+        # is sampled in chunks
+        plan = build_shift_plan((0.5, 1.0, 1.5, 0.75)[:n], angles)
+        x, y = [0.9, 0.4, 1.2, 0.7][:n], [0.6, 1.1, 0.3, 0.8][:n]
+        assert (angles**n > special.SHIFT_BUDGET) == (angles == 32)
+        seen = []
+        for fn in layout_callables(plan.gamma).values():
+            want = shift(plan, lambda p: fn(np.ascontiguousarray(p)), x, y, adaptive=adaptive)
+            assert shift(plan, planar(fn, seen), x, y, adaptive=adaptive) == want
+        assert seen and all(seen)
 
 
 class TestShiftFactors:
@@ -280,6 +316,18 @@ class TestShiftGrid:
         want = contract_axes(mats, ext)
         got = shift_grid(plan, f, y).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_y_refused(self, bad):
+        # refused before the grid builds its stencil tables; a NaN y gave
+        # all-NaN values and a truncation warning
+        grid = build_tensor_grid(GAMMA, 8.0, 24)
+        f = grid.sample(gauss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                shift_grid(build_shift_plan(GAMMA, 16), f, [0.5, bad])
+        assert not grid._tables
 
     def test_zero_shift_unchanged(self, shift_plan):
         grid = build_tensor_grid(GAMMA, 8.0, 32)

@@ -5,6 +5,8 @@ suites also check and build their Riesz kernels from `b_harmonic`."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .grids import as_gamma
@@ -22,21 +24,21 @@ def b_harmonic(gamma, k: int) -> EvenPoly:
     g = as_gamma(gamma)
     if g.n < 2:
         raise ValueError(f"no B-harmonic degree-{k} polynomials exist for n = 1")
-    basis = b_harmonic_basis(g.n, k, g)
-    if not basis:
-        raise ValueError(f"b-harmonic basis empty for n={g.n}, k={k}")
-    return basis[0]
+    return b_harmonic_basis(g.n, k, g)[0]
+
+
+def _harmonic_gaussian(g):
+    p_2 = b_harmonic(g, 2)  # built once per callable, not per sampled chunk
+    return lambda p: eval_poly(p_2, p) * np.exp(-np.sum(p * p, axis=-1))
 
 
 _REGISTRY = {
     "gaussian": lambda g: _gaussian(1.0),
     "gaussian-s05": lambda g: _gaussian(0.5),
     "gaussian-s2": lambda g: _gaussian(2.0),
-    "b-harmonic-k2": lambda g: (lambda p: eval_poly(b_harmonic(g, 2), p)),
-    "b-harmonic-k4": lambda g: (lambda p: eval_poly(b_harmonic(g, 4), p)),
-    "harmonic-gaussian-k2": lambda g: (
-        lambda p: eval_poly(b_harmonic(g, 2), p) * np.exp(-np.sum(p * p, axis=-1))
-    ),
+    "b-harmonic-k2": lambda g: partial(eval_poly, b_harmonic(g, 2)),
+    "b-harmonic-k4": lambda g: partial(eval_poly, b_harmonic(g, 4)),
+    "harmonic-gaussian-k2": _harmonic_gaussian,
 }
 
 

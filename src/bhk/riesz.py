@@ -16,8 +16,8 @@ the spatial and spectral routes agree; reports carry both values.  The
 closed-form transform of the principal-value kernel P_k(y)/|y|^{k+n+2|gamma|}
 is `pv_kernel_transform`, the multiplier over c_k_printed, so c_k_printed is
 by construction the ratio of the multiplier to that transform.  Every
-spectral multiplier m (the Riesz one and the a-priori probes') is applied as
-fb_inverse(m * fb_forward f) by `_apply_multiplier`.  The Riesz multiplier
+spectral multiplier m is applied as fb_inverse(m * F f); the probes' share
+one transform F f per function (`_apply_multiplier`).  The Riesz multiplier
 field depends only on the kernel and the frequency grid, so the kernel holds
 it: one slot, the (grid, field) pair of the last grid asked for, the field
 read-only (`riesz_multiplier`).
@@ -135,16 +135,17 @@ def pv_kernel_transform(p: EvenPoly, gamma, y) -> float:
     return float(_multiplier(kernel, y)) / kernel.c_k_printed
 
 
-def _apply_multiplier(plan: FBPlan, mult: np.ndarray, f: GridFunction) -> GridFunction:
-    """fb_inverse(mult * fb_forward(f)), mult scaling the fresh transform in place."""
-    f_hat = fb_forward(plan, f)
-    f_hat.values *= mult
-    return fb_inverse(plan, f_hat)
+def _apply_multiplier(plan: FBPlan, mult: np.ndarray, f_hat: GridFunction) -> GridFunction:
+    """fb_inverse(mult * f_hat) for f_hat = fb_forward(plan, f), left unchanged."""
+    return fb_inverse(plan, GridFunction(f_hat.grid, mult * f_hat.values))
 
 
 def riesz_spectral(kernel: RieszKernel, f: GridFunction, plan: FBPlan) -> GridFunction:
     """Multiplier route: fb_inverse of (-1)^{k/2} P_k(xi)/|xi|^k * fb_forward(f)."""
-    return _apply_multiplier(plan, riesz_multiplier(kernel, plan.freq_grid), f)
+    mult = riesz_multiplier(kernel, plan.freq_grid)
+    f_hat = fb_forward(plan, f)
+    f_hat.values *= mult
+    return fb_inverse(plan, f_hat)
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,8 @@ def riesz_spatial(
 def priori_bound_probe(plan: FBPlan, p: float, family: Sequence) -> list:
     """Empirical a-priori-bound ratios (no pass/fail: the constants are unknown).
 
-    family entries are (label, f, Bf) GridFunction pairs with Bf the analytic
-    Laplace-Bessel image.  Two ratio tables per entry:
+    family entries are (label, fb_forward(plan, f), Bf) with Bf the analytic
+    Laplace-Bessel image as a GridFunction.  Two ratio tables per entry:
 
       * mixed second derivative on axes (0, 1), realized spectrally via the
         composition identity (multiplier xi_0 xi_1):  ||d_0 d_1 f||_p / ||B f||_p;
@@ -229,10 +230,10 @@ def priori_bound_probe(plan: FBPlan, p: float, family: Sequence) -> list:
     mult_mixed = xs[0] * xs[1]
     mult_elliptic = -sum(a[j] * xs[j] ** 2 for j in range(g.n))
     rows = []
-    for label, f, bf in family:
-        dd = _apply_multiplier(plan, mult_mixed, f)
-        pf = _apply_multiplier(plan, mult_elliptic, f)
-        norm_bf, norm_dd, norm_pf = lp_norm(bf, p), lp_norm(dd, p), lp_norm(pf, p)
+    for label, f_hat, bf in family:
+        norm_dd = lp_norm(_apply_multiplier(plan, mult_mixed, f_hat), p)
+        norm_pf = lp_norm(_apply_multiplier(plan, mult_elliptic, f_hat), p)
+        norm_bf = lp_norm(bf, p)
         rows += [
             {"check": "apriori-mixed-derivative", "label": label, "p": p,
              "lhs": norm_dd, "rhs": norm_bf, "ratio": norm_dd / norm_bf},
@@ -247,14 +248,14 @@ def lp_boundedness_probe(
 ) -> list:
     """||R^(k) f||_{p,gamma} / ||f||_{p,gamma} tables (empirical only).
 
-    family entries are (label, f) pairs; at p = 2 the ratio is bounded by the
-    multiplier's sup on the grid (the transform pair is unitary there).
+    family entries are (label, f, fb_forward(plan, f)); at p = 2 the ratio is
+    bounded by the multiplier's sup on the grid (the transform pair is unitary).
     """
     mult = riesz_multiplier(kernel, plan.freq_grid)
     max_mult = float(np.max(np.abs(mult)))
     rows = []
-    for label, f in family:
-        rf = _apply_multiplier(plan, mult, f)
+    for label, f, f_hat in family:
+        rf = _apply_multiplier(plan, mult, f_hat)
         rows += [{"check": "riesz-lp", "label": label, "p": float(p),
                   "ratio": lp_norm(rf, p) / lp_norm(f, p), "max_multiplier": max_mult}
                  for p in p_values]

@@ -33,7 +33,7 @@ Gaussian is verified at plan construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,7 +96,7 @@ class FBPlan:
     multiplies by c_fb.  forward[i] is the transposed view of a C-ordered
     array, inverse[i] C-ordered: the layout decides BLAS's rounding at n = 1.
     All are read-only, since the report's suites share one plan.
-    FBPlan.from_grids builds them.
+    FBPlan.from_grids builds them; build_fb_plan adds self_test_error.
     """
 
     gamma: GammaIndex
@@ -105,6 +105,7 @@ class FBPlan:
     c_fb: float
     forward: tuple
     inverse: tuple
+    self_test_error: float | None = None
 
     @classmethod
     def from_grids(cls, grid: TensorGrid, freq_grid: TensorGrid) -> "FBPlan":
@@ -122,8 +123,8 @@ class FBPlan:
 
 
 def build_fb_plan(grid: TensorGrid) -> FBPlan:
-    """The transform pair's plan on grid; ValueError if the round trip fails
-    SELF_TEST_TOL (grid too coarse for the kernel)."""
+    """The transform pair's plan on grid, holding its self-test error (max abs
+    round-trip error on the unit Gaussian); ValueError above SELF_TEST_TOL."""
     g = grid.gamma
     # the inverse must reach the transform's tail: e^{-|y|^2/4} times the
     # measure needs |y| ~ 10 before it clears the 1e-6 self-test budget
@@ -134,7 +135,7 @@ def build_fb_plan(grid: TensorGrid) -> FBPlan:
     err = float(np.max(np.abs(back.values - f.values)))
     if err > SELF_TEST_TOL:
         raise ValueError(f"FB plan round-trip self-test failed: max abs error {err:.3e}")
-    return plan
+    return replace(plan, self_test_error=err)
 
 
 def _require_grid(got: TensorGrid, want: TensorGrid, what: str) -> None:
@@ -181,7 +182,8 @@ def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:
     x * y commutes and normalized_j evaluates each argument on its own, so
     it is bitwise the fresh row j(y_b x) w_x, which only the other
     coordinates get.  The rows keep plan.forward's layout (it decides BLAS's
-    rounding at n = 1).
+    rounding at n = 1), yet a point's last bits depend on the call's other
+    points: up to about 1e-15 relative, even for the first point alone.
     """
     _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
     pts = np.asarray(points, dtype=float)
@@ -200,8 +202,8 @@ def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:
 
 def _distinct(y: np.ndarray):
     """Distinct entries of y in order of first occurrence (a prefix of the
-    points keeps its tensor positions, and BLAS's rounding at n = 1), and
-    each entry's index among them."""
+    points keeps its tensor positions, not its values: see fb_forward_at),
+    and each entry's index among them."""
     _, first, inv = np.unique(y, return_index=True, return_inverse=True)
     order = np.argsort(first)
     return y[first[order]], np.argsort(order)[inv]

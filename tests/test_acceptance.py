@@ -273,14 +273,17 @@ def test_criterion_09_estimates():
                 * np.exp(-s * np.sum(p * p, axis=-1))
             )
             family.append((f"s{s}", fs, bfs))
-        rows = priori_bound_probe(plan, 2.0, family)
+        # each member by its one transform, shared by the probes' multipliers
+        f_hats = [fb_forward(plan, fs) for _, fs, _ in family]
+        rows = priori_bound_probe(plan, 2.0,
+                                  [(l, h, bfs) for (l, _, bfs), h in zip(family, f_hats)])
         for check in ("apriori-mixed-derivative", "apriori-elliptic"):
             ratios = [r["ratio"] for r in rows if r["check"] == check]
             assert all(np.isfinite(ratios))
             assert (max(ratios) - min(ratios)) / max(ratios) <= 0.1
         kernel = build_riesz_kernel(b_harmonic_basis(2, 2, GAMMA)[0], GAMMA)
         lp_rows = lp_boundedness_probe(
-            kernel, (2.0, 4.0), [(l, f) for l, f, _ in family], plan
+            kernel, (2.0, 4.0), [(l, f, h) for (l, f, _), h in zip(family, f_hats)], plan
         )
         for p in (2.0, 4.0):
             ratios = [r["ratio"] for r in lp_rows if r["p"] == p]

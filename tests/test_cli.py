@@ -157,6 +157,44 @@ class TestRunSuite:
         assert report["summary"]["failed"] == 0
         assert len(calls) == 21
 
+    def test_one_forward_transform_per_estimates_member(self, monkeypatch):
+        # each family member is transformed once and its transform shared by
+        # the mixed, elliptic and Riesz multipliers: 3 forward transforms (the
+        # probes' three fresh transforms per member made 9), 9 inverse ones
+        counts = {"fb_forward": 0, "fb_inverse": 0}
+        for name in ("bhk.report", "bhk.riesz"):
+            mod = importlib.import_module(name)
+            for fn in counts:
+                if hasattr(mod, fn):
+                    monkeypatch.setattr(mod, fn, lambda *a, fn=fn, orig=getattr(mod, fn):
+                                        counts.__setitem__(fn, counts[fn] + 1) or orig(*a))
+        report = run_suite(RunConfig(), "estimates")
+        assert report["summary"]["failed"] == 0
+        assert counts == {"fb_forward": 3, "fb_inverse": 9}
+
+    @pytest.mark.parametrize("config", [{}, {"gamma": [0.05, 5]},
+                                        {"n": 3, "gamma": [0.5, 1.0, 1.5],
+                                         "grid": {"points": 48}}],
+                             ids=["default", "g0.05-5", "n3-48"])
+    def test_fb_roundtrip_row_is_the_plan_self_test(self, config, monkeypatch):
+        # the row reads build_fb_plan's stored error, bitwise an explicit
+        # round trip of the unit Gaussian, and transforms nothing again
+        transform = importlib.import_module("bhk.transform")
+        cfg = RunConfig.from_dict(config)
+        grid = importlib.import_module("bhk.grids").build_tensor_grid(cfg.gamma, cfg.x_max,
+                                                                      cfg.points)
+        plan = transform.build_fb_plan(grid)
+        f = plan.grid.sample(lambda p: np.exp(-np.sum(p * p, axis=-1)))
+        back = transform.fb_inverse(plan, transform.fb_forward(plan, f))
+        want = float(np.max(np.abs(back.values - f.values)))
+        assert plan.self_test_error == want
+        inverses = []
+        monkeypatch.setattr(transform, "fb_inverse", lambda *a, orig=transform.fb_inverse:
+                            inverses.append(a) or orig(*a))
+        rows = run_suite(cfg, "transform")["rows"]
+        assert [r["computed"] for r in rows if r["check"] == "fb-roundtrip"] == [want]
+        assert len(inverses) == 1  # the plan's own self-test
+
     @pytest.mark.parametrize("points", [8, 9])
     def test_shift_suite_on_the_smallest_grids(self, points):
         # RunConfig accepts 8 points; shift_grid's stencil narrows to the
@@ -586,6 +624,21 @@ class TestEmit:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 48 * 48
         assert lines[0] == "x_1,x_2,value"
+
+    @pytest.mark.parametrize("name", ["b-harmonic-k2", "b-harmonic-k4",
+                                      "harmonic-gaussian-k2"])
+    def test_polynomial_built_once_per_emit(self, name, tmp_path, monkeypatch):
+        # the 48^3 grid is sampled in 7 chunks; the polynomial is built once,
+        # when corpus_function makes the callable, not once per chunk
+        corpus = importlib.import_module("bhk.corpus")
+        calls = []
+        monkeypatch.setattr(corpus, "b_harmonic_basis", lambda *a, orig=corpus.b_harmonic_basis:
+                            calls.append(a) or orig(*a))
+        config = tmp_path / "n3.json"
+        config.write_text(json.dumps({"n": 3, "gamma": [0.5, 1.0, 1.5], "grid": {"points": 48}}))
+        assert main(["emit", "--function", name, "--config", str(config),
+                     "--out", str(tmp_path / "e.csv")]) == 0
+        assert len(calls) == 1
 
     def test_harmonic_vanishes_at_origin(self):
         from bhk.corpus import corpus_function

@@ -184,13 +184,12 @@ class TestMultipliersOnOpenMesh:
         n = plan.gamma.n
         seen = []
         riesz_mod = importlib.import_module("bhk.riesz")
-        monkeypatch.setattr(riesz_mod, "fb_forward", lambda pl, h: GridFunction(
-            pl.freq_grid, np.ones(pl.freq_grid.shape)))
         monkeypatch.setattr(riesz_mod, "fb_inverse", lambda pl, h: (
             seen.append(h.values), GridFunction(pl.grid, h.values))[1])
         pts = plan.freq_grid.points()
         a = (1.0, 2.0) + (1.0,) * (n - 2)
-        priori_bound_probe(plan, 2.0, [("gauss", f, f)])
+        ones = GridFunction(plan.freq_grid, np.ones(plan.freq_grid.shape))
+        priori_bound_probe(plan, 2.0, [("gauss", ones, f)])
         assert np.array_equal(seen[0], pts[..., 0] * pts[..., 1])
         assert np.array_equal(seen[1], -sum(a[j] * pts[..., j] ** 2 for j in range(n)))
 
@@ -202,7 +201,9 @@ class TestMultipliersOnOpenMesh:
 
         monkeypatch.setattr(TensorGrid, "points", refuse)
         riesz_spectral(kernels[0], f, plan)
-        priori_bound_probe(plan, 2.0, [("gauss", f, f)])
+        f_hat = fb_forward(plan, f)
+        priori_bound_probe(plan, 2.0, [("gauss", f_hat, f)])
+        lp_boundedness_probe(kernels[0], (2.0,), [("gauss", f, f_hat)], plan)
 
 
 def _counted_builds(monkeypatch):
@@ -279,7 +280,7 @@ class TestHeldMultiplier:
         builds = _counted_builds(monkeypatch)
         for call in (lambda: riesz_multiplier(kernel, plan.freq_grid),
                      lambda: riesz_spectral(kernel, f, plan),
-                     lambda: lp_boundedness_probe(kernel, (2.0,), [("gauss", f)], plan)):
+                     lambda: lp_boundedness_probe(kernel, (2.0,), [("gauss", f, f)], plan)):
             with pytest.raises(ValueError, match="kernel and grid gamma"):
                 call()
         assert builds == []
@@ -461,6 +462,43 @@ def family(grid96):
     return out
 
 
+def apriori_entries(plan, family):
+    """priori_bound_probe's family: each (label, f, Bf) with f by its transform."""
+    return [(label, fb_forward(plan, f), bf) for label, f, bf in family]
+
+
+def lp_entries(plan, family):
+    """lp_boundedness_probe's family: each (label, f) with its transform."""
+    return [(label, f, fb_forward(plan, f)) for label, f, _ in family]
+
+
+def _three_transform_apply(plan, mult, f):
+    """The probes' former multiplier route: a fresh forward transform of f per
+    multiplier, scaled in place."""
+    f_hat = fb_forward(plan, f)
+    f_hat.values *= mult
+    return fb_inverse(plan, f_hat)
+
+
+def _three_transform_ratios(kernel, plan, family):
+    """The a-priori and riesz-lp ratios as the probes computed them when each
+    multiplier transformed f afresh (three forward transforms per member)."""
+    g = plan.gamma
+    a = (1.0, 2.0) + (1.0,) * (g.n - 2)
+    xs = np.meshgrid(*plan.freq_grid.nodes, indexing="ij", sparse=True)
+    mixed, elliptic = xs[0] * xs[1], -sum(a[j] * xs[j] ** 2 for j in range(g.n))
+    riesz = riesz_multiplier(kernel, plan.freq_grid)
+    apriori, lp = [], []
+    for _, f, bf in family:
+        norm_bf = lp_norm(bf, 2.0)
+        norm_dd = lp_norm(_three_transform_apply(plan, mixed, f), 2.0)
+        norm_pf = lp_norm(_three_transform_apply(plan, elliptic, f), 2.0)
+        apriori += [norm_dd / norm_bf, norm_bf / norm_pf]
+        rf = _three_transform_apply(plan, riesz, f)
+        lp += [lp_norm(rf, p) / lp_norm(f, p) for p in (2.0, 4.0)]
+    return apriori, lp
+
+
 def test_mixed_derivative_multiplier_composition():
     # -R_i R_k B has multiplier -(xi_i xi_k / |xi|^2)(-|xi|^2) = xi_i xi_k:
     # the probe's spectral realization of the mixed derivative, checked
@@ -474,7 +512,7 @@ def test_mixed_derivative_multiplier_composition():
 class TestProbes:
 
     def test_apriori_ratios_dilation_stable(self, fb_plan96, family):
-        rows = priori_bound_probe(fb_plan96, 2.0, family)
+        rows = priori_bound_probe(fb_plan96, 2.0, apriori_entries(fb_plan96, family))
         for check in ("apriori-mixed-derivative", "apriori-elliptic"):
             ratios = [r["ratio"] for r in rows if r["check"] == check]
             assert all(np.isfinite(ratios))
@@ -486,9 +524,8 @@ class TestProbes:
             priori_bound_probe(plan, 2.0, [])
 
     def test_lp_ratios(self, kernel, fb_plan96, family):
-        rows = lp_boundedness_probe(
-            kernel, (2.0, 4.0), [(l, f) for l, f, _ in family], fb_plan96
-        )
+        rows = lp_boundedness_probe(kernel, (2.0, 4.0), lp_entries(fb_plan96, family),
+                                    fb_plan96)
         p2 = [r for r in rows if r["p"] == 2.0]
         for r in p2:
             assert r["ratio"] <= r["max_multiplier"] + 1e-6
@@ -497,8 +534,34 @@ class TestProbes:
             assert (max(ratios) - min(ratios)) / max(ratios) < 0.05
 
     def test_lp_ratios_are_the_spectral_route(self, kernel, fb_plan96, family):
-        members = [(l, f) for l, f, _ in family]
-        rows = lp_boundedness_probe(kernel, (2.0, 4.0), members, fb_plan96)
+        rows = lp_boundedness_probe(kernel, (2.0, 4.0), lp_entries(fb_plan96, family),
+                                    fb_plan96)
         want = [lp_norm(riesz_spectral(kernel, f, fb_plan96), p) / lp_norm(f, p)
-                for _, f in members for p in (2.0, 4.0)]
+                for _, f, _ in family for p in (2.0, 4.0)]
         assert [r["ratio"] for r in rows] == want
+
+    @pytest.mark.parametrize("g, points", [(GAMMA, 96), ((0.5, 1.0, 1.5), 48)],
+                             ids=["n2", "n3"])
+    def test_one_transform_per_member_is_bitwise_three(self, g, points):
+        # one transform shared by the mixed, elliptic and Riesz multipliers
+        # gives bitwise the ratios of a fresh transform per multiplier
+        plan = build_fb_plan(build_tensor_grid(g, 8.0, points))
+        kernel = build_riesz_kernel(b_harmonic_basis(len(g), 2, g)[0], g)
+        q = len(g) + 2.0 * sum(g)
+        family = [(f"s{s}", plan.grid.sample(lambda p: np.exp(-s * np.sum(p * p, axis=-1))),
+                   plan.grid.sample(lambda p: (4 * s * s * np.sum(p * p, axis=-1) - 2 * s * q)
+                                    * np.exp(-s * np.sum(p * p, axis=-1))))
+                  for s in (0.5, 1.0, 2.0)]
+        apriori = priori_bound_probe(plan, 2.0, apriori_entries(plan, family))
+        lp = lp_boundedness_probe(kernel, (2.0, 4.0), lp_entries(plan, family), plan)
+        assert ([r["ratio"] for r in apriori], [r["ratio"] for r in lp]) \
+            == _three_transform_ratios(kernel, plan, family)
+
+    def test_spatial_function_for_a_transform_is_refused(self, kernel, fb_plan96, family):
+        # an entry whose transform slot holds a spatial GridFunction is not
+        # read on the frequency grid
+        label, f, bf = family[0]
+        with pytest.raises(ValueError, match="frequency grid"):
+            priori_bound_probe(fb_plan96, 2.0, [(label, f, bf)])
+        with pytest.raises(ValueError, match="frequency grid"):
+            lp_boundedness_probe(kernel, (2.0,), [(label, f, f)], fb_plan96)

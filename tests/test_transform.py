@@ -64,6 +64,16 @@ class TestPlan:
         assert np.array_equal(fb_forward(plan, f).values,
                               plan.c_fb * contract_axes(plan.forward, f.values))
 
+    def test_self_test_error_kept(self):
+        # build_fb_plan keeps the round-trip error it measured; a plan from
+        # from_grids was not self-tested
+        grid = build_tensor_grid(GAMMA, 8.0, 48)
+        plan = build_fb_plan(grid)
+        f = grid.sample(lambda p: np.exp(-np.sum(p * p, axis=-1)))
+        back = fb_inverse(plan, fb_forward(plan, f))
+        assert plan.self_test_error == float(np.max(np.abs(back.values - f.values)))
+        assert FBPlan.from_grids(grid, plan.freq_grid).self_test_error is None
+
     def test_grid_mismatch_raises(self, fb_plan96):
         other = build_tensor_grid(GAMMA, 8.0, 32)
         with pytest.raises(ValueError, match="mismatch"):

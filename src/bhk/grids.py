@@ -217,8 +217,8 @@ class GridFunction:
 def build_tensor_grid(gamma, x_max: float, points_per_axis: int) -> TensorGrid:
     """Per-axis Gauss rules on (0, x_max] exact against the x^{2 gamma_i} measure.
 
-    Realized as Gauss-Jacobi in t = 2x/x_max - 1 with weight (1+t)^{2 gamma_i}
-    (`special.gauss_jacobi`: Golub-Welsch nodes with one Newton step,
+    Realized as Gauss-Jacobi with weight (1+t)^{2 gamma_i} put on [0, x_max]
+    by `special.gauss_jacobi_on` (Golub-Welsch nodes with one Newton step,
     Christoffel-sum weights); sum of axis weights equals x_max^{2g+1}/(2g+1)
     to roundoff for every g > 0.
     """
@@ -228,13 +228,9 @@ def build_tensor_grid(gamma, x_max: float, points_per_axis: int) -> TensorGrid:
         raise ValueError(f"x_max must be positive, got {x_max}")
     if points_per_axis < 8:
         raise ValueError("points_per_axis must be >= 8")
-    nodes, weights = [], []
-    for gi in g:
-        t, w = special.gauss_jacobi(points_per_axis, 0.0, 2.0 * gi)
-        x = 0.5 * x_max * (1.0 + t)
-        nodes.append(x)
-        weights.append(w * (0.5 * x_max) ** (2.0 * gi + 1.0))
-    return TensorGrid(g, x_max, tuple(nodes), tuple(weights))
+    nodes, weights = zip(*(special.gauss_jacobi_on(points_per_axis, 0.0, 2.0 * gi, 0.0, x_max)
+                           for gi in g))
+    return TensorGrid(g, x_max, nodes, weights)
 
 
 def integrate(f: GridFunction) -> float:

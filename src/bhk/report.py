@@ -575,6 +575,9 @@ def suite_pizzetti(cfg: RunConfig) -> List[dict]:
     rows.append(_row(cfg, "pizzetti-decay", 1.0 if rem[0] > rem[1] > rem[2] else 0.0,
                      1.0, inputs={"R": 1.0, "remainders": rem}))
     # v recursion: boundary conditions, B v_{eta+1} = v_eta, moment identity
+    q = g.n + 2 * sum(map(Fraction, g)) - 2  # v_sequence's exact q
+    if q <= 0:  # n = 1 with gamma <= 1/2
+        return rows + [_info_row("v-skipped", {"reason": "v recursion needs q > 0", "q": float(q)})]
     R = 1.0
     vs = v_sequence(g, R, 4)
     c = pizzetti_coeffs(g, R, 5).c
@@ -582,7 +585,6 @@ def suite_pizzetti(cfg: RunConfig) -> List[dict]:
         bnd = max(abs(vs[eta](R)), abs(vs[eta].derivative(R)))
         rows.append(_row(cfg, "v-boundary", bnd, 0.0, scale=1.0, inputs={"eta": eta}))
     # radial B v = v'' + (q + 1)/r v', applied exactly to the power-log terms
-    q = g.n + 2 * sum(map(Fraction, g)) - 2  # v_sequence's exact q
     r = np.linspace(0.2 * R, 0.9 * R, 15)
     for eta in (0, 1, 2):
         bv = _eval_terms(_radial_bessel(vs[eta + 1].terms, q), r)

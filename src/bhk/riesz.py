@@ -30,10 +30,10 @@ T^{r theta} f(x) is even in each y_i, so T^{r theta} f(x) - f(x) = O(r^2):
 the subtracted integrand is O(r) at r = 0 and the principal value is an
 ordinary integral, taken on Gauss-Legendre nodes that never touch 0 (the
 classical treatment of mean-zero singular kernels): RADIAL_INNER and
-RADIAL_OUTER points of `special.legendre_rule`.  f is a product of
-1-D factors, so T^{r theta} f(x) is the product of the per-axis shifts
-T^{r theta_i} f_i(x_i), each from the callable route of `bhk.shift`: no
-sampling, no interpolation and no clamping.
+RADIAL_OUTER points of `special.gauss_jacobi_on` with a = b = 0.  f is a
+product of 1-D factors, so T^{r theta} f(x) is the product of the per-axis
+shifts T^{r theta_i} f_i(x_i), each from the callable route of `bhk.shift`:
+no sampling, no interpolation and no clamping.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 from .grids import GammaIndex, GridFunction, SphereRule, as_gamma, lp_norm
 from .polys import EvenPoly, _eval_axes, _require_b_harmonic, eval_poly
 from .shift import ShiftOperatorPlan, _axis_factors, _axis_shift
-from .special import gamma as _gamma, legendre_rule
+from .special import gamma as _gamma, gauss_jacobi_on
 from .transform import PV_MEAN_TOL, FBPlan, fb_constant, fb_forward, fb_inverse
 
 __all__ = [
@@ -186,11 +186,8 @@ def riesz_spatial(
         raise ValueError(f"riesz_spatial takes f as {g.n} 1-D callables")
     r_max = x_max + float(np.linalg.norm(x))
 
-    ti_t, ti_w = legendre_rule(RADIAL_INNER)
-    r_in, w_in = 0.5 * (ti_t + 1.0), 0.5 * ti_w
-    to_t, to_w = legendre_rule(RADIAL_OUTER)
-    r_out = 1.0 + 0.5 * (r_max - 1.0) * (to_t + 1.0)
-    w_out = 0.5 * (r_max - 1.0) * to_w
+    r_in, w_in = gauss_jacobi_on(RADIAL_INNER, 0.0, 0.0, 0.0, 1.0)
+    r_out, w_out = gauss_jacobi_on(RADIAL_OUTER, 0.0, 0.0, 1.0, r_max)
 
     all_r = np.concatenate([r_in, r_out])
     tvals = math.prod(_axis_shift(fi, xi, np.multiply.outer(all_r, th), c, w)

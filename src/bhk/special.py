@@ -28,8 +28,8 @@ the series 1 - r^2 / (4 (nu+1)) + ... rounds to 1 and j_nu(r) is 1.0 exactly;
 the pass, whose growth (2/r)^m overflows as r -> 0, does not run there.
 
 Gauss-Jacobi rules (`gauss_jacobi`, the one quadrature rule behind every grid,
-angle, sphere and radial rule of the package, `angle_rule` and `legendre_rule`
-included) are computed in numpy by Golub-Welsch: nodes are the eigenvalues of
+angle, sphere and radial rule of the package; `gauss_jacobi_on` puts one on an
+interval) are computed in numpy by Golub-Welsch: nodes are the eigenvalues of
 the Jacobi matrix, polished by one Newton step, and weights are Christoffel
 sums 1 / sum_k p_k^2 of the orthonormal polynomials, all from one pass of the
 three-term recurrence.
@@ -46,8 +46,8 @@ __all__ = [
     "gamma",
     "normalized_j",
     "gauss_jacobi",
+    "gauss_jacobi_on",
     "angle_rule",
-    "legendre_rule",
     "poisson_representation",
 ]
 
@@ -216,6 +216,17 @@ def gauss_jacobi(n: int, a: float, b: float):
     return t, w
 
 
+def gauss_jacobi_on(n: int, a: float, b: float, lo: float, hi: float):
+    """gauss_jacobi(n, a, b) on [lo, hi], for the weight (hi - x)^a (x - lo)^b:
+    nodes lo + h (t + 1) and weights w h^{a+b+1}, h = (hi - lo) / 2, in that
+    order of operations, as fresh (uncached) arrays.  The sphere rule (in
+    u = cos^2 phi, its Jacobian in the weights) and `angle_rule`
+    (cos(alpha) = -t, unit mass) are not such maps and keep their own forms."""
+    t, w = gauss_jacobi(n, a, b)
+    h = 0.5 * (hi - lo)
+    return lo + h * (t + 1.0), w * h ** (a + b + 1.0)
+
+
 @functools.lru_cache(maxsize=256)
 def angle_rule(gamma_axis: float, points: int):
     """Gauss rule on [0, pi] against sin^{2 gamma - 1}(alpha), the angle rule
@@ -233,14 +244,6 @@ def angle_rule(gamma_axis: float, points: int):
     cos_a, w = -t, w / math.sqrt(math.pi) * gamma(gamma_axis + 0.5) / gamma(gamma_axis)
     cos_a.flags.writeable = w.flags.writeable = False
     return cos_a, w
-
-
-def legendre_rule(points: int):
-    """Gauss-Legendre rule on [-1, 1], gauss_jacobi(points, 0, 0): the radial
-    rule of `riesz.riesz_spatial` and `transform.pv_regularized_limit`.
-    Returns (nodes increasing, weights), gauss_jacobi's cached read-only
-    arrays."""
-    return gauss_jacobi(points, 0.0, 0.0)
 
 
 def poisson_representation(gamma_axis: float, r, quad_points: int = 64):

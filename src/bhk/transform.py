@@ -48,7 +48,7 @@ from .grids import (
     contract_axes,
 )
 from .polys import EvenPoly, _require_b_harmonic, eval_poly
-from .special import gamma as _gamma, legendre_rule, normalized_j
+from .special import gamma as _gamma, gauss_jacobi_on, normalized_j
 
 __all__ = [
     "FBPlan",
@@ -292,13 +292,13 @@ def pv_regularized_limit(
     lhs(eps) lowers the kernel exponent by eps over the whole orthant;
     rhs(eps) truncates the unmodified kernel to |x| > eps.  In polar form both
     reduce to radial integrals of Phi(r) = int_{S_+} f(theta) phi(r theta)
-    dsigma(theta), taken on the PV_RADIAL_POINTS-point Gauss-Legendre rule
-    `special.legendre_rule`; Phi vanishes at r = 0 because f has zero
-    weighted mean (checked, rel. PV_MEAN_TOL).  Each side is extrapolated to eps = 0 by
-    Neville's scheme over every tabulated eps (`_extrapolate`): in eps for the
-    exponent-lowered side, which is O(eps)-regular, and in eps^2 for the
-    truncated side, which misses int_0^eps r^{-1} Phi = O(eps^2); the limits
-    agree for Schwartz-class phi.
+    dsigma(theta), taken on PV_RADIAL_POINTS-point Gauss-Legendre rules on
+    [0, r_max] and [eps, r_max] (`special.gauss_jacobi_on`); Phi vanishes at
+    r = 0 because f has zero weighted mean (checked, rel. PV_MEAN_TOL).  Each
+    side is extrapolated to eps = 0 by Neville's scheme over every tabulated
+    eps (`_extrapolate`): in eps for the exponent-lowered side, which is
+    O(eps)-regular, and in eps^2 for the truncated side, which misses
+    int_0^eps r^{-1} Phi = O(eps^2); the limits agree for Schwartz-class phi.
     """
     eps_seq = _check_eps_seq(eps_seq, r_max)
     fvals = np.asarray(f_angular(rule.nodes), dtype=float)
@@ -315,15 +315,12 @@ def pv_regularized_limit(
         ph = np.asarray(phi(pts), dtype=float)
         return ph @ fw
 
-    t, w = legendre_rule(PV_RADIAL_POINTS)
-    r0 = 0.5 * r_max * (t + 1.0)
-    wr0 = 0.5 * r_max * w
+    r0, wr0 = gauss_jacobi_on(PV_RADIAL_POINTS, 0.0, 0.0, 0.0, r_max)
     prof0 = radial_profile(r0)  # these nodes do not depend on eps
     lhs_vals, rhs_vals = [], []
     for eps in eps_seq:
         lhs_vals.append(float(np.sum(wr0 * r0 ** (eps - 1.0) * prof0)))
-        r = eps + 0.5 * (r_max - eps) * (t + 1.0)
-        wr = 0.5 * (r_max - eps) * w
+        r, wr = gauss_jacobi_on(PV_RADIAL_POINTS, 0.0, 0.0, eps, r_max)
         rhs_vals.append(float(np.sum(wr * radial_profile(r) / r)))
     return PVLimitResult(
         eps_seq,

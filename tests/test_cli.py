@@ -393,6 +393,19 @@ class TestRunSuite:
                 for m in (0, 1, 2)]
         assert_allclose(row["inputs"]["remainders"], want, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("gamma, q", [(0.3, -0.4), (0.5, 0.0)])
+    def test_n1_without_v_recursion_keeps_pizzetti_rows(self, gamma, q):
+        # q = n + 2|gamma| - 2 <= 0: the v rows give way to one v-skipped info
+        # row, and the rows that never touch v are still written
+        report = run_suite(RunConfig.from_dict({"n": 1, "gamma": [gamma]}), "all")
+        assert report["summary"]["failed"] == 0
+        checks = [r["check"] for r in report["rows"] if r["suite"] == "pizzetti"]
+        assert checks == (["pizzetti-exact"] * 2 + ["pizzetti-ratio"] * 9
+                          + ["pizzetti-decay", "v-skipped"])
+        (row,) = [r for r in report["rows"] if r["check"] == "v-skipped"]
+        assert row["inputs"]["q"] == pytest.approx(q, abs=1e-15)
+        assert "suite-error" not in [r["check"] for r in report["rows"]]
+
     @pytest.mark.parametrize("gamma", SEEDED_GAMMAS)
     def test_seeded_gamma_has_no_suite_error(self, gamma):
         # rows may still fail on their tolerances (shift-preservation near

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bhk import special
+from bhk.grids import build_tensor_grid
 from bhk.shift import MAX_ANGLES
 from bhk.special import (
     gamma,
     gauss_jacobi,
-    legendre_rule,
+    gauss_jacobi_on,
     normalized_j,
     poisson_representation,
 )
@@ -389,13 +390,11 @@ class TestGaussJacobi:
         assert np.max(np.abs(w / w_ref - 1.0)) <= (2e-13 if a == b == 0.0 else 1e-12)
 
     @pytest.mark.parametrize("n", (24, 48, 240))
-    def test_legendre_rule_is_cached_and_read_only(self, n):
-        # riesz_spatial and pv_regularized_limit share these arrays between
-        # calls, so no caller may write into them
-        t, w = legendre_rule(n)
-        t_ref, w_ref = gauss_jacobi(n, 0.0, 0.0)
-        assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
-        assert legendre_rule(n)[0] is t
+    def test_gauss_jacobi_is_cached_and_read_only(self, n):
+        # the radial rules of riesz_spatial and pv_regularized_limit map these
+        # arrays on every call, so no caller may write into them
+        t, w = gauss_jacobi(n, 0.0, 0.0)
+        assert gauss_jacobi(n, 0, 0)[0] is t
         for arr in (t, w):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
@@ -439,3 +438,54 @@ class TestGaussJacobi:
         for args in ((0, 0.0, 0.0), (8, -1.0, 0.0), (8, 0.0, -1.5), (8, float("nan"), 0.0)):
             with pytest.raises(ValueError):
                 gauss_jacobi(*args)
+
+
+# the radial r_max = x_max + |x| of riesz_spatial at three evaluation points
+_RIESZ_R_MAX = (8.0 + math.hypot(0.3, 0.7), 8.0 + math.hypot(1.1, 0.4), 12.0 + 1.5)
+
+
+class TestGaussJacobiOn:
+    """gauss_jacobi_on against the affine maps each caller wrote out by hand
+    before it existed, kept here as the oracle: every node and weight must
+    agree bitwise, so the reports built on them do not move."""
+
+    @pytest.mark.parametrize("x_max", (7.3, 8.0, 10.0, 12.0))
+    @pytest.mark.parametrize("g", (0.05, 0.5, 1.0, 1.5, 4.8, 5.0))
+    def test_grid_axis_rule(self, g, x_max):
+        t, w = gauss_jacobi(96, 0.0, 2.0 * g)
+        want_x, want_w = 0.5 * x_max * (1.0 + t), w * (0.5 * x_max) ** (2.0 * g + 1.0)
+        x, wx = gauss_jacobi_on(96, 0.0, 2.0 * g, 0.0, x_max)
+        assert np.array_equal(x, want_x) and np.array_equal(wx, want_w)
+        grid = build_tensor_grid((g, 0.5), x_max, 96)
+        assert np.array_equal(grid.nodes[0], want_x)
+        assert np.array_equal(grid.weights[0], want_w)
+
+    @pytest.mark.parametrize("r_max", _RIESZ_R_MAX)
+    def test_riesz_radial_rules(self, r_max):
+        t, w = gauss_jacobi(24, 0.0, 0.0)
+        r, wr = gauss_jacobi_on(24, 0.0, 0.0, 0.0, 1.0)
+        assert np.array_equal(r, 0.5 * (t + 1.0)) and np.array_equal(wr, 0.5 * w)
+        t, w = gauss_jacobi(48, 0.0, 0.0)
+        r, wr = gauss_jacobi_on(48, 0.0, 0.0, 1.0, r_max)
+        assert np.array_equal(r, 1.0 + 0.5 * (r_max - 1.0) * (t + 1.0))
+        assert np.array_equal(wr, 0.5 * (r_max - 1.0) * w)
+
+    @pytest.mark.parametrize("r_max", (7.3, 8.0, 12.0))
+    def test_pv_radial_rules(self, r_max):
+        t, w = gauss_jacobi(240, 0.0, 0.0)
+        r, wr = gauss_jacobi_on(240, 0.0, 0.0, 0.0, r_max)
+        assert np.array_equal(r, 0.5 * r_max * (t + 1.0))
+        assert np.array_equal(wr, 0.5 * r_max * w)
+        for eps in (0.4, 0.2, 0.1, 0.05):
+            r, wr = gauss_jacobi_on(240, 0.0, 0.0, eps, r_max)
+            assert np.array_equal(r, eps + 0.5 * (r_max - eps) * (t + 1.0))
+            assert np.array_equal(wr, 0.5 * (r_max - eps) * w)
+
+    def test_moments_on_interval(self):
+        # int_lo^hi (hi - x)^a (x - lo)^b dx = (hi - lo)^{a+b+1} B(a+1, b+1)
+        lo, hi, a, b = 0.7, 3.2, 0.4, 1.5
+        x, w = gauss_jacobi_on(16, a, b, lo, hi)
+        assert np.all((lo < x) & (x < hi))
+        want = (hi - lo) ** (a + b + 1.0) * math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                                                   - math.lgamma(a + b + 2.0))
+        assert float(np.sum(w)) == pytest.approx(want, rel=1e-14)

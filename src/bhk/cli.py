@@ -5,7 +5,8 @@
 
 Exit status: 0 all checks passed, 1 at least one row failed (or numeric
 non-convergence, or a suite raised: its report holds a failing `suite-error`
-row), 2 configuration/usage error (no report written).
+row), 2 configuration/usage error or an --out that cannot be written (no
+report written).
 """
 
 from __future__ import annotations
@@ -51,7 +52,11 @@ def main(argv=None) -> int:
     if args.command == "run":
         report = run_suite(config, args.suite)
         out = args.out or config.output
-        write_report(report, out)
+        try:
+            write_report(report, out)
+        except OSError as exc:
+            print(f"bhk: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         summary = report["summary"]
         for row in report["rows"]:
             if row["check"] == "suite-error":
@@ -69,6 +74,10 @@ def main(argv=None) -> int:
         emit_grid(config, args.function, args.out, transform=args.transform)
     except ValueError as exc:
         print(f"bhk: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the sample CSV or its .transform.csv
+        print(f"bhk: cannot write {exc.filename or args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
     print(f"bhk: wrote {args.out}")
     return 0

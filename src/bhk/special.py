@@ -19,13 +19,14 @@ rounded to double once: no power of r and no Gamma value enters.  Every
 argument starts at its own order m, past the Debye decay of J_{nu+m}(r)
 (about top + 10 top^(1/3) + 12, top = max(r, |nu|)), so that a deep start
 cannot overflow a shallow argument, and one pass serves all arguments of a
-call: sorted by start order, the steps below an order run only on the
-arguments that start at or above it, each seeded at its own order.  An
-argument's value therefore does not depend on the rest of the batch:
-normalized_j(nu, r)[i] is bitwise normalized_j(nu, r[i]).  The pass runs in
-chunks of SHIFT_BUDGET arguments.  Where r^2 < 2^-52 (nu+1), r = 0 included,
-the series 1 - r^2 / (4 (nu+1)) + ... rounds to 1 and j_nu(r) is 1.0 exactly;
-the pass, whose growth (2/r)^m overflows as r -> 0, does not run there.
+call: sorted, the steps below an order run only on the arguments that start
+at or above it, each seeded at its own order.  An argument's value therefore
+does not depend on the rest of the batch: normalized_j(nu, r)[i] is bitwise
+normalized_j(nu, r[i]), so each distinct argument is evaluated once (a plan
+axis's products x_a y_b are about a third bitwise twins).  Where
+r^2 < 2^-52 (nu+1), r = 0 included, the series 1 - r^2 / (4 (nu+1)) + ...
+rounds to 1 and j_nu(r) is 1.0 exactly; the pass, whose growth (2/r)^m
+overflows as r -> 0, does not run there.
 
 Gauss-Jacobi rules (`gauss_jacobi`, the one quadrature rule behind every grid,
 angle, sphere and radial rule of the package; `gauss_jacobi_on` puts one on an
@@ -84,33 +85,31 @@ def gamma(x: float) -> float:
 
 
 def _miller_pass(nu: float, r: np.ndarray) -> np.ndarray:
-    """j_nu(r) for every entry r > 0 of a 1-D array, by one downward pass.
+    """j_nu(r) for every entry of an increasing 1-D array r > 0, in one pass.
 
     f_{j-1} = (2 (nu + j) / r) f_j - f_{j+1} from f_{m+1} = 0, f_m = _SEED
-    at each entry's even start order m, in place on the prefix of entries
-    (sorted deepest first) already started.  Every block of steps between two
+    at each entry's even start order m (nondecreasing in r), in place on the
+    suffix of entries already started.  Every block of steps between two
     start orders is even, so fp and fc hold f_{j+1} and f_j again at its end.
     """
     top = np.maximum(r, abs(nu))
-    m_need = (top + 10.0 * np.cbrt(top) + 12.0).astype(int)
-    m_need += m_need % 2
-    order = np.argsort(-m_need, kind="stable")
-    m = m_need[order]
-    inv_r = 1.0 / r[order].astype(np.longdouble)
+    m = (top + 10.0 * np.cbrt(top) + 12.0).astype(int)
+    m += m % 2
+    inv_r = 1.0 / r.astype(np.longdouble)
     x = np.longdouble(nu)
-    coef = 2.0 * (x + np.arange(m[0] + 1))  # 2 (nu + j)
+    coef = 2.0 * (x + np.arange(m[-1] + 1))  # 2 (nu + j)
     # a_0 = 1, a_k = (nu + 2k) (nu + 1)_{k-1} / k!; cumprod is sequential, so
     # a prefix does not depend on the batch's deepest start order
-    k = np.arange(1, m[0] // 2 + 1, dtype=np.longdouble)
+    k = np.arange(1, m[-1] // 2 + 1, dtype=np.longdouble)
     rising = np.cumprod(np.concatenate(([1.0], (x + k[:-1]) / k[1:])))
     a = np.concatenate(([1.0], (x + 2.0 * k) * rising))
     fp, fc, norm = np.zeros_like(inv_r), np.zeros_like(inv_r), np.zeros_like(inv_r)
     tmp = np.empty_like(inv_r)
-    lo = 0
-    for p in [*(np.flatnonzero(np.diff(m)) + 1), m.size]:  # runs of equal m
-        fc[lo:p] = _SEED
-        f1, f0, t, s, acc = fp[:p], fc[:p], tmp[:p], inv_r[:p], norm[:p]
-        for j in range(m[lo], m[p] if p < m.size else -1, -1):
+    runs = [0, *(np.flatnonzero(np.diff(m)) + 1), m.size]  # runs of equal m
+    for p, hi in reversed(list(zip(runs, runs[1:]))):
+        fc[p:hi] = _SEED
+        f1, f0, t, s, acc = fp[p:], fc[p:], tmp[p:], inv_r[p:], norm[p:]
+        for j in range(m[p], m[p - 1] if p else -1, -1):
             if j % 2 == 0:
                 np.multiply(f0, a[j // 2], out=t)
                 acc += t
@@ -119,22 +118,19 @@ def _miller_pass(nu: float, r: np.ndarray) -> np.ndarray:
                 t *= coef[j]
                 np.subtract(t, f1, out=f1)
                 f1, f0 = f0, f1
-        lo = p
-    out = np.empty_like(r)
-    out[order] = fc / norm
-    return out
+    return (fc / norm).astype(float)
 
 
 def normalized_j(nu, r):
     """Normalized Bessel function j_nu(r) = 2^nu Gamma(nu+1) J_nu(r) r^(-nu).
 
-    Even in r; exactly 1.0 where r^2 < 2^-52 (nu + 1), and one Miller pass
-    (`_miller_pass`) per chunk of SHIFT_BUDGET arguments above.  The pass
-    fits the extended exponent range up to nu = 800 (at nu = 1000 it
-    overflows next to that cut), far past the gamma_i < 84.8 at which the
-    tensor grid's Gauss-Jacobi mass overflows.  Scalar or ndarray r;
-    ValueError unless nu > -1 and every r is finite and >= 0 (a NaN or inf
-    start order would spoil its whole pass).
+    Even in r; exactly 1.0 where r^2 < 2^-52 (nu + 1), and above it one
+    Miller pass (`_miller_pass`) per chunk of SHIFT_BUDGET distinct
+    arguments, which np.unique sorts.  The pass fits the extended exponent
+    range up to nu = 800 (at nu = 1000 it overflows next to that cut), far
+    past the gamma_i < 84.8 at which the tensor grid's Gauss-Jacobi mass
+    overflows.  Scalar or ndarray r; ValueError unless nu > -1 and every r
+    is finite and >= 0 (a NaN or inf start order would spoil its whole pass).
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:
@@ -143,12 +139,12 @@ def normalized_j(nu, r):
     flat = arr.ravel()
     if not np.all((flat >= 0.0) & (flat < np.inf)):
         raise ValueError("normalized_j requires finite r >= 0")
-    out = np.ones(flat.shape)
-    idx = np.flatnonzero(flat >= 2.0**-26 * math.sqrt(nu + 1.0))
-    for lo in range(0, idx.size, SHIFT_BUDGET):
-        sel = idx[lo : lo + SHIFT_BUDGET]
-        out[sel] = _miller_pass(nu, flat[sel])
-    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+    vals, inv = np.unique(flat, return_inverse=True)
+    j = np.ones(vals.size)  # 1.0 below the cut
+    cut = int(np.searchsorted(vals, 2.0**-26 * math.sqrt(nu + 1.0)))
+    for lo in range(cut, vals.size, SHIFT_BUDGET):
+        j[lo : lo + SHIFT_BUDGET] = _miller_pass(nu, vals[lo : lo + SHIFT_BUDGET])
+    return j[inv].reshape(arr.shape) if arr.ndim else float(j[inv[0]])
 
 
 @functools.lru_cache(maxsize=256)

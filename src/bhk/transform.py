@@ -22,13 +22,13 @@ with the *same* constant on the inverse, which makes F an involution
 The kernel is a product of 1-D kernels: the plan holds, per axis, the
 weighted matrix each direction applies, built once; fb_forward/fb_inverse
 are one `grids.contract_axes` call on them, O(n N^{n+1}), and c_fb scales
-the fresh result in place.  fb_forward_at runs the forward contraction on
-the tensor of its points' U_i distinct coordinates per axis,
-O(N^n U_1 + N^{n-1} U_1 U_2 + ...): P scattered points can make that tensor
-P^n entries, open meshes such as the report's probes only P.  The frequency
-grid keeps the spatial point count but extends x_max slightly so the inverse
-quadrature captures the transform's tail; round-trip accuracy on the unit
-Gaussian is verified at plan construction.
+the fresh result in place.  fb_forward_at builds forward rows the same way
+for its points' U_i distinct coordinates per axis, U_i N kernel values, and
+contracts on their tensor, O(N^n U_1 + N^{n-1} U_1 U_2 + ...): P scattered
+points can make that tensor P^n entries, open meshes such as the report's
+probes only P.  The frequency grid keeps the spatial point count but extends
+x_max slightly so the inverse quadrature captures the transform's tail;
+round-trip accuracy on the unit Gaussian is verified at plan construction.
 """
 
 from __future__ import annotations
@@ -172,31 +172,20 @@ def fb_forward_at(plan: FBPlan, f: GridFunction, points) -> np.ndarray:
 
     Same quadrature as fb_forward, so values off the frequency grid
     (worked-example points, scaled grids) come from the identical
-    discretization: fb_forward's contraction on the tensor U_1 x ... x U_n
-    of the points' distinct coordinates per axis, from which the points are
-    read, O(N^n U_1 + N^{n-1} U_1 U_2 + ...).  On an open mesh (the report's
-    probes) that tensor is the points themselves; P scattered points can
-    make it P^n entries.
-
-    A coordinate that is a frequency node y_b takes row b of plan.forward:
-    x * y commutes and normalized_j evaluates each argument on its own, so
-    it is bitwise the fresh row j(y_b x) w_x, which only the other
-    coordinates get.  The rows keep plan.forward's layout (it decides BLAS's
-    rounding at n = 1), yet a point's last bits depend on the call's other
-    points: up to about 1e-15 relative, even for the first point alone.
+    discretization: its contraction on the tensor of the points' distinct
+    coordinates per axis, whose rows FBPlan.from_grids's forward expression
+    (j(x y^T) w_x)^T builds in its transposed layout (which decides BLAS's
+    rounding at n = 1), so a frequency node y_b gets row b of plan.forward
+    bitwise.  The points are read from that tensor; open meshes such as the
+    report's probes make it the points themselves, P scattered points P^n
+    entries.  A point's last bits depend on the call's other points: up to
+    about 1e-15 relative, even for the first point alone.
     """
     _require_grid(f.grid, plan.grid, "f is not on the plan's input grid")
     pts = np.asarray(points, dtype=float)
     coords, inv = zip(*map(_distinct, pts.reshape(-1, plan.gamma.n).T))
-    rows = []
-    for ax, (ys, freq) in enumerate(zip(coords, plan.freq_grid.nodes)):
-        col = np.minimum(np.searchsorted(freq, ys), freq.size - 1)
-        on = freq[col] == ys
-        row = np.take(plan.forward[ax].T, col, axis=1).T
-        if not on.all():
-            row[~on] = (normalized_j(plan.gamma[ax] - 0.5, np.outer(ys[~on], plan.grid.nodes[ax]))
-                        * plan.grid.weights[ax])
-        rows.append(row)
+    rows = [(normalized_j(gi - 0.5, x[:, None] * ys[None, :]) * wx[:, None]).T
+            for gi, x, wx, ys in zip(plan.gamma, plan.grid.nodes, plan.grid.weights, coords)]
     return _contract(plan, rows, f.values)[inv].reshape(pts.shape[:-1])
 
 

@@ -1,5 +1,7 @@
 import ast
+import builtins
 import copy
+import errno
 import importlib
 import importlib.util
 import json
@@ -310,11 +312,12 @@ class TestRunSuite:
         assert len(plan_builds) == 2
 
     def test_normalized_j_calls_per_report(self, monkeypatch):
-        # frequency-node probes read plan.forward; every other argument set
-        # is evaluated once (patched through importlib: bhk re-exports names
-        # that shadow its submodules); the special suite's poisson row at
-        # the config's gamma_2 = 1.5 is one call on 81 arguments, and each
-        # special-ode order one call on its three stacked grids
+        # every argument set is evaluated once, one call per plan axis and
+        # per fb_forward_at axis, frequency-node probes included (patched
+        # through importlib: bhk re-exports names that shadow its
+        # submodules); the special suite's poisson row at the config's
+        # gamma_2 = 1.5 is one call on 81 arguments, and each special-ode
+        # order one call on its three stacked grids
         calls = []
         for name in ("bhk.transform", "bhk.report"):
             mod = importlib.import_module(name)
@@ -322,7 +325,7 @@ class TestRunSuite:
                                 calls.append(np.size(r)) or nj(nu, r))
         report = run_suite(RunConfig(), "all")
         assert report["summary"]["failed"] == 0
-        assert (len(calls), sum(calls)) == (28, 26682)
+        assert (len(calls), sum(calls)) == (46, 35322)
 
     def test_one_rule_per_report_and_none_written(self, monkeypatch):
         # suites share the cached grid and sphere rules, so none may write
@@ -675,6 +678,41 @@ class TestEmit:
         code = main(["emit", "--function", "nope", "--config", str(config_path),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+
+class TestUnwritableOut:
+    """run and emit exit 2 with one line on stderr, and no traceback, when
+    --out cannot be written."""
+
+    @pytest.fixture(params=["missing-directory", "directory", "no-permission"])
+    def unwritable(self, request, tmp_path, monkeypatch):
+        if request.param == "missing-directory":
+            return tmp_path / "missing" / "r.out", "No such file or directory"
+        if request.param == "directory":
+            return tmp_path, "Is a directory"
+        # what a directory without write permission gives: opening the path
+        # for writing fails (patched, since root may write anywhere)
+        path, real_open = tmp_path / "r.out", builtins.open
+
+        def guarded(file, mode="r", *args, **kwargs):
+            if str(file) == str(path) and "w" in mode:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", guarded)
+        return path, "Permission denied"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--suite", "special"],
+        ["emit", "--function", "gaussian", "--transform"],
+    ])
+    def test_exit_2_one_line(self, argv, unwritable, config_path, capsys):
+        path, reason = unwritable
+        assert main([*argv, "--config", str(config_path), "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"bhk: cannot write {path}: {reason}"]
+        assert captured.out == ""
+        assert not path.is_file()
 
 
 class TestNoScipyOnReportPath:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from bhk import special
 from bhk.grids import build_tensor_grid
 from bhk.shift import MAX_ANGLES
+from bhk.transform import build_fb_plan
 from bhk.special import (
     gamma,
     gauss_jacobi,
@@ -225,6 +227,25 @@ class TestNormalizedJ:
         assert batch[0] == batch[1] == batch[2] == 1.0
         assert np.array_equal(batch, [normalized_j(nu, float(x)) for x in r])
         assert np.array_equal(batch[::-1], normalized_j(nu, r[::-1]))
+        # repeated and permuted: every copy reads its argument's one value
+        perm = np.random.default_rng(r.size).permutation(3 * r.size) % r.size
+        assert np.array_equal(normalized_j(nu, r[perm]), batch[perm])
+
+    @pytest.mark.parametrize("g, points, args", [
+        ((0.5, 1.5), 96, [6098, 6141]),
+        ((0.5, 1.0, 1.5), 48, [1539, 1569, 1587]),
+    ])
+    def test_distinct_arguments_per_plan(self, g, points, args, monkeypatch):
+        # a plan axis's N^2 products x_a y_b (9216 at 96 points, 2304 at 48)
+        # hold bitwise twins: the Miller pass runs once per distinct one
+        # (patched through importlib: bhk re-exports names that shadow its
+        # submodules)
+        mod = importlib.import_module("bhk.special")
+        sizes, miller = [], mod._miller_pass
+        monkeypatch.setattr(mod, "_miller_pass",
+                            lambda nu, r: sizes.append(r.size) or miller(nu, r))
+        build_fb_plan(build_tensor_grid(g, 8.0, points))
+        assert sizes == args
 
     def test_array_shapes(self):
         # a transposed (Fortran-ordered) array is read and written in its

@@ -192,8 +192,8 @@ def fresh_forward_at(plan, f, points):
 
 
 class TestForwardAtKernelRows:
-    """fb_forward_at evaluates each distinct coordinate once and reads
-    frequency-node coordinates from plan.forward, bitwise as fresh rows."""
+    """fb_forward_at evaluates each distinct coordinate once, frequency nodes
+    too, bitwise as fresh rows."""
 
     @pytest.fixture
     def nj_args(self, monkeypatch):
@@ -213,7 +213,9 @@ class TestForwardAtKernelRows:
         pts = np.stack([plan.freq_grid.nodes[i][idx[:, i]] for i in range(n)], axis=-1)
         nj_args.clear()  # the plan's own matrices
         got = fb_forward_at(plan, f, pts)
-        assert nj_args == []
+        # one call per axis on its distinct node coordinates: 1104 arguments
+        # at n = 1, 1248 and 1296 at n = 2, 1008, 1104 and 1056 at n = 3
+        assert nj_args == [48 * np.unique(idx[:, i]).size for i in range(n)]
         assert np.array_equal(got, fresh_forward_at(plan, f, pts))
 
     def test_off_grid_coordinates(self, fb_plan96, grid96, nj_args):
@@ -223,8 +225,8 @@ class TestForwardAtKernelRows:
         pts = np.array([[nodes[0][10], 1.0], [1.0, nodes[1][3]], [nodes[0][10], 1.0],
                         [0.0, nodes[1][95]], [nodes[0][95] + 1.0, 2.5]])
         got = fb_forward_at(fb_plan96, f, pts)
-        # axis 0 evaluates 1.0, 0.0 and the far point; axis 1 evaluates 1.0 and 2.5
-        assert nj_args == [3 * 96, 2 * 96]
+        # each axis evaluates its four distinct coordinates, the nodes included
+        assert nj_args == [4 * 96, 4 * 96]
         assert np.array_equal(got, fresh_forward_at(fb_plan96, f, pts))
 
 

@@ -6,14 +6,31 @@
 Exit status: 0 all checks passed, 1 at least one row failed (or numeric
 non-convergence, or a suite raised: its report holds a failing `suite-error`
 row), 2 configuration/usage error or an --out that cannot be written (no
-report written).
+report written; run checks --out before it computes the report).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+
+
+def _cannot_write(path: str) -> str | None:
+    """Why a report cannot be written to path, or None: path is a directory,
+    its directory is missing, or os.access refuses the write.  Nothing is
+    created or truncated; what this cannot foresee (root passes os.access)
+    still fails when the report is written."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        return os.strerror(errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
 
 
 def main(argv=None) -> int:
@@ -50,8 +67,12 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "run":
-        report = run_suite(config, args.suite)
         out = args.out or config.output
+        reason = _cannot_write(out)
+        if reason:
+            print(f"bhk: cannot write {out}: {reason}", file=sys.stderr)
+            return 2
+        report = run_suite(config, args.suite)
         try:
             write_report(report, out)
         except OSError as exc:

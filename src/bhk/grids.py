@@ -77,6 +77,31 @@ def as_gamma(gamma) -> GammaIndex:
     return GammaIndex(tuple(gamma))
 
 
+def _vector(v, n: int, name: str) -> np.ndarray:
+    """v as n finite floats (shape (n,)); ValueError otherwise."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.size != n:
+        raise ValueError(f"{name} must have {n} components")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
+def _positive(v, name: str) -> float:
+    """v as a float, finite and > 0; ValueError otherwise."""
+    v = float(v)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+    return v
+
+
+def _same_gamma(names: str, *objs) -> None:
+    """ValueError unless every obj (a plan, grid, rule or kernel) carries
+    one gamma; names lists them for the message."""
+    if len({o.gamma.values for o in objs}) > 1:
+        raise ValueError(f"{names} gamma indices differ")
+
+
 def hemisphere_measure(gamma) -> float:
     """m(S_+) = prod Gamma(gamma_i + 1/2) / (2^{n-1} Gamma(|gamma| + n/2))."""
     g = as_gamma(gamma)
@@ -223,9 +248,7 @@ def build_tensor_grid(gamma, x_max: float, points_per_axis: int) -> TensorGrid:
     to roundoff for every g > 0.
     """
     g = as_gamma(gamma)
-    x_max = float(x_max)
-    if not math.isfinite(x_max) or x_max <= 0.0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
+    x_max = _positive(x_max, "x_max")
     if points_per_axis < 8:
         raise ValueError("points_per_axis must be >= 8")
     nodes, weights = zip(*(special.gauss_jacobi_on(points_per_axis, 0.0, 2.0 * gi, 0.0, x_max)
@@ -289,6 +312,13 @@ class SphereRule:
                 raise ValueError(
                     f"sphere rule total weight {total!r} != m(S_+) = {ref!r}"
                 )
+
+
+def _angular_mean(rule: SphereRule, f) -> tuple:
+    """(w f, sum w f, sum |w f|): a kernel's weighted values f at the rule's
+    nodes, its angular mean and the mean's scale."""
+    wf = rule.weights * np.asarray(f, dtype=float)
+    return wf, float(np.sum(wf)), float(np.sum(np.abs(wf)))
 
 
 def build_sphere_rule(gamma, points: int) -> SphereRule:

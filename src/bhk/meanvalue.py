@@ -35,7 +35,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .grids import GammaIndex, SphereRule, as_gamma, hemisphere_measure
+from .grids import (GammaIndex, SphereRule, _positive, _same_gamma, _vector, as_gamma,
+                    hemisphere_measure)
 from .polys import EvenPoly, _axis_exponents, _sum_terms, apply_bessel, eval_poly
 from .shift import _axis_shift
 
@@ -50,24 +51,26 @@ __all__ = [
 ]
 
 
+def _node_values(u, rule: SphereRule, R: float) -> np.ndarray:
+    """u(R theta) at the rule's nodes theta, for an EvenPoly or a callable u;
+    ValueError unless R is finite and > 0."""
+    x = _positive(R, "R") * rule.nodes
+    return eval_poly(u, x) if isinstance(u, EvenPoly) else np.asarray(u(x), dtype=float)
+
+
 def sphere_mean(u, rule: SphereRule, R: float) -> float:
     """int_{S_+^{n-1}} u(R theta) prod theta_i^{2 gamma_i} dS via the rule,
     for an EvenPoly or a callable u."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    x = R * rule.nodes
-    vals = eval_poly(u, x) if isinstance(u, EvenPoly) else np.asarray(u(x), dtype=float)
-    return float(np.dot(rule.weights, vals))
+    return float(np.dot(rule.weights, _node_values(u, rule, R)))
 
 
-def _mean_row(check: str, rule: SphereRule, R: float, values, u_at: float,
+def _mean_row(check: str, rule: SphereRule, R: float, values, u: EvenPoly, at,
               **extra) -> dict:
-    """Row comparing the weighted sphere mean of values(R theta), a callable
-    on the rule's scaled nodes, against m(S_+) u_at; ValueError unless R > 0."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    """Row comparing the weighted sphere mean of values(R theta)
+    (`_node_values`, which checks R first) against m(S_+) u(at)."""
     g = rule.gamma
-    vals = values(R * rule.nodes)
+    vals = _node_values(values, rule, R)
+    u_at = eval_poly(u, at)
     lhs = float(np.dot(rule.weights, vals))
     rhs = hemisphere_measure(g) * u_at
     scale = hemisphere_measure(g) * max(1e-300, float(np.max(np.abs(vals))), abs(u_at))
@@ -85,11 +88,10 @@ def mean_value_check(u: EvenPoly, rule: SphereRule, R: float) -> dict:
     """
     if not isinstance(u, EvenPoly):
         raise ValueError("mean_value_check takes u as an EvenPoly")
+    row = _mean_row("mvt", rule, R, u, u, np.zeros(rule.gamma.n))
     bu = apply_bessel(u, rule.gamma)
-    u0 = float(eval_poly(u, np.zeros(rule.gamma.n)))
-    return _mean_row("mvt", rule, R, lambda x: eval_poly(u, x), u0,
-                     residual=float(max((abs(c) for _, c in bu.coeffs), default=0)),
-                     residual_ok=bu.is_zero)
+    return {**row, "residual": float(max((abs(c) for _, c in bu.coeffs), default=0)),
+            "residual_ok": bu.is_zero}
 
 
 def shifted_mean_value_check(u: EvenPoly, rule: SphereRule, R: float, plan, y) -> dict:
@@ -101,16 +103,16 @@ def shifted_mean_value_check(u: EvenPoly, rule: SphereRule, R: float, plan, y) -
     per axis i and distinct exponent a, the 1-D T^{y_i} z^a at every node's
     x_i (A_i points per node), then sum_alpha c_alpha prod_i T^{y_i}
     z^{alpha_i} in eval_poly's term order (T^{y_i} z^0 = 1 exactly).  y = 0
-    takes u itself (T^0 u = u exactly).
+    takes u itself (T^0 u = u exactly).  A non-finite y, or a plan of
+    another gamma than the rule's, raises ValueError.
     """
     g = rule.gamma
     if not isinstance(u, EvenPoly):
         raise ValueError("shifted_mean_value_check takes u as an EvenPoly")
     if u.n != g.n:
         raise ValueError(f"polynomial has {u.n} axes, rule has {g.n}")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != g.n:
-        raise ValueError(f"y must have {g.n} components")
+    y = _vector(y, g.n, "y")
+    _same_gamma("plan and rule", plan, rule)
 
     def shifted(x):
         if np.all(y == 0.0):
@@ -122,8 +124,7 @@ def shifted_mean_value_check(u: EvenPoly, rule: SphereRule, R: float, plan, y) -
                            for a in exps})
         return _sum_terms(u, powers, x.shape[:1])
 
-    uy = float(eval_poly(u, y.reshape(1, -1)).reshape(()))
-    return _mean_row("mvt-shifted", rule, R, shifted, uy, y=[float(v) for v in y])
+    return _mean_row("mvt-shifted", rule, R, shifted, u, y, y=[float(v) for v in y])
 
 
 @dataclass(frozen=True)
@@ -151,35 +152,32 @@ class PizzettiCoefficients:
 def pizzetti_coeffs(gamma, R: float, m: int) -> PizzettiCoefficients:
     """c_eta = (R/2)^{2 eta} Gamma(s)/(eta! Gamma(eta+s)) by the ratio recurrence."""
     g = as_gamma(gamma)
+    R = _positive(R, "R")
     if m < 0:
         raise ValueError("m must be >= 0")
     s = g.abs + 0.5 * g.n
     c = [1.0]
     for eta in range(m):
         c.append(c[-1] * (0.5 * R) ** 2 / ((eta + 1.0) * (eta + s)))
-    return PizzettiCoefficients(float(R), g, tuple(c))
-
-
-def _poly_b_power_at_zero(p: EvenPoly, gamma, eta: int) -> float:
-    for _ in range(eta):
-        p = apply_bessel(p, gamma)
-    return float(p.as_dict().get((0,) * p.n, 0))
+    return PizzettiCoefficients(R, g, tuple(c))
 
 
 def pizzetti_mean(u: EvenPoly, gamma, R: float, m: int) -> float:
     """Truncated Pizzetti sum sum_{eta<=m} c_eta (B^eta u)(0) for an EvenPoly
     u (ValueError for anything else).
 
-    The powers B^eta come from repeated apply_bessel, so every term is exact
-    and the series terminates once 2m >= deg u.
+    The powers B^eta come from one pass of apply_bessel (m calls), so every
+    term is exact and the series terminates once 2m >= deg u.
     """
     if not isinstance(u, EvenPoly):
         raise ValueError("pizzetti_mean takes u as an EvenPoly")
     g = as_gamma(gamma)
-    coeffs = pizzetti_coeffs(g, R, m).c
-    return math.fsum(
-        coeffs[eta] * _poly_b_power_at_zero(u, g, eta) for eta in range(m + 1)
-    )
+    terms = []
+    for eta, c in enumerate(pizzetti_coeffs(g, R, m).c):
+        if eta:
+            u = apply_bessel(u, g)
+        terms.append(c * float(u.as_dict().get((0,) * u.n, 0)))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -210,29 +208,30 @@ def _antiderivative(terms: _Terms) -> _Terms:
     return out
 
 
-def _radial_bessel(terms: _Terms, q: Fraction) -> _Terms:
-    """Termwise radial B = d^2/dr^2 + (q + 1)/r d/dr of sum c r^p (ln r)^l:
-
-        B(r^p ln^l r) = r^{p-2} [p(p+q) ln^l r + l(2p+q) ln^{l-1} r
-                                 + l(l-1) ln^{l-2} r].
-    """
+def _derivative(terms: _Terms, q) -> _Terms:
+    """Termwise r^{-q-1} d/dr (r^{q+1} f) of f = sum c r^p (ln r)^l, d/dr at
+    q = -1: r^p ln^l r -> r^{p-1} [(p+q+1) ln^l r + l ln^{l-1} r]."""
     out: _Terms = {}
     for (p, l), c in terms.items():
-        _add_term(out, p - 2, l, c * float(p * (p + q)))
+        _add_term(out, p - 1, l, c * float(p + q + 1))
         if l:
-            _add_term(out, p - 2, l - 1, c * l * float(2 * p + q))
-        if l > 1:
-            _add_term(out, p - 2, l - 2, c * l * (l - 1.0))
+            _add_term(out, p - 1, l - 1, c * l)
     return out
 
 
+def _radial_bessel(terms: _Terms, q: Fraction) -> _Terms:
+    """Termwise radial B = r^{-q-1} d/dr r^{q+1} d/dr of sum c r^p (ln r)^l."""
+    return _derivative(_derivative(terms, -1), q)
+
+
 def _eval_terms(terms: _Terms, r):
+    """sum c r^p (ln r)^l at r: a float for scalar r, else an array."""
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     lr = np.log(r)
     for (p, l), c in terms.items():
         out += c * r ** float(p) * (lr**l if l else 1.0)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 class VRadial:
@@ -247,18 +246,10 @@ class VRadial:
         self.mu_moment = mu_moment
 
     def __call__(self, r):
-        out = _eval_terms(self.terms, r)
-        return float(out) if out.ndim == 0 else out
+        return _eval_terms(self.terms, r)
 
     def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        lr = np.log(r)
-        for (p, l), c in self.terms.items():
-            out += c * float(p) * r ** float(p - 1) * (lr**l if l else 1.0)
-            if l:
-                out += c * l * r ** float(p - 1) * lr ** (l - 1)
-        return float(out) if out.ndim == 0 else out
+        return _eval_terms(_derivative(self.terms, -1), r)
 
 
 def v_sequence(gamma, R: float, eta_max: int) -> List[VRadial]:
@@ -268,7 +259,7 @@ def v_sequence(gamma, R: float, eta_max: int) -> List[VRadial]:
     measure moment (see VRadial).
     """
     g = as_gamma(gamma)
-    R = float(R)
+    R = _positive(R, "R")
     q = g.n + 2 * sum(map(Fraction, g)) - 2
     if q <= 0:
         raise ValueError("v recursion requires n + 2|gamma| > 2")
@@ -279,14 +270,13 @@ def v_sequence(gamma, R: float, eta_max: int) -> List[VRadial]:
     a0 = 1.0 / (m_s * qf)
     seq = []
     terms: _Terms = {(-q, 0): a0, (Fraction(0), 0): -a0 * R ** (-qf)}
-    r_end = np.asarray(R)
     for _ in range(eta_max + 1):
         anti_s = _antiderivative({(p + q + 1, l): c for (p, l), c in terms.items()})
         anti_t = _antiderivative({(p + 1, l): c for (p, l), c in terms.items()})
-        s_at_r = float(_eval_terms(anti_s, r_end))
+        s_at_r = _eval_terms(anti_s, R)
         seq.append(VRadial(terms, m_s * s_at_r))
         # v_{eta+1}(r) = (1/q) [ r^-q int_r^R rho^{q+1} v - int_r^R rho v ]
-        t_at_r = float(_eval_terms(anti_t, r_end))
+        t_at_r = _eval_terms(anti_t, R)
         nxt: _Terms = {}
         _add_term(nxt, -q, 0, s_at_r / qf)
         for (p, l), c in anti_s.items():

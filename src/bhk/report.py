@@ -43,6 +43,7 @@ import numpy as np
 from . import corpus
 from .grids import (
     GammaIndex,
+    _angular_mean,
     _point_array,
     as_gamma,
     build_sphere_rule,
@@ -70,7 +71,8 @@ from .riesz import (
     riesz_spatial,
     riesz_spectral,
 )
-from .shift import ShiftTruncationWarning, build_shift_plan, shift, shift_grid, b_convolve
+from .shift import (ShiftTruncationWarning, _factor_product, b_convolve, build_shift_plan,
+                    shift, shift_grid)
 from .special import gamma as gamma_fn, normalized_j, poisson_representation
 from .transform import (
     _check_eps_seq,
@@ -385,12 +387,8 @@ def suite_shift(cfg: RunConfig) -> List[dict]:
 
     # the kernel prod_i j_{g_i-1/2}(t_i x_i) as its n 1-D factors (per-axis route)
     factors = [lambda z, i=i: normalized_j(g[i] - 0.5, z * t[i]) for i in range(g.n)]
-
-    def kern(p):
-        return math.prod(float(h(p[i : i + 1])[0]) for i, h in enumerate(factors))
-
     lhs = shift(plan, factors, x, y)
-    rhs = kern(x) * kern(y)
+    rhs = _factor_product(factors, x) * _factor_product(factors, y)
     rows.append(_row(cfg, "shift-product-formula", lhs, rhs, scale=1.0,
                      inputs={"t": list(t), "x": list(x), "y": list(y)}))
     return rows
@@ -604,8 +602,7 @@ def suite_riesz(cfg: RunConfig) -> List[dict]:
     p2 = corpus.b_harmonic(g, 2)
     kernel = build_riesz_kernel(p2, g)
     rule = _sphere_rule(g.values, cfg.sphere_points)
-    mean = float(np.dot(rule.weights, eval_poly(p2, rule.nodes)))
-    scale = float(np.dot(rule.weights, np.abs(eval_poly(p2, rule.nodes))))
+    _, mean, scale = _angular_mean(rule, eval_poly(p2, rule.nodes))
     rows.append(_row(cfg, "riesz-mean-zero", mean, 0.0, scale=scale))
     plan_f = _fb_plan(g.values, cfg.x_max, cfg.points)
     grid = plan_f.grid

@@ -44,9 +44,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import GammaIndex, GridFunction, SphereRule, as_gamma, lp_norm
+from .grids import (GammaIndex, GridFunction, SphereRule, _angular_mean, _positive,
+                    _same_gamma, _vector, as_gamma, lp_norm)
 from .polys import EvenPoly, _eval_axes, _require_b_harmonic, eval_poly
-from .shift import ShiftOperatorPlan, _axis_factors, _axis_shift
+from .shift import ShiftOperatorPlan, _axis_factors, _axis_shift, _factor_product
 from .special import gamma as _gamma, gauss_jacobi_on
 from .transform import PV_MEAN_TOL, FBPlan, fb_constant, fb_forward, fb_inverse
 
@@ -111,8 +112,7 @@ def riesz_multiplier(kernel: RieszKernel, grid) -> np.ndarray:
     builds the field on the grid's open mesh and replaces the held pair.
     kernel and grid must share one gamma (ValueError otherwise).
     """
-    if kernel.gamma.values != grid.gamma.values:
-        raise ValueError("kernel and grid gamma indices differ")
+    _same_gamma("kernel and grid", kernel, grid)
     held_grid, mult = kernel._held
     if held_grid is not grid:
         mult = _multiplier(kernel, np.meshgrid(*grid.nodes, indexing="ij", sparse=True))
@@ -129,7 +129,7 @@ def pv_kernel_transform(p: EvenPoly, gamma, y) -> float:
                  * P_k(y)/|y|^k, homogeneous of degree 0; |y|^2 = 0 is singular.
     """
     kernel = build_riesz_kernel(p, gamma)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _vector(y, kernel.gamma.n, "y")
     if float(np.sum(y * y)) == 0.0:
         raise ValueError("pv kernel transform is singular at y = 0")
     return float(_multiplier(kernel, y)) / kernel.c_k_printed
@@ -176,15 +176,12 @@ def riesz_spatial(
     integrand: |sum w P_k| <= PV_MEAN_TOL * sum w |P_k| over the rule.
     """
     g = kernel.gamma
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != g.n:
-        raise ValueError(f"x must have {g.n} components")
-    if any(h.values != g.values for h in (plan.gamma, rule.gamma)):
-        raise ValueError("kernel, plan and rule gamma indices differ")
+    x = _vector(x, g.n, "x")
+    _same_gamma("kernel, plan and rule", kernel, plan, rule)
     fs = _axis_factors(f, g.n)
     if fs is None:
         raise ValueError(f"riesz_spatial takes f as {g.n} 1-D callables")
-    r_max = x_max + float(np.linalg.norm(x))
+    r_max = _positive(x_max, "x_max") + float(np.linalg.norm(x))
 
     r_in, w_in = gauss_jacobi_on(RADIAL_INNER, 0.0, 0.0, 0.0, 1.0)
     r_out, w_out = gauss_jacobi_on(RADIAL_OUTER, 0.0, 0.0, 1.0, r_max)
@@ -194,15 +191,13 @@ def riesz_spatial(
                       for fi, xi, th, c, w in zip(fs, x, rule.nodes.T, plan.cos_nodes,
                                                   plan.weights))
 
-    pw = rule.weights * eval_poly(kernel.poly, rule.nodes)
-    mean_hat = float(np.sum(pw))          # quadrature-level angular mean (~0)
-    fx = math.prod(float(np.asarray(fi(x[i : i + 1])).reshape(()))
-                   for i, fi in enumerate(fs))  # T^0 f(x) = f(x)
+    pw, mean_hat, scale = _angular_mean(rule, eval_poly(kernel.poly, rule.nodes))  # mean ~0
+    fx = _factor_product(fs, x)  # T^0 f(x) = f(x)
     g_of_r = tvals @ pw
 
     inner = float(np.sum(w_in * (g_of_r[: r_in.size] - fx * mean_hat) / r_in))
     outer = float(np.sum(w_out * g_of_r[r_in.size :] / r_out))
-    converged = abs(mean_hat) <= PV_MEAN_TOL * float(np.sum(np.abs(pw)))
+    converged = abs(mean_hat) <= PV_MEAN_TOL * scale
     return RieszSpatialResult(kernel.c_k * (inner + outer), converged)
 
 

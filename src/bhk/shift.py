@@ -52,7 +52,9 @@ from .grids import (
     GammaIndex,
     GridFunction,
     GridInterpolator,
+    _same_gamma,
     _sample_tensor,
+    _vector,
     as_gamma,
     contract_axes,
 )
@@ -150,6 +152,12 @@ def _axis_factors(phi, n: int):
     return phis
 
 
+def _factor_product(phis, x) -> float:
+    """prod_i phi_i(x_i) at one point x, multiplied in axis order."""
+    return math.prod(float(np.asarray(h(x[i : i + 1])).reshape(()))
+                     for i, h in enumerate(phis))
+
+
 def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float:
     """T^y phi(x) for phi on the positive orthant.
 
@@ -164,19 +172,13 @@ def shift(plan: ShiftOperatorPlan, phi, x, y, *, adaptive: bool = True) -> float
     differ by less than SHIFT_TOL relative (capped at MAX_ANGLES points per
     axis).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
     n = plan.gamma.n
-    if x.size != n or y.size != n:
-        raise ValueError(f"points must have {n} components")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("shift requires finite x and y")
+    x, y = _vector(x, n, "x"), _vector(y, n, "y")
     phis = _axis_factors(phi, n)
     if np.all(y == 0.0):
         if phis is None:
             return float(np.asarray(phi(x.reshape(1, n)), dtype=float).reshape(()))
-        return math.prod(float(np.asarray(h(x[i : i + 1])).reshape(()))
-                         for i, h in enumerate(phis))
+        return _factor_product(phis, x)
 
     def value(m):
         rules = [angle_rule(gi, m) for gi in plan.gamma]
@@ -217,13 +219,8 @@ def shift_grid(plan: ShiftOperatorPlan, f: GridFunction, y) -> GridFunction:
     ValueError before any evaluation.
     """
     grid = f.grid
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != grid.n:
-        raise ValueError(f"y must have {grid.n} components")
-    if not np.isfinite(y).all():
-        raise ValueError("shift_grid requires a finite y")
-    if grid.gamma.values != plan.gamma.values:
-        raise ValueError("plan and grid gamma indices differ")
+    y = _vector(y, grid.n, "y")
+    _same_gamma("plan and grid", plan, grid)
     if np.all(y == 0.0):
         return GridFunction(grid, f.values.copy())
     interp = GridInterpolator(grid, width=min(SHIFT_GRID_STENCIL, min(grid.shape) // 2 * 2))
@@ -258,8 +255,7 @@ def b_convolve(plan: ShiftOperatorPlan, f: GridFunction, phi) -> GridFunction:
     pairs.
     """
     grid = f.grid
-    if grid.gamma.values != plan.gamma.values:
-        raise ValueError("plan and grid gamma indices differ")
+    _same_gamma("plan and grid", plan, grid)
     phis = _axis_factors(phi, grid.n)
     if phis is None:
         raise ValueError(f"b_convolve takes phi as {grid.n} 1-D callables")

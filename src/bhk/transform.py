@@ -43,6 +43,8 @@ from .grids import (
     GridFunction,
     SphereRule,
     TensorGrid,
+    _angular_mean,
+    _positive,
     as_gamma,
     build_tensor_grid,
     contract_axes,
@@ -201,9 +203,7 @@ def _distinct(y: np.ndarray):
 def gaussian_transform(gamma, alpha: float, y) -> float | np.ndarray:
     """Closed-form F[e^{-alpha |x|^2}](y) = (2 alpha)^{-(|g|+n/2)} e^{-|y|^2/(4 alpha)}."""
     g = as_gamma(gamma)
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    alpha = _positive(alpha, "alpha")
     y = np.asarray(y, dtype=float)
     r2 = np.sum(y * y, axis=-1)
     out = (2.0 * alpha) ** (-(g.abs + 0.5 * g.n)) * np.exp(-r2 / (4.0 * alpha))
@@ -289,15 +289,13 @@ def pv_regularized_limit(
     O(eps)-regular, and in eps^2 for the truncated side, which misses
     int_0^eps r^{-1} Phi = O(eps^2); the limits agree for Schwartz-class phi.
     """
+    r_max = _positive(r_max, "r_max")
     eps_seq = _check_eps_seq(eps_seq, r_max)
-    fvals = np.asarray(f_angular(rule.nodes), dtype=float)
-    mean = float(np.dot(rule.weights, fvals))
-    scale = float(np.dot(rule.weights, np.abs(fvals)))
+    fw, mean, scale = _angular_mean(rule, f_angular(rule.nodes))
     if abs(mean) > PV_MEAN_TOL * max(scale, 1e-300):
         raise ValueError(
             f"f_angular has nonzero weighted mean {mean:.3e} (tolerance {PV_MEAN_TOL})"
         )
-    fw = rule.weights * fvals
 
     def radial_profile(r: np.ndarray) -> np.ndarray:
         pts = r[:, None, None] * rule.nodes[None, :, :]

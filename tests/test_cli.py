@@ -714,6 +714,47 @@ class TestUnwritableOut:
         assert captured.out == ""
         assert not path.is_file()
 
+    @pytest.mark.parametrize("case", ["missing-directory", "not-a-directory", "directory",
+                                      "no-permission"])
+    def test_run_refused_before_the_report(self, case, tmp_path, config_path,
+                                           monkeypatch, capsys):
+        # --out is checked before run_suite, which is never called here
+        def run_suite(*args):
+            raise AssertionError("run_suite called for an unwritable --out")
+
+        monkeypatch.setattr(report_module, "run_suite", run_suite)
+        (tmp_path / "file").write_text("")
+        path, reason = {
+            "missing-directory": (tmp_path / "missing" / "r.out", "No such file or directory"),
+            "not-a-directory": (tmp_path / "file" / "r.out", "Not a directory"),
+            "directory": (tmp_path, "Is a directory"),
+            "no-permission": (tmp_path / "r.out", "Permission denied"),
+        }[case]
+        if case == "no-permission":  # root passes os.access
+            monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        assert main(["run", "--suite", "special", "--config", str(config_path),
+                     "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"bhk: cannot write {path}: {reason}"]
+        assert captured.out == ""
+        assert not path.is_file()
+
+    def test_existing_out_unchanged_until_written(self, tmp_path, config_path, monkeypatch):
+        # the check neither creates nor truncates --out
+        path = tmp_path / "r.json"
+        path.write_text("earlier report\n")
+        real, seen = report_module.run_suite, []
+
+        def run_suite(*args):
+            seen.append(path.read_text())
+            return real(*args)
+
+        monkeypatch.setattr(report_module, "run_suite", run_suite)
+        assert main(["run", "--suite", "special", "--config", str(config_path),
+                     "--out", str(path)]) == 0
+        assert seen == ["earlier report\n"]
+        assert json.loads(path.read_text())["summary"]["failed"] == 0
+
 
 class TestNoScipyOnReportPath:
     """The report path imports neither scipy (a test and benchmark dependency

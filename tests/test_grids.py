@@ -21,7 +21,13 @@ from bhk.grids import (
     integrate,
     lp_norm,
 )
+from bhk.meanvalue import (mean_value_check, pizzetti_coeffs, pizzetti_mean,
+                           shifted_mean_value_check, sphere_mean, v_sequence)
+from bhk.polys import b_harmonic_basis
+from bhk.riesz import build_riesz_kernel, pv_kernel_transform, riesz_spatial
+from bhk.shift import build_shift_plan
 from bhk.special import angle_rule
+from bhk.transform import gaussian_transform, pv_regularized_limit
 
 from conftest import GAMMA, gauss, layout_callables, planar
 
@@ -485,3 +491,89 @@ class TestGridInterpolator:
         interp.axis_stencil(1, np.array([1.0, 1.0]))
         assert interp.clipped == 1
         assert interp.clip_fraction == 0.25  # one of four axis queries
+
+
+NAN, INF = math.nan, math.inf
+
+# the library's evaluators, each replaced by one that fails: a refused
+# argument must raise before any of them runs
+_EVALUATORS = [("bhk.meanvalue", "eval_poly"), ("bhk.meanvalue", "_axis_shift"),
+               ("bhk.meanvalue", "apply_bessel"), ("bhk.meanvalue", "_antiderivative"),
+               ("bhk.riesz", "eval_poly"), ("bhk.riesz", "_axis_shift"),
+               ("bhk.riesz", "_multiplier"), ("bhk.riesz", "gauss_jacobi_on"),
+               ("bhk.transform", "gauss_jacobi_on"), ("bhk.special", "gauss_jacobi_on")]
+
+
+def _evaluated(*args, **kwargs):
+    raise AssertionError("evaluated before the arguments were checked")
+
+
+class TestArgumentContract:
+    """Non-finite points, non-positive or non-finite radii and mismatched
+    gamma indices raise ValueError at the library's entry points; each of
+    these cases once gave a wrong number or NaN."""
+
+    @pytest.fixture
+    def args(self, monkeypatch):
+        p2 = b_harmonic_basis(2, 2, GAMMA)[0]
+        out = {"p2": p2, "rule": build_sphere_rule(GAMMA, 16),
+               "plan": build_shift_plan(GAMMA, 16), "kernel": build_riesz_kernel(p2, GAMMA),
+               "factors": [_evaluated] * 2}
+        for module, name in _EVALUATORS:
+            monkeypatch.setattr(importlib.import_module(module), name, _evaluated)
+        return out
+
+    @pytest.mark.parametrize("case, match", [
+        ("shifted-plan-gamma", "plan and rule gamma"),
+        ("shifted-plan-n1", "plan and rule gamma"),
+        ("shifted-y-nan", "finite"),
+        ("shifted-y-inf", "finite"),
+        ("shifted-R-nan", "R must be positive"),
+        ("mvt-R-inf", "R must be positive"),
+        ("sphere-mean-R-nan", "R must be positive"),
+        ("pizzetti-mean-R-nan", "R must be positive"),
+        ("pizzetti-R-negative", "R must be positive"),
+        ("pizzetti-R-zero", "R must be positive"),
+        ("v-R-negative", "R must be positive"),
+        ("v-R-zero", "R must be positive"),
+        ("riesz-x-nan", "finite"),
+        ("riesz-x_max-nan", "x_max must be positive"),
+        ("riesz-x_max-inf", "x_max must be positive"),
+        ("pv-kernel-y-nan", "finite"),
+        ("pv-kernel-y-length", "components"),
+        ("gaussian-alpha-nan", "alpha must be positive"),
+        ("pv-limit-r_max-inf", "r_max must be positive"),
+        ("grid-x_max-nan", "x_max must be positive"),
+    ])
+    def test_refused_before_evaluation(self, args, case, match):
+        p2, rule, plan = args["p2"], args["rule"], args["plan"]
+        calls = {
+            "shifted-plan-gamma": lambda: shifted_mean_value_check(
+                p2, rule, 1.0, build_shift_plan((1.0, 1.0), 16), (0.7, 0.4)),
+            "shifted-plan-n1": lambda: shifted_mean_value_check(
+                p2, rule, 1.0, build_shift_plan((0.5,), 16), (0.7, 0.4)),
+            "shifted-y-nan": lambda: shifted_mean_value_check(p2, rule, 1.0, plan, (NAN, 0.4)),
+            "shifted-y-inf": lambda: shifted_mean_value_check(p2, rule, 1.0, plan, (0.7, INF)),
+            "shifted-R-nan": lambda: shifted_mean_value_check(p2, rule, NAN, plan, (0.7, 0.4)),
+            "mvt-R-inf": lambda: mean_value_check(p2, rule, INF),
+            "sphere-mean-R-nan": lambda: sphere_mean(_evaluated, rule, NAN),
+            "pizzetti-mean-R-nan": lambda: pizzetti_mean(p2, GAMMA, NAN, 2),
+            "pizzetti-R-negative": lambda: pizzetti_coeffs(GAMMA, -1.0, 3),
+            "pizzetti-R-zero": lambda: pizzetti_coeffs(GAMMA, 0.0, 3),
+            "v-R-negative": lambda: v_sequence(GAMMA, -1.0, 1),
+            "v-R-zero": lambda: v_sequence(GAMMA, 0.0, 1),
+            "riesz-x-nan": lambda: riesz_spatial(args["kernel"], args["factors"],
+                                                 (NAN, 1.0), plan, rule, 8.0),
+            "riesz-x_max-nan": lambda: riesz_spatial(args["kernel"], args["factors"],
+                                                     (1.0, 1.0), plan, rule, NAN),
+            "riesz-x_max-inf": lambda: riesz_spatial(args["kernel"], args["factors"],
+                                                     (1.0, 1.0), plan, rule, INF),
+            "pv-kernel-y-nan": lambda: pv_kernel_transform(p2, GAMMA, (NAN, 1.0)),
+            "pv-kernel-y-length": lambda: pv_kernel_transform(p2, GAMMA, (1.0, 1.0, 1.0)),
+            "gaussian-alpha-nan": lambda: gaussian_transform(GAMMA, NAN, np.ones((3, 2))),
+            "pv-limit-r_max-inf": lambda: pv_regularized_limit(_evaluated, _evaluated, rule,
+                                                               r_max=INF),
+            "grid-x_max-nan": lambda: build_tensor_grid(GAMMA, NAN, 16),
+        }
+        with pytest.raises(ValueError, match=match):
+            calls[case]()

@@ -20,7 +20,7 @@ from bhk.meanvalue import (
     sphere_mean,
     v_sequence,
 )
-from bhk.polys import EvenPoly, b_harmonic_basis, eval_poly
+from bhk.polys import EvenPoly, apply_bessel, b_harmonic_basis, eval_poly
 from bhk.report import DEFAULT_TOLERANCES
 from bhk.shift import build_shift_plan, shift
 
@@ -264,6 +264,26 @@ class TestPizzettiMean:
         for m in (0, 1, 2):
             assert pizzetti_mean(p2, GAMMA, 1.0, m) == 0.0
 
+    def test_one_bessel_pass(self, monkeypatch):
+        # B^eta u for eta <= m in one pass: m calls of apply_bessel, where
+        # applying B^eta afresh for each term took m (m + 1) / 2 (10 at m = 4)
+        u = EvenPoly.from_terms(2, {(8, 0): 1.0, (4, 4): -3.0, (2, 6): 0.5, (0, 8): 2.0})
+        mod = importlib.import_module("bhk.meanvalue")
+        calls = []
+
+        def counted(p, gamma):
+            calls.append(p.degree)
+            return apply_bessel(p, gamma)
+
+        monkeypatch.setattr(mod, "apply_bessel", counted)
+        got = pizzetti_mean(u, GAMMA, 1.3, 4)
+        assert calls == [8, 6, 4, 2]
+        c, terms, p = pizzetti_coeffs(GAMMA, 1.3, 4).c, [], u
+        for eta in range(5):
+            terms.append(c[eta] * float(p.as_dict().get((0, 0), 0)))
+            p = apply_bessel(p, GAMMA)
+        assert got == math.fsum(terms) != 0.0
+
     def test_callable_refused(self, sphere96):
         # B is applied exactly, on EvenPoly coefficients only
         with pytest.raises(ValueError, match="EvenPoly"):
@@ -307,6 +327,10 @@ class TestVRecursion:
         # B(r^3 ln^2 r) at q = 2 is r [15 ln^2 r + 16 ln r + 2]
         got = _radial_bessel({(Fraction(3), 2): 1.0}, Fraction(2))
         assert got == {(Fraction(1), 2): 15.0, (Fraction(1), 1): 16.0, (Fraction(1), 0): 2.0}
+        # B(r^3 ln^3 r) at q = 2 is r [15 ln^3 r + 24 ln^2 r + 6 ln r]: the
+        # ln^{l-2} path, which no report config reaches
+        got = _radial_bessel({(Fraction(3), 3): 1.0}, Fraction(2))
+        assert got == {(Fraction(1), 3): 15.0, (Fraction(1), 2): 24.0, (Fraction(1), 1): 6.0}
 
     @pytest.mark.parametrize("gam", [GAMMA, (0.5, 0.5), (0.7,), (0.05, 0.05), (5.0, 5.0)])
     def test_exact_radial_operator_inverts_recursion(self, gam):
